@@ -11,7 +11,6 @@ numerical-diagnostic failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import sys
@@ -204,8 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         return _selftest()
 
     try:
-        _, spec = load_config(args.config)
-        spec = dataclasses.replace(spec, metric=args.command)
+        _, spec = load_config(args.config, metric=args.command)
         sim = SimulationSpec(n_samples=args.samples, seed=args.seed)
     except FileNotFoundError as exc:
         print(f"pinchpas: config file not found: {exc.filename}", file=sys.stderr)

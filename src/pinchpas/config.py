@@ -167,8 +167,14 @@ def _parse_m_values(value: str, lineno: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def parse_config_text(text: str) -> tuple[SystemConfig, SweepSpec]:
-    """Parse configuration text into a validated (SystemConfig, SweepSpec) pair."""
+def parse_config_text(
+    text: str, metric: str | None = None
+) -> tuple[SystemConfig, SweepSpec]:
+    """Parse configuration text into a validated (SystemConfig, SweepSpec) pair.
+
+    A given metric (the CLI subcommand) overrides any ``metric`` key in the
+    text, and the sweep defaults are resolved for it.
+    """
     system_raw: dict[str, float] = {}
     sweep_raw: dict[str, tuple[int, str]] = {}
     seen: dict[str, int] = {}
@@ -192,14 +198,23 @@ def parse_config_text(text: str) -> tuple[SystemConfig, SweepSpec]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    metric = "outage"
+    file_metric = None
     if "metric" in sweep_raw:
         lineno, value = sweep_raw["metric"]
         if value not in METRICS:
             raise ConfigError(
                 f"line {lineno}: metric must be one of {METRICS}, got {value!r}"
             )
-        metric = value
+        file_metric = value
+    if metric is None:
+        metric = file_metric or "outage"
+    elif metric not in METRICS:
+        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
+    if metric in ("rate", "pde") and config.h == 0.0:
+        raise ConfigError(
+            f"h must be > 0 for the {metric} metric (the rate closed form needs "
+            "the waveguide above the user plane), got 0.0"
+        )
 
     m_values = (1,)
     if "m_values" in sweep_raw:
@@ -208,9 +223,10 @@ def parse_config_text(text: str) -> tuple[SystemConfig, SweepSpec]:
 
     if metric == "regions":
         # The regions metric tabulates the partition itself, one table per
-        # antenna count; a swept axis has no meaning for it.
+        # antenna count; a swept axis has no meaning for it. A file written
+        # for regions may not set one; a file shared with other metrics may.
         for key in ("sweep_axis", "axis_values"):
-            if key in sweep_raw:
+            if key in sweep_raw and file_metric == "regions":
                 lineno, _ = sweep_raw[key]
                 raise ConfigError(
                     f"line {lineno}: {key} does not apply to the regions metric"
@@ -249,12 +265,14 @@ def parse_config_text(text: str) -> tuple[SystemConfig, SweepSpec]:
     return config, spec
 
 
-def load_config(path: str | os.PathLike) -> tuple[SystemConfig, SweepSpec]:
-    """Read and parse a configuration file.
+def load_config(
+    path: str | os.PathLike, metric: str | None = None
+) -> tuple[SystemConfig, SweepSpec]:
+    """Read and parse a configuration file, optionally for a given metric.
 
     Raises ConfigError for malformed content, FileNotFoundError for a
     missing path.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return parse_config_text(text)
+    return parse_config_text(text, metric)

@@ -21,7 +21,7 @@ from ._version import __version__
 from .config import SweepSpec, parse_config_text
 from .metrics import (
     MetricResult,
-    NumericalDiagnosticError,
+    _efficiency_ratio,
     continuous_rate,
     ergodic_rate,
     outage_probability,
@@ -162,15 +162,7 @@ def _metric_point(
         return (result.value,), result.flags
     if metric == "pde":
         discrete = ergodic_rate(config, layout, partition)
-        baseline = baselines.get(config)
-        if baseline.value <= 0.0:
-            raise NumericalDiagnosticError("continuous baseline rate is not positive")
-        ratio = discrete.value / baseline.value
-        if ratio > 1.0 + 1e-9:
-            raise NumericalDiagnosticError(
-                f"discretization efficiency {ratio!r} exceeds 1"
-            )
-        return (min(ratio, 1.0),), discrete.flags
+        return (_efficiency_ratio(discrete, baselines.get(config)),), discrete.flags
     raise ValueError(f"unknown metric {metric!r}")
 
 

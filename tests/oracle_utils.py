@@ -163,3 +163,53 @@ def outage_prob_quad(config: SystemConfig, layout, partition) -> float:
                 continue
             total += width * outage_indicator_quad(width, a0, config.d_y)
     return min(1.0, max(0.0, total / config.d_x))
+
+
+def continuous_rate_quad(config: SystemConfig) -> float:
+    """Continuous-placement rate by nested adaptive quadrature.
+
+    The radiator sits at the stationary point x - t1 of
+    exp(-alpha p) / ((x - p)^2 + d^2) when that lies on the waveguide,
+    and the feed end p = 0 is always a contender. For x below t1 the
+    stationary point is off the waveguide and the feed end serves, so the
+    inner integral is split there; when alpha d >= 1 the SNR falls with
+    p everywhere and the feed end serves the whole row. The outer
+    integral is split where that happens, at alpha^2 (y^2 + h^2) = 1.
+    """
+    big_c = derive_rf(config).big_c
+    alpha, d_x, h = config.alpha, config.d_x, config.h
+
+    def snr(p, x, d_sq):
+        return big_c * math.exp(-alpha * p) / ((x - p) ** 2 + d_sq)
+
+    def row(y):
+        d_sq = y * y + h * h
+        if alpha * alpha * d_sq >= 1.0:
+            t1 = math.inf
+        else:
+            t1 = alpha * d_sq / (1.0 + math.sqrt(1.0 - alpha * alpha * d_sq))
+
+        def f(x):
+            best = snr(0.0, x, d_sq)
+            if x > t1:
+                best = max(best, snr(x - t1, x, d_sq))
+            return math.log2(1.0 + best)
+
+        cut = min(t1, d_x)
+        total = 0.0
+        for lo, hi in ((0.0, cut), (cut, d_x)):
+            if hi > lo:
+                val, _ = integrate.quad(f, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13)
+                total += val
+        return total
+
+    half_width = config.d_y / 2.0
+    kinks = []
+    if alpha > 0.0 and 1.0 / (alpha * alpha) > h * h:
+        y_kink = math.sqrt(1.0 / (alpha * alpha) - h * h)
+        if y_kink < half_width:
+            kinks.append(y_kink)
+    val, _ = integrate.quad(
+        row, 0.0, half_width, points=kinks or None, limit=200, epsabs=0.0, epsrel=1e-13
+    )
+    return 2.0 * val / (d_x * config.d_y)

@@ -130,6 +130,37 @@ def test_regions_grammar():
         parse_config_text("d_x = 10\nmetric = regions\naxis_values = 1:3:3\n")
 
 
+def test_given_metric_overrides_file_and_sets_defaults():
+    _, spec = parse_config_text("d_x = 10\nmetric = rate\n", metric="pde")
+    assert spec.metric == "pde"
+    assert spec.sweep_axis == "m"
+    assert spec.axis_values == tuple(float(i) for i in range(1, 11))
+    with pytest.raises(ConfigError):
+        parse_config_text("d_x = 10\n", metric="capacity")
+
+
+def test_regions_ignores_sweep_keys_of_a_shared_config():
+    _, spec = parse_config_text(
+        "d_x = 10\naxis_values = 90:110:11\nm_values = 2\n", metric="regions"
+    )
+    assert spec.metric == "regions"
+    assert spec.m_values == (2,)
+
+
+@pytest.mark.parametrize("metric", ["rate", "pde"])
+def test_zero_height_rejected_for_rate_metrics(metric):
+    with pytest.raises(ConfigError, match="h must be > 0"):
+        parse_config_text("d_x = 10\nh = 0\n", metric=metric)
+    with pytest.raises(ConfigError, match="h must be > 0"):
+        parse_config_text(f"d_x = 10\nh = 0\nmetric = {metric}\n")
+
+
+def test_zero_height_allowed_for_outage():
+    system, spec = parse_config_text("d_x = 10\nh = 0\n", metric="outage")
+    assert system.h == 0.0
+    assert spec.metric == "outage"
+
+
 def test_sweep_spec_direct_validation():
     base = SystemConfig(d_x=10.0)
     with pytest.raises(ConfigError):

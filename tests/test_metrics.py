@@ -244,6 +244,72 @@ def test_continuous_rate_matches_simulation():
     assert quad.kind == "continuous_rate"
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"d_x": 10.0, "alpha": 0.0},  # no feed-side piece
+        {"d_x": 30.0, "alpha": 0.05},  # interior feed switch in every row
+        {"d_x": 30.0, "alpha": 0.4},  # feed end serves every row
+        {"d_x": 3.0, "h": 0.5},
+    ],
+)
+def test_continuous_rate_matches_nested_quadrature(params):
+    cfg = SystemConfig(**params)
+    ref = oracle.continuous_rate_quad(cfg)
+    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def _continuous_rate_quad_loop(cfg, order):
+    # Row-by-row form of metrics._continuous_rate_quad: the same nodes and
+    # SNR, summed one y node at a time.
+    from pinchpas.metrics import _continuous_snr
+    from pinchpas.numerics import gauss_legendre
+
+    y_nodes, y_weights = gauss_legendre(order, 0.0, cfg.d_y / 2.0)
+    total = 0.0
+    for y, wy in zip(y_nodes, y_weights):
+        dist_sq = y * y + cfg.h * cfg.h
+        disc = 1.0 - cfg.alpha * cfg.alpha * dist_sq
+        if cfg.alpha > 0.0 and disc > 0.0:
+            split = min(cfg.alpha * dist_sq / (1.0 + math.sqrt(disc)), cfg.d_x)
+        elif cfg.alpha > 0.0:
+            split = cfg.d_x
+        else:
+            split = 0.0
+        for lo, hi in ((0.0, split), (split, cfg.d_x)):
+            if hi > lo:
+                x, w = gauss_legendre(order, lo, hi)
+                snr = _continuous_snr(cfg, x, np.full_like(x, y))
+                total += wy * float(np.dot(w, np.log2(1.0 + snr)))
+    return 2.0 * total / (cfg.d_x * cfg.d_y)
+
+
+@pytest.mark.parametrize("block_points", [4096, 1000])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2, 0.4])
+def test_blocked_continuous_rate_matches_row_loop(monkeypatch, alpha, block_points):
+    from pinchpas import metrics
+
+    monkeypatch.setattr(metrics, "_RATE_QUAD_BLOCK_POINTS", block_points)
+    cfg = SystemConfig(d_x=30.0, alpha=alpha)
+    for order in (128, 256):
+        ref = _continuous_rate_quad_loop(cfg, order)
+        # Only the summation order differs: a few hundred terms in float64.
+        assert metrics._continuous_rate_quad(cfg, order) == pytest.approx(
+            ref, rel=1e-13, abs=0.0
+        )
+
+
+def test_continuous_rate_with_partial_feed_rows_within_self_check():
+    # Rows with alpha^2 (y^2 + h^2) >= 1 (here |y| >= 4) are served from
+    # the feed end throughout, so the y integrand has a kink at |y| = 4
+    # that the fixed outer Gauss rule does not split at. That caps the
+    # agreement near 3e-8; the bound is the baseline's own self-check
+    # tolerance.
+    cfg = SystemConfig(d_x=30.0, alpha=0.2)
+    ref = oracle.continuous_rate_quad(cfg)
+    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
 def test_continuous_rate_exceeds_discrete():
     cfg = SystemConfig(d_x=22.0, alpha=0.05, gamma_t_db=92.0)
     cont = continuous_rate(cfg).value

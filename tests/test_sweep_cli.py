@@ -188,7 +188,29 @@ def test_cli_subcommand_overrides_config_metric(tmp_path):
     out = tmp_path / "out"
     code = main(["pde", "--config", cfg, "--out-dir", str(out)])
     assert code == 0
-    assert (out / "pde_m2.dat").exists()
+    # pde sweeps its own default axis, m, in one table.
+    assert sorted(p.name for p in out.iterdir()) == ["pde.dat"]
+
+
+def test_cli_subcommand_sets_sweep_defaults(tmp_path):
+    cfg = _write_cfg(tmp_path, "d_x = 10\n")
+    out = tmp_path / "out"
+    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["pde.dat"]
+    _, spec = reload_run(out / "pde.dat")
+    assert spec.metric == "pde"
+    assert spec.sweep_axis == "m"
+    assert spec.axis_values == tuple(float(i) for i in range(1, 11))
+    rows = np.loadtxt(out / "pde.dat", ndmin=2)
+    assert rows[:, 0].tolist() == [float(i) for i in range(1, 11)]
+
+
+def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "d_x = 10\nh = 0\n")
+    out = tmp_path / "out"
+    assert main(["rate", "--config", cfg, "--out-dir", str(out)]) == 1
+    assert "h must be > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_simulate_seed_and_samples_flags(tmp_path):
