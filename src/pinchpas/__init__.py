@@ -12,7 +12,6 @@ from .config import ConfigError, SweepSpec, load_config, parse_config_text
 from .metrics import (
     MetricResult,
     NumericalDiagnosticError,
-    OutageInputs,
     c_l,
     continuous_optimal_position,
     continuous_rate,
@@ -39,7 +38,7 @@ from .regions import (
     exact_boundary_x,
     optimize_partition,
 )
-from .specfun import CATALAN, DEFAULT_TOLERANCE, SpecFunTolerance, dilog, ti2
+from .specfun import CATALAN, ti2
 from .sweep import OutputTable, emit_table, header_config_text, reload_run, run_sweep
 from .system import (
     SPEED_OF_LIGHT,
@@ -53,6 +52,7 @@ from .system import (
     make_layout,
     select_pa,
     snr_linear,
+    snr_matrix,
 )
 
 __all__ = [
@@ -61,19 +61,16 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "BoundaryCircle",
     "ConfigError",
-    "DEFAULT_TOLERANCE",
     "DegenerateBoundaryError",
     "DerivedRf",
     "ImaginaryRadiusError",
     "MetricResult",
     "NumericalDiagnosticError",
-    "OutageInputs",
     "OutputTable",
     "PaLayout",
     "RegionPartition",
     "SimEstimate",
     "SimulationSpec",
-    "SpecFunTolerance",
     "SweepSpec",
     "SystemConfig",
     "UserPosition",
@@ -83,7 +80,6 @@ __all__ = [
     "continuous_rate",
     "db_to_linear",
     "derive_rf",
-    "dilog",
     "emit_table",
     "ergodic_rate",
     "exact_boundary_x",
@@ -105,5 +101,6 @@ __all__ = [
     "simulate_outage",
     "simulate_rate",
     "snr_linear",
+    "snr_matrix",
     "ti2",
 ]

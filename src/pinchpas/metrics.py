@@ -29,7 +29,6 @@ from .system import (
 
 __all__ = [
     "NumericalDiagnosticError",
-    "OutageInputs",
     "MetricResult",
     "p_l",
     "outage_probability",
@@ -66,30 +65,6 @@ _RATE_QUAD_BLOCK_POINTS = 4096
 
 class NumericalDiagnosticError(RuntimeError):
     """A numerical self-check failed; results would not be trustworthy."""
-
-
-@dataclass(frozen=True)
-class OutageInputs:
-    """Per-antenna ingredients of the conditional outage expression.
-
-    a_0k is the threshold geometry parameter: the available squared
-    horizontal reach at the SNR threshold, c_0k / gamma_thr - h^2. It may
-    be negative, which means even a user directly under the antenna is in
-    outage.
-    """
-
-    a_0k: float
-    c_0k: float
-    delta_width: float
-    d_y: float
-
-    def __post_init__(self):
-        if not self.c_0k > 0:
-            raise ValueError(f"c_0k must be > 0, got {self.c_0k!r}")
-        if not self.delta_width > 0:
-            raise ValueError(f"delta_width must be > 0, got {self.delta_width!r}")
-        if not self.d_y > 0:
-            raise ValueError(f"d_y must be > 0, got {self.d_y!r}")
 
 
 @dataclass(frozen=True)
@@ -206,18 +181,13 @@ def outage_probability(
     h_sq = config.h * config.h
     total = 0.0
     for k in range(layout.m):
-        inputs = OutageInputs(
-            a_0k=c0k[k] / gamma_thr - h_sq,
-            c_0k=c0k[k],
-            delta_width=partition.left_limits[k],
-            d_y=config.d_y,
-        )
-        total += partition.left_limits[k] * p_l(
-            inputs.delta_width, inputs.a_0k, inputs.d_y
-        )
-        total += partition.right_limits[k] * p_l(
-            partition.right_limits[k], inputs.a_0k, inputs.d_y
-        )
+        # Squared horizontal reach at the threshold; negative means even a
+        # user directly under antenna k is in outage.
+        a_0k = c0k[k] / gamma_thr - h_sq
+        left = partition.left_limits[k]
+        right = partition.right_limits[k]
+        total += left * p_l(left, a_0k, config.d_y)
+        total += right * p_l(right, a_0k, config.d_y)
     value = min(1.0, max(0.0, total / config.d_x))
     return MetricResult(
         kind="outage",
@@ -346,6 +316,20 @@ def ergodic_rate(
     )
 
 
+def _feedward_offset(alpha: float, dist_sq):
+    """Feed-ward offset t1 of `continuous_optimal_position`'s stationary maximum.
+
+    Takes a float or an array of d^2 = y^2 + h^2. Where 1 - alpha^2 d^2 <= 0
+    there is no interior stationary point and the offset is +inf.
+    """
+    disc = 1.0 - alpha * alpha * dist_sq
+    return np.where(
+        disc > 0.0,
+        alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0))),
+        np.inf,
+    )
+
+
 def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> float:
     """Waveguide abscissa maximizing the user's SNR for a freely placed radiator.
 
@@ -359,10 +343,9 @@ def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> flo
     if config.alpha == 0.0:
         return min(max(user.x_m, 0.0), config.d_x)
     dist_sq = user.y_m * user.y_m + config.h * config.h
-    disc = 1.0 - config.alpha * config.alpha * dist_sq
-    if disc <= 0.0:
+    t1 = float(_feedward_offset(config.alpha, dist_sq))
+    if math.isinf(t1):
         return 0.0
-    t1 = config.alpha * dist_sq / (1.0 + math.sqrt(disc))
     candidate = min(max(user.x_m - t1, 0.0), config.d_x)
 
     def objective(p: float) -> float:
@@ -378,14 +361,7 @@ def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.nd
     dist_sq = y * y + config.h * config.h
     if config.alpha == 0.0:
         return big_c / dist_sq
-    disc = 1.0 - config.alpha * config.alpha * dist_sq
-    positive = disc > 0.0
-    t1 = np.where(
-        positive,
-        config.alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0))),
-        np.inf,
-    )
-    p_star = np.clip(x - t1, 0.0, config.d_x)
+    p_star = np.clip(x - _feedward_offset(config.alpha, dist_sq), 0.0, config.d_x)
     gap = x - p_star
     snr_station = big_c * np.exp(-config.alpha * p_star) / (gap * gap + dist_sq)
     snr_feed = big_c / (x * x + dist_sq)
@@ -405,9 +381,7 @@ def _continuous_rate_quad(config: SystemConfig, order: int) -> float:
     y_nodes, y_weights = gauss_legendre(order, 0.0, config.d_y / 2.0)
     if config.alpha > 0.0:
         dist_sq = y_nodes * y_nodes + config.h * config.h
-        disc = 1.0 - config.alpha * config.alpha * dist_sq
-        stationary = config.alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0)))
-        split = np.where(disc > 0.0, np.minimum(stationary, d_x), d_x)
+        split = np.minimum(_feedward_offset(config.alpha, dist_sq), d_x)
     else:
         split = np.zeros(order)
     # gauss_legendre's arithmetic per row, so each node matches the rule

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import _continuous_snr
-from .system import PaLayout, SystemConfig, db_to_linear, derive_rf
+from .system import PaLayout, SystemConfig, db_to_linear, snr_matrix
 
 __all__ = [
     "SimulationSpec",
@@ -81,16 +81,6 @@ def _draw_users(
     return x, y
 
 
-def _best_snr(config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray):
-    """Highest per-user SNR across antennas (argmax resolves ties downward)."""
-    rf = derive_rf(config)
-    positions = np.asarray(layout.x_k)[:, None]
-    scale = rf.big_c * np.exp(-config.alpha * positions)
-    gap = x[None, :] - positions
-    snr = scale / (gap * gap + y[None, :] ** 2 + config.h * config.h)
-    return snr.max(axis=0)
-
-
 def simulate_outage(
     config: SystemConfig, layout: PaLayout, spec: SimulationSpec
 ) -> SimEstimate:
@@ -100,7 +90,7 @@ def simulate_outage(
     for index, take in _chunk_sizes(spec):
         rng = _chunk_rng(spec, index)
         x, y = _draw_users(rng, config, take)
-        best = _best_snr(config, layout, x, y)
+        best = snr_matrix(config, layout, x, y).max(axis=0)
         hits += int(np.count_nonzero(best <= threshold))
     p = hits / spec.n_samples
     se = math.sqrt(p * (1.0 - p) / spec.n_samples)
@@ -122,7 +112,7 @@ def simulate_rate(
     for index, take in _chunk_sizes(spec):
         rng = _chunk_rng(spec, index)
         x, y = _draw_users(rng, config, take)
-        rate = np.log2(1.0 + _best_snr(config, layout, x, y))
+        rate = np.log2(1.0 + snr_matrix(config, layout, x, y).max(axis=0))
         total += float(rate.sum())
         total_sq += float(np.square(rate).sum())
     mean, se = _mean_and_se(total, total_sq, spec.n_samples)

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["leggauss_cached", "gauss_legendre", "gl_integrate", "golden_section"]
+__all__ = ["leggauss_cached", "gauss_legendre", "golden_section"]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
@@ -27,14 +27,6 @@ def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid + half * nodes, half * weights
-
-
-def gl_integrate(f, a: float, b: float, n: int = 64) -> float:
-    """Fixed-order Gauss-Legendre integral of a vectorizable callable."""
-    if a == b:
-        return 0.0
-    x, w = gauss_legendre(n, a, b)
-    return float(np.dot(w, f(x)))
 
 
 def golden_section(f, a: float, b: float, tol: float = 1e-6) -> float:

@@ -1,26 +1,14 @@
-"""Scalar special functions used by the rate closed forms.
+"""The inverse-tangent integral Ti2 used by the rate closed forms.
 
-Provides the real dilogarithm, the inverse-tangent integral, and a thin
-asinh wrapper. All functions are pure scalar float64 routines with no
-state, so they are safe to call from any number of threads.
+`ti2` is a pure scalar float64 routine with no state, so it is safe to
+call from any number of threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "SpecFunTolerance",
-    "DEFAULT_TOLERANCE",
-    "CATALAN",
-    "PI_SQUARED_OVER_6",
-    "dilog",
-    "ti2",
-    "asinh",
-]
-
-PI_SQUARED_OVER_6 = math.pi * math.pi / 6.0
+__all__ = ["CATALAN", "ti2"]
 
 # Catalan's constant, G = sum (-1)^n / (2n+1)^2.
 CATALAN = 0.915965594177219015054618569679
@@ -32,83 +20,10 @@ _TI2_SERIES_EDGE = 0.6
 _TI2_INVERSION_EDGE = 1.5
 _TI2_TAYLOR_TERMS = 96
 
-
-@dataclass(frozen=True)
-class SpecFunTolerance:
-    """Convergence policy for the series evaluations.
-
-    rel_tol is the target relative truncation error; max_terms caps the
-    number of series terms before the evaluation is declared stuck.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 4096
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise ValueError(
-                f"rel_tol must be in (0, 1e-6], got {self.rel_tol!r}"
-            )
-        if self.max_terms < 32:
-            raise ValueError(f"max_terms must be >= 32, got {self.max_terms!r}")
-
-
-DEFAULT_TOLERANCE = SpecFunTolerance()
-
-
-def _dilog_series(x: float, tol: SpecFunTolerance) -> float:
-    # sum x^n / n^2 for |x| <= 0.5; geometric-rate convergence.
-    term = x
-    total = x
-    for n in range(2, tol.max_terms + 1):
-        term *= x
-        piece = term / (n * n)
-        total += piece
-        if abs(piece) <= tol.rel_tol * abs(total):
-            return total
-    raise ArithmeticError(
-        f"dilogarithm series did not reach rel_tol={tol.rel_tol} "
-        f"within {tol.max_terms} terms at x={x}"
-    )
-
-
-def dilog(x: float, tol: SpecFunTolerance = DEFAULT_TOLERANCE) -> float:
-    """Real dilogarithm Li2(x) = sum_{n>=1} x^n / n^2 for x <= 1.
-
-    Arguments beyond the real branch point raise a ValueError. The
-    argument is reduced into |x| <= 1/2 with the standard reflection,
-    Landen, and inversion identities, where the defining series
-    converges quickly.
-
-    Args:
-        x: evaluation point, must satisfy x <= 1.
-        tol: series convergence policy.
-
-    Returns:
-        Li2(x) accurate to roughly tol.rel_tol.
-    """
-    if math.isnan(x):
-        raise ValueError("dilog argument must not be NaN")
-    if x > 1.0:
-        raise ValueError(f"dilog is real only for x <= 1, got {x!r}")
-    if x == 1.0:
-        return PI_SQUARED_OVER_6
-    if x == 0.0:
-        return 0.0
-    if x < -1.0:
-        # Inversion: Li2(x) = -Li2(1/x) - pi^2/6 - ln^2(-x)/2.
-        return -dilog(1.0 / x, tol) - PI_SQUARED_OVER_6 - 0.5 * math.log(-x) ** 2
-    if x < -0.5:
-        # Landen: Li2(x) = -Li2(x/(x-1)) - ln^2(1-x)/2; x/(x-1) lies in (0, 1/2).
-        return -_dilog_series(x / (x - 1.0), tol) - 0.5 * math.log1p(-x) ** 2
-    if x <= 0.5:
-        return _dilog_series(x, tol)
-    # 0.5 < x < 1, reflection: Li2(x) = pi^2/6 - ln(x)ln(1-x) - Li2(1-x).
-    return (
-        PI_SQUARED_OVER_6
-        - math.log(x) * math.log1p(-x)
-        - _dilog_series(1.0 - x, tol)
-    )
+# Target relative truncation error of the series, and the number of terms
+# after which the alternating series is declared stuck.
+_REL_TOL = 1e-12
+_MAX_TERMS = 4096
 
 
 def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
@@ -140,24 +55,24 @@ def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
 _TI2_TAYLOR = _ti2_taylor_coefficients(_TI2_TAYLOR_TERMS)
 
 
-def _ti2_series(z: float, tol: SpecFunTolerance) -> float:
+def _ti2_series(z: float) -> float:
     # sum (-1)^n z^(2n+1) / (2n+1)^2 for |z| <= the series edge.
     z_sq = z * z
     term = z
     total = z
-    for n in range(1, tol.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         term *= -z_sq
         piece = term / ((2 * n + 1) * (2 * n + 1))
         total += piece
-        if abs(piece) <= tol.rel_tol * abs(total):
+        if abs(piece) <= _REL_TOL * abs(total):
             return total
     raise ArithmeticError(
-        f"inverse-tangent integral series did not reach rel_tol={tol.rel_tol} "
-        f"within {tol.max_terms} terms at z={z}"
+        f"inverse-tangent integral series did not reach rel_tol={_REL_TOL} "
+        f"within {_MAX_TERMS} terms at z={z}"
     )
 
 
-def _ti2_near_one(z: float, tol: SpecFunTolerance) -> float:
+def _ti2_near_one(z: float) -> float:
     w = z - 1.0
     total = CATALAN
     w_pow = 1.0
@@ -165,12 +80,12 @@ def _ti2_near_one(z: float, tol: SpecFunTolerance) -> float:
         w_pow *= w
         piece = c * w_pow
         total += piece
-        if abs(piece) <= tol.rel_tol * abs(total):
+        if abs(piece) <= _REL_TOL * abs(total):
             break
     return total
 
 
-def ti2(z: float, tol: SpecFunTolerance = DEFAULT_TOLERANCE) -> float:
+def ti2(z: float) -> float:
     """Inverse-tangent integral Ti2(z) = integral of arctan(t)/t from 0 to z.
 
     Odd in z and defined for every finite real argument. Large arguments
@@ -181,22 +96,13 @@ def ti2(z: float, tol: SpecFunTolerance = DEFAULT_TOLERANCE) -> float:
     if not math.isfinite(z):
         raise ValueError(f"ti2 argument must be finite, got {z!r}")
     if z < 0.0:
-        return -ti2(-z, tol)
+        return -ti2(-z)
     if z == 0.0:
         return 0.0
     if z <= _TI2_SERIES_EDGE:
-        return _ti2_series(z, tol)
+        return _ti2_series(z)
     if z <= _TI2_INVERSION_EDGE:
-        return _ti2_near_one(z, tol)
+        return _ti2_near_one(z)
     inv = 1.0 / z
-    inner = _ti2_series(inv, tol) if inv <= _TI2_SERIES_EDGE else _ti2_near_one(inv, tol)
+    inner = _ti2_series(inv) if inv <= _TI2_SERIES_EDGE else _ti2_near_one(inv)
     return inner + 0.5 * math.pi * math.log(z)
-
-
-def asinh(x: float) -> float:
-    """Inverse hyperbolic sine, ln(x + sqrt(x^2 + 1)).
-
-    Delegates to math.asinh, which is stable both for tiny and for very
-    large arguments (no explicit square root that could overflow).
-    """
-    return math.asinh(x)

@@ -150,7 +150,7 @@ def _metric_point(
 ) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """One row's trailing columns plus any numerical flags raised there."""
     if metric == "simulate":
-        layout, _ = partitions.get(config, m)
+        layout = make_layout(config, m)
         estimate = simulate_outage(config, layout, sim)
         return (estimate.mean, estimate.std_error), ()
     layout, partition = partitions.get(config, m)

@@ -4,6 +4,8 @@ A transmission point is created at one of M fixed positions along a lossy
 dielectric waveguide mounted at height h over a rectangular service area.
 Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
+`snr_matrix` holds the one SNR law; the simulator and the scalar
+`snr_linear`/`select_pa` all evaluate it.
 
 All computation is done in linear SI units. dB and dBm appear only in the
 configuration fields and are converted once at construction time.
@@ -13,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -24,6 +28,7 @@ __all__ = [
     "linear_to_db",
     "derive_rf",
     "make_layout",
+    "snr_matrix",
     "snr_linear",
     "select_pa",
 ]
@@ -160,31 +165,39 @@ def make_layout(config: SystemConfig, m: int) -> PaLayout:
     return PaLayout(m=m, delta=delta, x_k=x_k)
 
 
-def snr_linear(
-    config: SystemConfig, layout: PaLayout, k: int, user: UserPosition
-) -> float:
-    """Received SNR (linear) when antenna k serves the given user.
+def snr_matrix(
+    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """Received SNR (linear) of every antenna for every user, shape (m, n).
 
-    The waveguide attenuates the feed signal by exp(-alpha * x_k) before
-    it radiates, and free-space loss applies over the slant distance from
-    the radiating point to the user.
+    This is the package's one SNR law: the waveguide attenuates the feed
+    signal by exp(-alpha * x_k) before antenna k radiates it, and free-space
+    loss applies over the slant distance from x_k to the user at (x, y).
 
     Args:
         config: scenario.
         layout: antenna grid.
-        k: 1-based antenna index.
-        user: floor-plane position.
+        x: user abscissae, shape (n,).
+        y: user cross offsets, shape (n,).
 
     Returns:
-        Strictly positive linear SNR.
+        Strictly positive linear SNRs; row k - 1 belongs to antenna k.
     """
+    rf = derive_rf(config)
+    positions = np.asarray(layout.x_k)[:, None]
+    scale = rf.big_c * np.exp(-config.alpha * positions)
+    gap = x[None, :] - positions
+    return scale / (gap * gap + y[None, :] ** 2 + config.h * config.h)
+
+
+def snr_linear(
+    config: SystemConfig, layout: PaLayout, k: int, user: UserPosition
+) -> float:
+    """Received SNR (linear) when antenna k (1-based) serves the given user."""
     if not 1 <= k <= layout.m:
         raise IndexError(f"antenna index k={k} outside 1..{layout.m}")
-    x_k = layout.x_k[k - 1]
-    derived = derive_rf(config)
-    dx = user.x_m - x_k
-    dist_sq = dx * dx + user.y_m * user.y_m + config.h * config.h
-    return derived.big_c * math.exp(-config.alpha * x_k) / dist_sq
+    snr = snr_matrix(config, layout, np.array([user.x_m]), np.array([user.y_m]))
+    return float(snr[k - 1, 0])
 
 
 def select_pa(config: SystemConfig, layout: PaLayout, user: UserPosition) -> int:
@@ -192,15 +205,5 @@ def select_pa(config: SystemConfig, layout: PaLayout, user: UserPosition) -> int
 
     Ties go to the smaller index so region maps are reproducible.
     """
-    derived = derive_rf(config)
-    h_sq = config.h * config.h
-    y_sq = user.y_m * user.y_m
-    best_k = 1
-    best = -math.inf
-    for i, x_k in enumerate(layout.x_k):
-        dx = user.x_m - x_k
-        value = derived.big_c * math.exp(-config.alpha * x_k) / (dx * dx + y_sq + h_sq)
-        if value > best:
-            best = value
-            best_k = i + 1
-    return best_k
+    snr = snr_matrix(config, layout, np.array([user.x_m]), np.array([user.y_m]))
+    return 1 + int(np.argmax(snr[:, 0]))

@@ -113,11 +113,6 @@ def ti2_mpmath(z: float) -> float:
         return float(mpmath.im(mpmath.polylog(2, 1j * mpmath.mpf(z))))
 
 
-def dilog_mpmath(x: float) -> float:
-    with mpmath.workdps(40):
-        return float(mpmath.polylog(2, mpmath.mpf(x)))
-
-
 def brute_force_best_x(config: SystemConfig, user: UserPosition) -> float:
     """Maximize the movable-radiator SNR along [0, d_x] by grid refinement.
 

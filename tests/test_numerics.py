@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import optimize
 
-from pinchpas.numerics import gauss_legendre, gl_integrate, golden_section, leggauss_cached
+from pinchpas.numerics import gauss_legendre, golden_section, leggauss_cached
 
 
 def test_leggauss_cached_matches_numpy():
@@ -28,18 +28,6 @@ def test_gauss_legendre_interval_mapping():
     # degree-31 exactness: integrate x^7 on [2, 5]
     exact = (5.0**8 - 2.0**8) / 8.0
     assert abs(float((nodes**7 * weights).sum()) - exact) < 1e-9 * exact
-
-
-def test_gl_integrate_against_quad():
-    # gl_integrate feeds the whole node array to f, so f must vectorize
-    ref, _ = integrate.quad(lambda t: math.exp(-0.3 * t) * math.cos(t), 0.0, 4.0,
-                            epsabs=1e-13)
-    val = gl_integrate(lambda t: np.exp(-0.3 * t) * np.cos(t), 0.0, 4.0, n=64)
-    assert abs(val - ref) < 1e-12
-
-
-def test_gl_integrate_empty_interval():
-    assert gl_integrate(lambda t: t, 2.0, 2.0) == 0.0
 
 
 def test_golden_section_matches_scipy():

@@ -1,0 +1,36 @@
+"""The package's public names resolve, and deleted ones stay deleted."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import pinchpas
+
+MODULES = ["pinchpas"] + [
+    f"pinchpas.{info.name}" for info in pkgutil.iter_modules(pinchpas.__path__)
+]
+
+REMOVED = (
+    "dilog",
+    "SpecFunTolerance",
+    "DEFAULT_TOLERANCE",
+    "PI_SQUARED_OVER_6",
+    "OutageInputs",
+    "gl_integrate",
+    "asinh",
+    "_best_snr",
+)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_name_in_all_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_removed_names_are_gone(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in REMOVED if hasattr(module, name)] == []

@@ -226,6 +226,32 @@ def test_cli_simulate_seed_and_samples_flags(tmp_path):
     assert b"## n_samples = 20000" in b1
 
 
+@pytest.mark.parametrize(
+    "text, name, rows",
+    [
+        # At alpha >= 0.2 the equal-SNR circles miss the edge rows, which
+        # the partition step rejects.
+        (
+            "d_x = 30\nsweep_axis = alpha\naxis_values = 0.05,0.2,0.3\nm_values = 10\n",
+            "simulate_m10",
+            3,
+        ),
+        # alpha * delta = 1500 overflows the partition step's expm1.
+        ("d_x = 3000\nalpha = 1\naxis_values = 100:100:1\nm_values = 2\n", "simulate_m2", 1),
+    ],
+    ids=["edge_rows_uncrossed", "expm1_overflow"],
+)
+def test_cli_simulate_builds_no_partition(tmp_path, text, name, rows):
+    cfg = _write_cfg(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out),
+                 "--samples", "1000"]) == 0
+    table = (out / f"{name}.dat").read_text(encoding="utf-8").splitlines()
+    data = [line.split() for line in table if not line.startswith("#")]
+    assert len(data) == rows
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in data)
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["outage", "--config", str(tmp_path / "nope.cfg")]) == 1
 
