@@ -46,6 +46,7 @@ from .system import (
     PaLayout,
     SystemConfig,
     UserPosition,
+    best_snr,
     db_to_linear,
     derive_rf,
     linear_to_db,
@@ -74,6 +75,7 @@ __all__ = [
     "SweepSpec",
     "SystemConfig",
     "UserPosition",
+    "best_snr",
     "boundary_circle",
     "c_l",
     "continuous_optimal_position",

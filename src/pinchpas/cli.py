@@ -16,6 +16,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 from .config import ConfigError, load_config
 from .metrics import (
@@ -33,7 +35,7 @@ from .numerics import gauss_legendre
 from .regions import optimize_partition
 from .specfun import CATALAN, ti2
 from .sweep import emit_table, run_sweep
-from .system import SystemConfig, db_to_linear, make_layout
+from .system import SystemConfig, best_snr, db_to_linear, make_layout, snr_matrix
 
 __all__ = ["main"]
 
@@ -153,6 +155,22 @@ def _selftest() -> int:
         "analytic rate within 5 sigma of simulation",
         gap <= band,
         f"analytic={analytic_rate:.6f} simulated={rate_est.mean:.6f} band={band:.2e}",
+    )
+
+    # The simulator's candidate window holds every user's best antenna.
+    users = np.random.default_rng(2000)
+    differ = 0
+    for alpha in (0.05, 0.4):
+        room = SystemConfig(d_x=30.0, alpha=alpha)
+        grid = make_layout(room, 100)
+        x = users.uniform(0.0, room.d_x, 2000)
+        y = users.uniform(-room.d_y / 2.0, room.d_y / 2.0, 2000)
+        full = snr_matrix(room, grid, x, y).max(axis=0)
+        differ += int(np.count_nonzero(best_snr(room, grid, x, y) != full))
+    all_ok &= _check(
+        "best-antenna window matches full max",
+        differ == 0,
+        f"{differ} of 4000 users differ",
     )
 
     efficiency = pde(config, layout, partition).value

@@ -23,6 +23,7 @@ from .system import (
     PaLayout,
     SystemConfig,
     UserPosition,
+    _feedward_offset,
     db_to_linear,
     derive_rf,
 )
@@ -313,20 +314,6 @@ def ergodic_rate(
         value=total / config.d_x,
         params=_params_snapshot(config, m=layout.m),
         flags=(_UNDERFLOW_FLAG,) if clamped else (),
-    )
-
-
-def _feedward_offset(alpha: float, dist_sq):
-    """Feed-ward offset t1 of `continuous_optimal_position`'s stationary maximum.
-
-    Takes a float or an array of d^2 = y^2 + h^2. Where 1 - alpha^2 d^2 <= 0
-    there is no interior stationary point and the offset is +inf.
-    """
-    disc = 1.0 - alpha * alpha * dist_sq
-    return np.where(
-        disc > 0.0,
-        alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0))),
-        np.inf,
     )
 
 

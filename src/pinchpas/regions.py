@@ -103,13 +103,17 @@ def boundary_circle(config: SystemConfig, layout: PaLayout, k: int) -> BoundaryC
             "equal-SNR boundary is a vertical midline at alpha = 0"
         )
     delta = layout.delta
-    g1 = math.expm1(config.alpha * delta)
-    center_x = layout.x_k[k - 1] + delta * (1.0 + 1.0 / g1)
-    radius_sq = delta * delta * (1.0 + g1) / (g1 * g1) - config.h * config.h
+    # In q = e^(-alpha delta) and w = 1 - q, not e^(alpha delta), which
+    # overflows once alpha * delta passes about 709; q only underflows
+    # towards 0, where no circle is left.
+    q = math.exp(-config.alpha * delta)
+    w = -math.expm1(-config.alpha * delta)
+    center_x = layout.x_k[k - 1] + delta * (1.0 + q / w)
+    radius_sq = delta * delta * q / (w * w) - config.h * config.h
     if radius_sq <= 0.0:
         raise ImaginaryRadiusError(
             f"no real equal-SNR circle: spacing {delta} m and height {config.h} m "
-            f"at alpha {config.alpha} leave radius^2 = {radius_sq}"
+            f"at alpha = {config.alpha} leave radius^2 = {radius_sq}"
         )
     radius = math.sqrt(radius_sq)
     return BoundaryCircle(center_x=center_x, radius=radius, curvature=1.0 / radius)
@@ -139,18 +143,19 @@ def exact_boundary_x(
         return 0.5 * (x_k + x_next)
     delta = layout.delta
     dist_sq = y * y + config.h * config.h
-    g1 = math.expm1(config.alpha * delta)
-    g = 1.0 + g1
-    disc = g * delta * delta - g1 * g1 * dist_sq
+    # q and w as in boundary_circle, overflow-free at any alpha * delta.
+    q = math.exp(-config.alpha * delta)
+    w = -math.expm1(-config.alpha * delta)
+    disc = q * delta * delta - w * w * dist_sq
     if disc <= 0.0:
         # Equivalent to |y| >= circle radius: the equal-SNR circle never
         # reaches this height, so antenna k wins along the entire row.
         raise ImaginaryRadiusError(
             f"antenna {k} out-delivers antenna {k + 1} along the whole row at "
-            f"|y| = {abs(y)}: the equal-SNR circle does not reach that height"
+            f"|y| = {abs(y)} with alpha = {config.alpha}: the equal-SNR circle "
+            "does not reach that height"
         )
-    root = math.sqrt(disc)
-    offset = (g * delta * delta + g1 * dist_sq) / (g * delta + root)
+    offset = (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
     return x_k + offset
 
 

@@ -252,6 +252,20 @@ def test_cli_simulate_builds_no_partition(tmp_path, text, name, rows):
     assert all(0.0 <= float(row[1]) <= 1.0 for row in data)
 
 
+@pytest.mark.parametrize("command", ["outage", "regions"])
+def test_cli_large_alpha_delta_is_named_error(tmp_path, capsys, command):
+    # alpha * delta = 1500 would overflow e^(alpha delta); the partition
+    # step must report the uncrossed rows instead of a raw traceback.
+    cfg = _write_cfg(tmp_path, "d_x = 3000\nalpha = 1\nm_values = 2\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pinchpas: ")
+    assert "alpha = 1.0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["outage", "--config", str(tmp_path / "nope.cfg")]) == 1
 

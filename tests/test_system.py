@@ -4,19 +4,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchpas import (
     PaLayout,
     SystemConfig,
     UserPosition,
+    best_snr,
     db_to_linear,
     derive_rf,
     linear_to_db,
     make_layout,
     select_pa,
     snr_linear,
+    snr_matrix,
 )
-from pinchpas.system import SPEED_OF_LIGHT
+from pinchpas.system import SPEED_OF_LIGHT, _window_snr
 
 
 def test_db_round_trip():
@@ -65,6 +69,9 @@ def test_layout_geometry():
         make_layout(cfg, 0)
     with pytest.raises(ValueError):
         PaLayout(m=2, delta=1.0, x_k=(2.0, 1.0))
+    # Increasing but off the grid: best_snr's window would miss antennas.
+    with pytest.raises(ValueError, match="grid"):
+        PaLayout(m=2, delta=1.0, x_k=(0.5, 1.6))
 
 
 def test_snr_formula_direct():
@@ -113,3 +120,81 @@ def test_attenuation_shifts_selection_toward_feed():
     lay = make_layout(cfg, 2)
     mid = 0.5 * (lay.x_k[0] + lay.x_k[1])
     assert select_pa(cfg, lay, UserPosition(x_m=mid, y_m=0.0)) == 1
+
+
+# alpha = 0.4 with h = 3 puts alpha * r >= 1 for every user: no feed-side
+# stationary point, so antenna 1 wins the whole feed side.
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2, 0.4])
+@pytest.mark.parametrize("d_x", [3.0, 30.0, 300.0])
+@pytest.mark.parametrize("m", [1, 2, 4, 5, 12, 13, 100, 1000])
+def test_best_snr_equals_full_max_on_grid(alpha, d_x, m):
+    cfg = SystemConfig(d_x=d_x, alpha=alpha)
+    lay = make_layout(cfg, m)
+    x_k = np.asarray(lay.x_k)
+    xs = np.concatenate(
+        (
+            x_k,
+            0.5 * (x_k[:-1] + x_k[1:]),
+            [0.0, d_x],
+            np.random.default_rng(m).uniform(0.0, d_x, 500),
+        )
+    )
+    for y_m in (0.0, 1.3, cfg.d_y / 2.0, -cfg.d_y / 2.0):
+        y = np.full_like(xs, y_m)
+        full = snr_matrix(cfg, lay, xs, y).max(axis=0)
+        assert np.array_equal(_window_snr(cfg, lay, xs, y), full)
+        assert np.array_equal(best_snr(cfg, lay, xs, y), full)
+
+
+@pytest.mark.parametrize("m", [10, 100])
+def test_best_snr_spans_several_user_blocks(m):
+    # 40,000 users: two whole blocks of 16,384 and a partial one.
+    cfg = SystemConfig(d_x=30.0)
+    lay = make_layout(cfg, m)
+    rng = np.random.default_rng(40)
+    x = rng.uniform(0.0, cfg.d_x, 40_000)
+    y = rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0, 40_000)
+    full = snr_matrix(cfg, lay, x, y).max(axis=0)
+    assert np.array_equal(best_snr(cfg, lay, x, y), full)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d_x=st.floats(1.0, 1e4),
+    d_y=st.floats(0.1, 100.0),
+    h=st.floats(0.0, 30.0),
+    alpha=st.floats(0.0, 10.0),
+    f_c=st.floats(1e9, 3e11),
+    gamma_t_db=st.floats(0.0, 200.0),
+    m=st.integers(1, 1000),
+    x_frac=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+    y_frac=st.floats(-0.5, 0.5),
+    on_antenna=st.lists(st.integers(0, 999), max_size=8),
+)
+def test_best_snr_equals_full_max_property(
+    d_x, d_y, h, alpha, f_c, gamma_t_db, m, x_frac, y_frac, on_antenna
+):
+    """Rooms of 1 m to 10 km, up to 1000 antennas, any attenuation.
+
+    Users sit anywhere, including on antennas. NaN appears only as 0/0
+    (an antenna attenuated to zero right at a user with y = h = 0), and
+    then in both.
+    """
+    cfg = SystemConfig(
+        d_x=d_x, d_y=d_y, h=h, alpha=alpha, f_c=f_c, gamma_t_db=gamma_t_db
+    )
+    lay = make_layout(cfg, m)
+    x = np.concatenate(
+        (
+            np.asarray(x_frac) * d_x,
+            np.asarray(lay.x_k)[[i % m for i in on_antenna]],
+        )
+    )
+    y = np.full_like(x, y_frac * d_y)
+    y[len(x_frac):] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        full = snr_matrix(cfg, lay, x, y).max(axis=0)
+        window = _window_snr(cfg, lay, x, y)
+        best = best_snr(cfg, lay, x, y)
+    assert np.array_equal(window, full, equal_nan=True)
+    assert np.array_equal(best, full, equal_nan=True)
