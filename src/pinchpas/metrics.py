@@ -50,11 +50,11 @@ _UNDERFLOW_EXPONENT = 700.0
 _UNDERFLOW_FLAG = "c0k_underflow_clamp"
 
 # Above this ratio of x to delta^2 the grouped special-function form of
-# i_j loses precision to cancellation, so the remainder integral is
-# evaluated by panelled quadrature instead.
+# i_j loses precision to cancellation, so i_j is summed from the
+# arctangent's alternating series instead; there each term is at most
+# 1e-4 of the one before it, so six terms reach machine precision.
 _IJ_DIRECT_RATIO = 1e4
-_IJ_PANEL_WIDTH = 0.5
-_IJ_PANEL_POINTS = 32
+_IJ_SERIES_TERMS = 6
 
 _RATE_QUAD_ORDER = 128
 _RATE_QUAD_REL_TOL = 1e-6
@@ -215,62 +215,47 @@ def i_i(x: float, delta_width: float, d_y: float) -> float:
     )
 
 
-def _ij_gap_quadrature(delta_width: float, x: float, a_upper: float) -> float:
-    """Remainder integral of i_j for x far above delta_width^2.
-
-    Evaluates the integral over s in [-a_upper, a_upper] of
-    pi/4 - arctan(b * e^s), b = sqrt(x)/(sqrt(x + delta^2) + delta),
-    written as atan2 of a cancellation-free numerator. Panelled
-    Gauss-Legendre; the integrand is analytic with O(1) length scale in
-    s, so narrow panels converge to machine precision.
-    """
-    sqrt_x = math.sqrt(x)
-    ratio = delta_width * delta_width / x
-    scale = math.sqrt(x + delta_width * delta_width) + delta_width
-    # sqrt(1 + ratio) - e^s, with both pieces expanded around zero.
-    bump = ratio / (math.sqrt(1.0 + ratio) + 1.0)
-    nodes, weights = leggauss_cached(_IJ_PANEL_POINTS)
-    n_panels = max(1, math.ceil(2.0 * a_upper / _IJ_PANEL_WIDTH))
-    width = 2.0 * a_upper / n_panels
-    total = 0.0
-    for p in range(n_panels):
-        mid = -a_upper + (p + 0.5) * width
-        half = 0.5 * width
-        for t, w in zip(nodes, weights):
-            s = mid + half * t
-            numer = sqrt_x * (bump - math.expm1(s)) + delta_width
-            denom = scale + sqrt_x * math.exp(s)
-            total += w * half * math.atan2(numer, denom)
-    return total
-
-
 def i_j(x: float, delta_width: float, d_y: float) -> float:
     """Arctangent-kernel building block of the conditional rate.
 
-    Closed form of the integral of 2*sqrt(x + y^2)*arctan(delta_width /
-    sqrt(x + y^2)) for y from 0 to d_y/2, grouped so the result stays
-    accurate when x dwarfs delta_width^2 (the raw special-function form
-    loses roughly x * eps to cancellation there).
+    Integral of 2*sqrt(x + y^2)*arctan(delta_width / sqrt(x + y^2)) for y
+    from 0 to Y = d_y/2. Up to x = 1e4 * delta_width^2 it is a closed form
+    in ti2, grouped against cancellation. Beyond, where that form would
+    lose roughly x * eps, the arctangent's series is integrated term by
+    term: 2*delta*Y + sum over n >= 1 of (-1)^n * 2*delta^(2n+1) / (2n+1)
+    * J_n, with J_n the integral of (x + y^2)^(-n) over the same range.
     """
     if not x > 0:
         raise ValueError(f"x must be > 0, got {x!r}")
     sqrt_x = math.sqrt(x)
+    d_sq = delta_width * delta_width
+    if x > _IJ_DIRECT_RATIO * d_sq:
+        half = 0.5 * d_y
+        inv_corner_sq = 1.0 / (x + half * half)
+        # J_1, then J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
+        j_n = math.atan(half / sqrt_x) / sqrt_x
+        inv_corner_pow = 1.0
+        delta_pow = delta_width
+        total = 2.0 * delta_width * half
+        for n in range(1, _IJ_SERIES_TERMS + 1):
+            delta_pow *= d_sq
+            total += (-1) ** n * 2.0 * delta_pow / (2 * n + 1) * j_n
+            inv_corner_pow *= inv_corner_sq
+            j_n = (half * inv_corner_pow + (2 * n - 1) * j_n) / (2 * n * x)
+        return total
     corner = math.sqrt(x + d_y * d_y / 4.0)
     a_upper = math.asinh(d_y / (2.0 * sqrt_x))
-    root = math.sqrt(x + delta_width * delta_width)
+    root = math.sqrt(x + d_sq)
     edge = 0.5 * delta_width * d_y - delta_width * root * math.atan(
         d_y / (2.0 * root)
     )
     core = 0.5 * d_y * corner * math.atan(delta_width / corner)
-    if x <= _IJ_DIRECT_RATIO * delta_width * delta_width:
-        b_minus = sqrt_x / (root + delta_width)
-        gap = (
-            0.5 * math.pi * a_upper
-            + ti2(b_minus * math.exp(-a_upper))
-            - ti2(b_minus * math.exp(a_upper))
-        )
-    else:
-        gap = _ij_gap_quadrature(delta_width, x, a_upper)
+    b_minus = sqrt_x / (root + delta_width)
+    gap = (
+        0.5 * math.pi * a_upper
+        + ti2(b_minus * math.exp(-a_upper))
+        - ti2(b_minus * math.exp(a_upper))
+    )
     return core + edge + x * gap
 
 

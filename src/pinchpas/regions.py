@@ -4,9 +4,11 @@ Between two adjacent antennas the set of floor positions where both give
 equal SNR is a circular arc; its circle is returned by boundary_circle and
 sampled by exact_boundary_x. Because the arc is nearly vertical for
 typical geometries, each antenna's serving region is approximated by an
-asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width; the
-cut positions are chosen by a one-dimensional search that minimizes the
-misassigned area against the exact arcs.
+asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width.
+On the uniform grid the crossing of antennas k and k+1 in row y lies at
+x_k plus an offset that does not depend on k, so every cut sits at x_k
+plus one shared offset, chosen by a single one-dimensional search that
+minimizes the misassigned area against the exact arcs.
 """
 
 from __future__ import annotations
@@ -119,6 +121,23 @@ def boundary_circle(config: SystemConfig, layout: PaLayout, k: int) -> BoundaryC
     return BoundaryCircle(center_x=center_x, radius=radius, curvature=1.0 / radius)
 
 
+def _boundary_offset(config: SystemConfig, delta: float, y: float) -> float:
+    """Offset from x_k of the equal-SNR crossing of antennas k and k+1 in row y.
+
+    The same for every k of a grid with spacing delta. It is inf where the
+    equal-SNR circle misses row y: antenna k wins the whole row there.
+    """
+    dist_sq = y * y + config.h * config.h
+    # q and w as in boundary_circle, overflow-free at any alpha * delta.
+    q = math.exp(-config.alpha * delta)
+    w = -math.expm1(-config.alpha * delta)
+    disc = q * delta * delta - w * w * dist_sq
+    if disc <= 0.0:
+        # Equivalent to |y| >= circle radius.
+        return math.inf
+    return (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
+
+
 def exact_boundary_x(
     config: SystemConfig, layout: PaLayout, k: int, y: float
 ) -> float:
@@ -138,24 +157,15 @@ def exact_boundary_x(
     if abs(y) > config.d_y / 2.0:
         raise ValueError(f"|y| = {abs(y)} exceeds the half-width {config.d_y / 2.0}")
     x_k = layout.x_k[k - 1]
-    x_next = layout.x_k[k]
     if config.alpha == 0.0:
-        return 0.5 * (x_k + x_next)
-    delta = layout.delta
-    dist_sq = y * y + config.h * config.h
-    # q and w as in boundary_circle, overflow-free at any alpha * delta.
-    q = math.exp(-config.alpha * delta)
-    w = -math.expm1(-config.alpha * delta)
-    disc = q * delta * delta - w * w * dist_sq
-    if disc <= 0.0:
-        # Equivalent to |y| >= circle radius: the equal-SNR circle never
-        # reaches this height, so antenna k wins along the entire row.
+        return 0.5 * (x_k + layout.x_k[k])
+    offset = _boundary_offset(config, layout.delta, y)
+    if math.isinf(offset):
         raise ImaginaryRadiusError(
             f"antenna {k} out-delivers antenna {k + 1} along the whole row at "
             f"|y| = {abs(y)} with alpha = {config.alpha}: the equal-SNR circle "
             "does not reach that height"
         )
-    offset = (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
     return x_k + offset
 
 
@@ -177,12 +187,15 @@ def _symmetric_partition(config: SystemConfig, layout: PaLayout) -> RegionPartit
 def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:
     """Rectangular partition whose cuts best match the exact arcs.
 
-    For each interior cut the objective is the y-integrated horizontal
-    deviation between the candidate vertical cut and the exact equal-SNR
-    arc (the misassigned area), evaluated with a fixed 64-point
-    Gauss-Legendre rule so results are deterministic. The objective is
-    convex in the cut position, so a golden-section search over
-    (x_k, x_{k+1}) finds the minimum to 1e-6 m.
+    Every interior cut sits at x_k plus one offset shared by all k. The
+    offset minimizes the y-integrated horizontal deviation between a
+    vertical cut and the exact equal-SNR arc (the misassigned area),
+    evaluated with a fixed 64-point Gauss-Legendre rule so results are
+    deterministic. The objective is convex in the offset, so one
+    golden-section search over (0, delta) finds the minimum to 1e-6 m.
+    In a row the equal-SNR circle misses, antenna k wins the whole row,
+    so that row's sample is the strip end delta; any sample at or beyond
+    the strip end gives the same minimizer.
 
     Args:
         config: scenario.
@@ -202,22 +215,18 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
     if config.alpha == 0.0:
         return _symmetric_partition(config, layout)
 
+    delta = layout.delta
     y_nodes, y_weights = gauss_legendre(
         _MISMATCH_QUAD_POINTS, -config.d_y / 2.0, config.d_y / 2.0
     )
-    cuts = [0.0]
-    for k in range(1, m):
-        samples = [exact_boundary_x(config, layout, k, float(y)) for y in y_nodes]
+    samples = [_boundary_offset(config, delta, float(y)) for y in y_nodes]
+    samples = [delta if math.isinf(s) else s for s in samples]
 
-        def mismatch(b: float) -> float:
-            return sum(w * abs(s - b) for w, s in zip(y_weights, samples))
+    def mismatch(b: float) -> float:
+        return sum(w * abs(s - b) for w, s in zip(y_weights, samples))
 
-        cuts.append(
-            golden_section(
-                mismatch, layout.x_k[k - 1], layout.x_k[k], tol=_PARTITION_TOL_M
-            )
-        )
-    cuts.append(config.d_x)
+    offset = golden_section(mismatch, 0.0, delta, tol=_PARTITION_TOL_M)
+    cuts = [0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x]
     left = tuple(layout.x_k[i] - cuts[i] for i in range(m))
     right = tuple(cuts[i + 1] - layout.x_k[i] for i in range(m))
     return RegionPartition(

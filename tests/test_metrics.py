@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pinchpas import (
     MetricResult,
@@ -154,12 +156,13 @@ def test_ij_matches_defining_integral():
 
 def test_ij_stays_accurate_when_x_dwarfs_delta():
     # The raw special-function form of the arctangent kernel loses about
-    # x * eps to cancellation; the implementation must not.
+    # x * eps to cancellation; the implementation must not. From the
+    # branch edge x = 1e4 delta^2 on, where its series converges slowest.
     rng = np.random.default_rng(35)
     for _ in range(60):
         delta = float(rng.uniform(0.2, 4.0))
         d_y = float(rng.uniform(1.0, 12.0))
-        ratio = float(np.exp(rng.uniform(math.log(1e6), math.log(1e12))))
+        ratio = float(np.exp(rng.uniform(math.log(1e4), math.log(1e12))))
         x = ratio * delta * delta
         ref = oracle.ij_defining_quad(x, delta, d_y)
         assert i_j(x, delta, d_y) == pytest.approx(ref, rel=1e-9), (ratio, delta, d_y)
@@ -361,3 +364,32 @@ def test_underflow_clamp_raises_flag():
     res = outage_probability(cfg, lay, part)
     assert res.value == 1.0
     assert any("underflow" in f for f in res.flags)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d_x=_log_uniform(-2.0, 4.0),
+    d_y=_log_uniform(-2.0, 3.0),
+    h=st.one_of(st.just(0.0), _log_uniform(-6.0, 1.5)),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 10.0), _log_uniform(-6.0, 1.0)),
+    gamma_t_db=st.floats(40.0, 160.0),
+    gamma_thr_db=st.floats(-10.0, 50.0),
+    m=st.integers(1, 200),
+)
+def test_validated_configs_end_cleanly(d_x, d_y, h, alpha, gamma_t_db, gamma_thr_db, m):
+    # Rooms of 1 cm to 10 km: every partition is valid, outage lies in
+    # [0, 1] (flagged or not), and with a positive height the rate is finite.
+    cfg = SystemConfig(
+        d_x=d_x, d_y=d_y, h=h, alpha=alpha,
+        gamma_t_db=gamma_t_db, gamma_thr_db=gamma_thr_db,
+    )
+    lay = make_layout(cfg, m)
+    part = optimize_partition(cfg, lay)  # RegionPartition validates itself
+    assert len(part.left_limits) == m
+    assert 0.0 <= outage_probability(cfg, lay, part).value <= 1.0
+    if h > 0.0:
+        assert math.isfinite(ergodic_rate(cfg, lay, part).value)

@@ -252,18 +252,40 @@ def test_cli_simulate_builds_no_partition(tmp_path, text, name, rows):
     assert all(0.0 <= float(row[1]) <= 1.0 for row in data)
 
 
-@pytest.mark.parametrize("command", ["outage", "regions"])
-def test_cli_large_alpha_delta_is_named_error(tmp_path, capsys, command):
-    # alpha * delta = 1500 would overflow e^(alpha delta); the partition
-    # step must report the uncrossed rows instead of a raw traceback.
+@pytest.mark.parametrize(
+    "command, code, err_text, rows",
+    [
+        ("outage", 2, "pinchpas: numerical flags raised: c0k_underflow_clamp\n", 11),
+        ("regions", 0, "", 2),
+    ],
+    ids=["outage", "regions"],
+)
+def test_cli_large_alpha_delta_is_named_error(tmp_path, capsys, command, code, err_text, rows):
+    # alpha * delta = 1500 would overflow e^(alpha delta), and the equal-SNR
+    # circle misses every row, so antenna 1 serves its whole strip. The far
+    # antenna's attenuation underflows, which outage flags by name.
     cfg = _write_cfg(tmp_path, "d_x = 3000\nalpha = 1\nm_values = 2\n")
     out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("pinchpas: ")
-    assert "alpha = 1.0" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == code
+    assert capsys.readouterr().err == err_text
+    table = (out / f"{command}_m2.dat").read_text(encoding="utf-8").splitlines()
+    assert len([line for line in table if not line.startswith("#")]) == rows
+
+
+def test_cli_pde_along_alpha_writes_every_row(tmp_path):
+    # From alpha = 0.15 on at d_x = 30, the equal-SNR circle misses the rows
+    # near the walls; those rows belong to the nearer antenna.
+    cfg = _write_cfg(
+        tmp_path,
+        "d_x = 30\nsweep_axis = alpha\naxis_values = 0.05:0.5:10\nm_values = 2, 10\n",
+    )
+    out = tmp_path / "o"
+    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 0
+    for m in (2, 10):
+        table = (out / f"pde_m{m}.dat").read_text(encoding="utf-8").splitlines()
+        data = [line.split() for line in table if not line.startswith("#")]
+        assert len(data) == 10
+        assert all(0.0 < float(row[1]) <= 1.0 for row in data)
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):
