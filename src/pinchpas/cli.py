@@ -39,10 +39,6 @@ from .system import SystemConfig, best_snr, db_to_linear, make_layout, snr_matri
 
 __all__ = ["main"]
 
-logger = logging.getLogger(__name__)
-
-_METRIC_COMMANDS = ("outage", "rate", "pde", "regions", "simulate")
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse that exits 1 on usage errors instead of its default 2."""

@@ -10,7 +10,7 @@ keys are rejected with their line number.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .system import SystemConfig
 
@@ -19,17 +19,7 @@ __all__ = ["ConfigError", "SweepSpec", "load_config", "parse_config_text"]
 METRICS = ("outage", "rate", "pde", "regions", "simulate")
 SWEEP_AXES = ("gamma_t_db", "m", "alpha", "d_x")
 
-_SYSTEM_KEYS = (
-    "d_x",
-    "d_y",
-    "h",
-    "alpha",
-    "f_c",
-    "n_eff",
-    "noise_dbm",
-    "gamma_t_db",
-    "gamma_thr_db",
-)
+_SYSTEM_KEYS = tuple(field.name for field in fields(SystemConfig))
 _SWEEP_KEYS = ("metric", "sweep_axis", "axis_values", "m_values")
 
 _DEFAULT_AXIS = {

@@ -23,9 +23,11 @@ from .system import (
     PaLayout,
     SystemConfig,
     UserPosition,
-    _feedward_offset,
+    _antenna_scale,
+    _continuous_candidates,
+    _continuous_kinks,
+    _continuous_snr,
     db_to_linear,
-    derive_rf,
 )
 
 __all__ = [
@@ -84,8 +86,11 @@ class MetricResult:
             raise ValueError(f"outage must lie in [0, 1], got {self.value!r}")
         if self.kind in ("ergodic_rate", "continuous_rate") and self.value < 0.0:
             raise ValueError(f"rates must be >= 0, got {self.value!r}")
-        if self.kind == "pde" and not 0.0 < self.value <= 1.0:
-            raise ValueError(f"pde must lie in (0, 1], got {self.value!r}")
+        # A rate clamped against underflow can round to 0; its flag says so.
+        if self.kind == "pde" and not 0.0 < self.value <= 1.0 and not (
+            self.value == 0.0 and self.flags
+        ):
+            raise ValueError(f"pde {self.value!r} is not in (0, 1] nor a flagged 0")
 
 
 def _params_snapshot(config: SystemConfig, **extra) -> dict:
@@ -154,18 +159,14 @@ def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
 
 
 def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[list[float], bool]:
-    """Attenuated SNR scale per antenna, clamped against exp underflow."""
-    big_c = derive_rf(config).big_c
-    values = []
-    clamped = False
-    for x_k in layout.x_k:
-        exponent = config.alpha * x_k
-        if exponent > _UNDERFLOW_EXPONENT:
-            values.append(sys.float_info.min)
-            clamped = True
-        else:
-            values.append(big_c * math.exp(-exponent))
-    return values, clamped
+    """Attenuated SNR scale per antenna, clamped against exp underflow.
+
+    Returned as Python floats, the type the scalar kernels take.
+    """
+    positions = np.asarray(layout.x_k)
+    clamped = config.alpha * positions > _UNDERFLOW_EXPONENT
+    values = np.where(clamped, sys.float_info.min, _antenna_scale(config, positions))
+    return values.tolist(), bool(clamped.any())
 
 
 def outage_probability(
@@ -305,63 +306,42 @@ def ergodic_rate(
 def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> float:
     """Waveguide abscissa maximizing the user's SNR for a freely placed radiator.
 
-    The objective exp(-alpha p) / ((x_m - p)^2 + y_m^2 + h^2) has one
-    interior stationary maximum at x_m - t1 with
-    t1 = alpha d^2 / (1 + sqrt(1 - alpha^2 d^2)), d^2 = y_m^2 + h^2, and a
-    possible second contender at the feed end p = 0 (attenuation can make
-    feeding from afar beat radiating nearby in very long rooms). Both
-    candidates are evaluated and the better one returned.
+    The SNR along the waveguide has one interior stationary maximum, at
+    p* = x_m - t1 clipped to [0, d_x] with
+    t1 = alpha d^2 / (1 + sqrt(1 - alpha^2 d^2)) and d^2 = y_m^2 + h^2,
+    and a second contender at the feed end p = 0, which attenuation can
+    make the better one in long rooms. Returns p* when its SNR is at least
+    the feed end's, else 0, from the kernel of the continuous baseline.
     """
-    if config.alpha == 0.0:
-        return min(max(user.x_m, 0.0), config.d_x)
-    dist_sq = user.y_m * user.y_m + config.h * config.h
-    t1 = float(_feedward_offset(config.alpha, dist_sq))
-    if math.isinf(t1):
-        return 0.0
-    candidate = min(max(user.x_m - t1, 0.0), config.d_x)
-
-    def objective(p: float) -> float:
-        gap = user.x_m - p
-        return math.exp(-config.alpha * p) / (gap * gap + dist_sq)
-
-    return candidate if objective(candidate) >= objective(0.0) else 0.0
-
-
-def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized best-case SNR with per-user optimal radiator placement."""
-    big_c = derive_rf(config).big_c
-    dist_sq = y * y + config.h * config.h
-    if config.alpha == 0.0:
-        return big_c / dist_sq
-    p_star = np.clip(x - _feedward_offset(config.alpha, dist_sq), 0.0, config.d_x)
-    gap = x - p_star
-    snr_station = big_c * np.exp(-config.alpha * p_star) / (gap * gap + dist_sq)
-    snr_feed = big_c / (x * x + dist_sq)
-    return np.maximum(snr_station, snr_feed)
+    placement, station, feed = _continuous_candidates(
+        config, np.array([user.x_m]), np.array([user.y_m])
+    )
+    return float(placement[0]) if station[0] >= feed[0] else 0.0
 
 
 def _continuous_rate_quad(config: SystemConfig, order: int) -> float:
     """Tensor-product Gauss-Legendre average of the continuous-placement rate.
 
     The outer axis covers half the room width (the integrand is even in
-    y); the inner axis splits at the abscissa where the optimal placement
-    leaves the feed end, which keeps both pieces analytic. Each piece is
+    y); the inner axis splits where the optimal placement leaves the feed
+    end, at t1, and where the feed end takes over again in long rooms
+    (`_continuous_kinks`), which keeps every piece analytic. Each piece is
     evaluated in blocks of whole rows, so no temporary grows past
     _RATE_QUAD_BLOCK_POINTS entries whatever the order.
     """
     d_x = config.d_x
     y_nodes, y_weights = gauss_legendre(order, 0.0, config.d_y / 2.0)
-    if config.alpha > 0.0:
-        dist_sq = y_nodes * y_nodes + config.h * config.h
-        split = np.minimum(_feedward_offset(config.alpha, dist_sq), d_x)
-    else:
-        split = np.zeros(order)
+    split, takeover = _continuous_kinks(config, y_nodes**2 + config.h * config.h)
     # gauss_legendre's arithmetic per row, so each node matches the rule
     # it would build for that row's piece.
     nodes, weights = leggauss_cached(order)
     rows_per_block = max(1, _RATE_QUAD_BLOCK_POINTS // order)
     inner = np.zeros(order)
-    for lo, hi in ((np.zeros(order), split), (split, np.full(order, d_x))):
+    for lo, hi in (
+        (np.zeros(order), split),
+        (split, takeover),
+        (takeover, np.full(order, d_x)),
+    ):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         live = np.flatnonzero(hi > lo)
@@ -399,6 +379,12 @@ def _efficiency_ratio(discrete: MetricResult, baseline: MetricResult) -> float:
     """Discrete ergodic rate over its continuous baseline, checked and clamped to 1."""
     if baseline.value <= 0.0:
         raise NumericalDiagnosticError("continuous baseline rate is not positive")
+    if discrete.value == 0.0 and not discrete.flags:
+        # A c_0k below about eps * h^2 is lost in c_0k + h^2, and the rate
+        # closed form returns rounding noise, which c_l may clamp to 0.
+        raise NumericalDiagnosticError(
+            "discrete rate rounds to 0: its SNR is below the closed form's precision"
+        )
     ratio = discrete.value / baseline.value
     if ratio > 1.0 + 1e-9:
         raise NumericalDiagnosticError(

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _continuous_snr
-from .system import PaLayout, SystemConfig, best_snr, db_to_linear
+from .system import PaLayout, SystemConfig, _continuous_snr, best_snr, db_to_linear
 
 __all__ = [
     "SimulationSpec",

@@ -157,8 +157,6 @@ def exact_boundary_x(
     if abs(y) > config.d_y / 2.0:
         raise ValueError(f"|y| = {abs(y)} exceeds the half-width {config.d_y / 2.0}")
     x_k = layout.x_k[k - 1]
-    if config.alpha == 0.0:
-        return 0.5 * (x_k + layout.x_k[k])
     offset = _boundary_offset(config, layout.delta, y)
     if math.isinf(offset):
         raise ImaginaryRadiusError(
@@ -167,21 +165,6 @@ def exact_boundary_x(
             "does not reach that height"
         )
     return x_k + offset
-
-
-def _symmetric_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:
-    # With no attenuation every boundary is the midpoint, so the limits
-    # are exactly half a spacing; storing delta/2 literally keeps the
-    # downstream closed forms bitwise identical to the idealized case.
-    m = layout.m
-    delta = layout.delta
-    half = delta / 2.0
-    cuts = [0.0] + [i * delta for i in range(1, m)] + [config.d_x]
-    return RegionPartition(
-        boundaries_b=tuple(cuts),
-        left_limits=(half,) * m,
-        right_limits=(half,) * m,
-    )
 
 
 def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:
@@ -195,7 +178,8 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
     golden-section search over (0, delta) finds the minimum to 1e-6 m.
     In a row the equal-SNR circle misses, antenna k wins the whole row,
     so that row's sample is the strip end delta; any sample at or beyond
-    the strip end gives the same minimizer.
+    the strip end gives the same minimizer. With one antenna or no
+    attenuation the offset is delta/2 (the midpoint) without a search.
 
     Args:
         config: scenario.
@@ -205,30 +189,22 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
         RegionPartition with cuts pinned to the room edges.
     """
     m = layout.m
-    if m == 1:
-        x_1 = layout.x_k[0]
-        return RegionPartition(
-            boundaries_b=(0.0, config.d_x),
-            left_limits=(x_1,),
-            right_limits=(config.d_x - x_1,),
-        )
-    if config.alpha == 0.0:
-        return _symmetric_partition(config, layout)
-
     delta = layout.delta
-    y_nodes, y_weights = gauss_legendre(
-        _MISMATCH_QUAD_POINTS, -config.d_y / 2.0, config.d_y / 2.0
-    )
-    samples = [_boundary_offset(config, delta, float(y)) for y in y_nodes]
-    samples = [delta if math.isinf(s) else s for s in samples]
+    if m == 1 or config.alpha == 0.0:
+        offset = delta / 2.0
+    else:
+        y_nodes, y_weights = gauss_legendre(
+            _MISMATCH_QUAD_POINTS, -config.d_y / 2.0, config.d_y / 2.0
+        )
+        samples = [_boundary_offset(config, delta, float(y)) for y in y_nodes]
+        samples = [delta if math.isinf(s) else s for s in samples]
 
-    def mismatch(b: float) -> float:
-        return sum(w * abs(s - b) for w, s in zip(y_weights, samples))
+        def mismatch(b: float) -> float:
+            return sum(w * abs(s - b) for w, s in zip(y_weights, samples))
 
-    offset = golden_section(mismatch, 0.0, delta, tol=_PARTITION_TOL_M)
-    cuts = [0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x]
-    left = tuple(layout.x_k[i] - cuts[i] for i in range(m))
-    right = tuple(cuts[i + 1] - layout.x_k[i] for i in range(m))
+        offset = golden_section(mismatch, 0.0, delta, tol=_PARTITION_TOL_M)
     return RegionPartition(
-        boundaries_b=tuple(cuts), left_limits=left, right_limits=right
+        boundaries_b=(0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x),
+        left_limits=(layout.x_k[0],) + (delta - offset,) * (m - 1),
+        right_limits=(offset,) * (m - 1) + (config.d_x - layout.x_k[-1],),
     )

@@ -64,18 +64,8 @@ class OutputTable:
 def _echo_lines(config: SystemConfig, spec: SweepSpec) -> list[str]:
     """Single-hash key = value lines that re-load to this exact run."""
     lines = [
-        f"# {name} = {getattr(config, name)!r}"
-        for name in (
-            "d_x",
-            "d_y",
-            "h",
-            "alpha",
-            "f_c",
-            "n_eff",
-            "noise_dbm",
-            "gamma_t_db",
-            "gamma_thr_db",
-        )
+        f"# {field.name} = {getattr(config, field.name)!r}"
+        for field in dataclasses.fields(config)
     ]
     lines.append(f"# metric = {spec.metric}")
     if spec.metric != "regions":

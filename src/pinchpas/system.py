@@ -4,12 +4,13 @@ A transmission point is created at one of M fixed positions along a lossy
 dielectric waveguide mounted at height h over a rectangular service area.
 Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
-The SNR law is written once, in `_snr`, and evaluated two ways:
-`snr_matrix` on every antenna (behind the scalar `snr_linear`/`select_pa`),
-and `best_snr` (behind the simulator), which past a dozen antennas
-evaluates it on a window of three candidate antennas per user that
-provably holds the best one, so its cost does not grow with the antenna
-count. The proof is in `best_snr`'s docstring.
+The SNR law is written once, in `_snr`, with the scale `_antenna_scale`,
+and evaluated three ways: `snr_matrix` on every antenna (behind the scalar
+`snr_linear`/`select_pa`); `best_snr` (behind the simulator), which past a
+dozen antennas evaluates it on three candidate antennas per user that
+provably hold the best one, so its cost does not grow with the antenna
+count (the proof is in its docstring); and `_continuous_candidates`, for
+the freely placed radiator of the continuous baseline.
 
 All computation is done in linear SI units. dB and dBm appear only in the
 configuration fields and are converted once at construction time.
@@ -231,6 +232,66 @@ def snr_matrix(
     """
     positions = np.asarray(layout.x_k)[:, None]
     return _snr(config, positions, _antenna_scale(config, positions), x, y**2)
+
+
+def _continuous_candidates(
+    config: SystemConfig, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a freely placed radiator best serves users at (x, y), and its SNRs.
+
+    Along the waveguide the SNR peaks once inside, at x - t1
+    (`_feedward_offset`), and may rise again towards the feed end. Returns
+    p* = clip(x - t1, 0, d_x), the SNR from p*, and the SNR from p = 0.
+    """
+    y_sq = y**2
+    offset = _feedward_offset(config.alpha, y_sq + config.h * config.h)
+    placement = np.clip(x - offset, 0.0, config.d_x)
+    station = _snr(config, placement, _antenna_scale(config, placement), x, y_sq)
+    feed = _snr(config, 0.0, derive_rf(config).big_c, x, y_sq)
+    return placement, station, feed
+
+
+def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SNR (linear) of a radiator placed optimally for each user."""
+    _, station, feed = _continuous_candidates(config, x, y)
+    return np.maximum(station, feed, out=station)
+
+
+def _continuous_kinks(
+    config: SystemConfig, dist_sq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Kinks of the continuous SNR along each row of d^2 = y^2 + h^2.
+
+    Returns t1, where p* leaves the feed end, and where the feed end wins
+    again, both clipped to d_x. On [t1, d_x] the log-ratio of p*'s SNR to
+    the feed end's, f(x) = ln(x^2 + d^2) - ln(t1^2 + d^2) - alpha (x - t1),
+    rises from 0 to a peak at t2 = (1 + sqrt(1 - alpha^2 d^2)) / alpha and
+    is concave and decreasing beyond: a row with f(d_x) < 0 has one root
+    in (t2, d_x), found by bisection.
+    """
+    alpha, d_x = config.alpha, config.d_x
+    offset = _feedward_offset(alpha, dist_sq)
+    takeover = np.full(dist_sq.shape, d_x)
+    rows = np.flatnonzero(offset < d_x)
+    d_sq, t1 = dist_sq[rows], offset[rows]
+
+    def log_ratio(x):
+        return np.log(x * x + d_sq) - np.log(t1 * t1 + d_sq) - alpha * (x - t1)
+
+    falls = log_ratio(d_x) < 0.0
+    if falls.any():
+        peak = (1.0 + np.sqrt(1.0 - alpha * alpha * d_sq)) / alpha
+        lo = np.where(falls, np.minimum(peak, d_x), d_x)  # lo = hi = d_x: no root
+        hi = np.full(rows.size, d_x)
+        # 2^-100 of the bracket is below one ulp of the root in any room
+        # shorter than 2^47 / alpha, so more steps would change nothing.
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            ahead = log_ratio(mid) >= 0.0
+            lo = np.where(ahead, mid, lo)
+            hi = np.where(ahead, hi, mid)
+        takeover[rows] = hi
+    return np.minimum(offset, d_x), takeover
 
 
 def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:

@@ -254,6 +254,7 @@ def test_continuous_rate_matches_simulation():
         {"d_x": 30.0, "alpha": 0.05},  # interior feed switch in every row
         {"d_x": 30.0, "alpha": 0.4},  # feed end serves every row
         {"d_x": 3.0, "h": 0.5},
+        {"d_x": 500.0},  # the feed end takes over again past x_c in every row
     ],
 )
 def test_continuous_rate_matches_nested_quadrature(params):
@@ -263,23 +264,17 @@ def test_continuous_rate_matches_nested_quadrature(params):
 
 
 def _continuous_rate_quad_loop(cfg, order):
-    # Row-by-row form of metrics._continuous_rate_quad: the same nodes and
-    # SNR, summed one y node at a time.
-    from pinchpas.metrics import _continuous_snr
+    # Row-by-row form of metrics._continuous_rate_quad: the same nodes,
+    # breakpoints and SNR, summed one y node at a time.
     from pinchpas.numerics import gauss_legendre
+    from pinchpas.system import _continuous_kinks, _continuous_snr
 
     y_nodes, y_weights = gauss_legendre(order, 0.0, cfg.d_y / 2.0)
     total = 0.0
     for y, wy in zip(y_nodes, y_weights):
-        dist_sq = y * y + cfg.h * cfg.h
-        disc = 1.0 - cfg.alpha * cfg.alpha * dist_sq
-        if cfg.alpha > 0.0 and disc > 0.0:
-            split = min(cfg.alpha * dist_sq / (1.0 + math.sqrt(disc)), cfg.d_x)
-        elif cfg.alpha > 0.0:
-            split = cfg.d_x
-        else:
-            split = 0.0
-        for lo, hi in ((0.0, split), (split, cfg.d_x)):
+        kinks = _continuous_kinks(cfg, np.array([y * y + cfg.h * cfg.h]))
+        split, takeover = (float(v[0]) for v in kinks)
+        for lo, hi in ((0.0, split), (split, takeover), (takeover, cfg.d_x)):
             if hi > lo:
                 x, w = gauss_legendre(order, lo, hi)
                 snr = _continuous_snr(cfg, x, np.full_like(x, y))
@@ -366,6 +361,26 @@ def test_underflow_clamp_raises_flag():
     assert any("underflow" in f for f in res.flags)
 
 
+def test_pde_of_a_rate_that_rounds_to_zero():
+    # Clamped against underflow, the rate is a flagged 0, and so is pde,
+    # as the sweep writes it. Unclamped but below the closed form's
+    # precision (alpha x_1 = 500), a 0 rate is a named diagnostic.
+    flagged = SystemConfig(
+        d_x=2185.24, d_y=5.0975, h=1.0643, alpha=2.1146, gamma_t_db=154.287
+    )
+    lay = make_layout(flagged, 1)
+    result = pde(flagged, lay, optimize_partition(flagged, lay))
+    assert result.value == 0.0
+    assert result.flags == ("c0k_underflow_clamp",)
+
+    unflagged = SystemConfig(d_x=200.0, alpha=5.0, gamma_t_db=40.0)
+    lay = make_layout(unflagged, 1)
+    part = optimize_partition(unflagged, lay)
+    assert ergodic_rate(unflagged, lay, part).value == 0.0
+    with pytest.raises(NumericalDiagnosticError, match="rounds to 0"):
+        pde(unflagged, lay, part)
+
+
 def _log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
 
@@ -382,7 +397,9 @@ def _log_uniform(lo_exp, hi_exp):
 )
 def test_validated_configs_end_cleanly(d_x, d_y, h, alpha, gamma_t_db, gamma_thr_db, m):
     # Rooms of 1 cm to 10 km: every partition is valid, outage lies in
-    # [0, 1] (flagged or not), and with a positive height the rate is finite.
+    # [0, 1] (flagged or not), and with a positive height the rate is
+    # finite and pde, through the continuous baseline, is in (0, 1], a
+    # flagged value in [0, 1], or a named numerical diagnostic.
     cfg = SystemConfig(
         d_x=d_x, d_y=d_y, h=h, alpha=alpha,
         gamma_t_db=gamma_t_db, gamma_thr_db=gamma_thr_db,
@@ -393,3 +410,11 @@ def test_validated_configs_end_cleanly(d_x, d_y, h, alpha, gamma_t_db, gamma_thr
     assert 0.0 <= outage_probability(cfg, lay, part).value <= 1.0
     if h > 0.0:
         assert math.isfinite(ergodic_rate(cfg, lay, part).value)
+        try:
+            efficiency = pde(cfg, lay, part)
+        except NumericalDiagnosticError:
+            return
+        if efficiency.flags:
+            assert 0.0 <= efficiency.value <= 1.0
+        else:
+            assert 0.0 < efficiency.value <= 1.0

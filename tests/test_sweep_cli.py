@@ -288,6 +288,21 @@ def test_cli_pde_along_alpha_writes_every_row(tmp_path):
         assert all(0.0 < float(row[1]) <= 1.0 for row in data)
 
 
+def test_cli_pde_along_d_x_in_long_rooms(tmp_path):
+    # In rooms of a few hundred metres the feed end serves the far end of
+    # every row again; the continuous baseline must still settle there.
+    cfg = _write_cfg(
+        tmp_path,
+        "d_x = 30\nsweep_axis = d_x\naxis_values = 100,300,500\nm_values = 10\n",
+    )
+    out = tmp_path / "o"
+    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 0
+    table = (out / "pde_m10.dat").read_text(encoding="utf-8").splitlines()
+    data = [line.split() for line in table if not line.startswith("#")]
+    assert [float(row[0]) for row in data] == [100.0, 300.0, 500.0]
+    assert all(0.0 < float(row[1]) <= 1.0 for row in data)
+
+
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["outage", "--config", str(tmp_path / "nope.cfg")]) == 1
 
