@@ -29,15 +29,7 @@ from .montecarlo import (
     simulate_outage,
     simulate_rate,
 )
-from .regions import (
-    BoundaryCircle,
-    DegenerateBoundaryError,
-    ImaginaryRadiusError,
-    RegionPartition,
-    boundary_circle,
-    exact_boundary_x,
-    optimize_partition,
-)
+from .regions import RegionPartition, optimize_partition
 from .specfun import CATALAN, ti2
 from .sweep import OutputTable, emit_table, header_config_text, reload_run, run_sweep
 from .system import (
@@ -49,10 +41,8 @@ from .system import (
     best_snr,
     db_to_linear,
     derive_rf,
-    linear_to_db,
     make_layout,
     select_pa,
-    snr_linear,
     snr_matrix,
 )
 
@@ -60,11 +50,8 @@ __all__ = [
     "__version__",
     "CATALAN",
     "SPEED_OF_LIGHT",
-    "BoundaryCircle",
     "ConfigError",
-    "DegenerateBoundaryError",
     "DerivedRf",
-    "ImaginaryRadiusError",
     "MetricResult",
     "NumericalDiagnosticError",
     "OutputTable",
@@ -76,7 +63,6 @@ __all__ = [
     "SystemConfig",
     "UserPosition",
     "best_snr",
-    "boundary_circle",
     "c_l",
     "continuous_optimal_position",
     "continuous_rate",
@@ -84,11 +70,9 @@ __all__ = [
     "derive_rf",
     "emit_table",
     "ergodic_rate",
-    "exact_boundary_x",
     "header_config_text",
     "i_i",
     "i_j",
-    "linear_to_db",
     "load_config",
     "make_layout",
     "optimize_partition",
@@ -102,7 +86,6 @@ __all__ = [
     "simulate_continuous_rate",
     "simulate_outage",
     "simulate_rate",
-    "snr_linear",
     "snr_matrix",
     "ti2",
 ]

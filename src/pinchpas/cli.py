@@ -4,8 +4,9 @@ One subcommand per metric (outage, rate, pde, regions, simulate) plus a
 selftest that exercises the numerical core against internal oracles. The
 subcommand overrides any metric named in the config file; everything else
 comes from the file, with --seed and --samples steering the simulation
-stream. Exit codes: 0 success, 1 usage or configuration error, 2
-numerical-diagnostic failure.
+stream. Exit codes: 0 success, 1 usage or configuration error, 2 a
+numerical flag or a failed self-check at some point (every table is
+still written, without the failed rows).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, load_config
 from .metrics import (
-    NumericalDiagnosticError,
     c_l,
     ergodic_rate,
     i_i,
@@ -223,9 +223,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         tables = run_sweep(spec, sim)
-    except NumericalDiagnosticError as exc:
-        print(f"pinchpas: numerical diagnostic: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"pinchpas: {exc}", file=sys.stderr)
         return 1

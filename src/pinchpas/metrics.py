@@ -275,6 +275,10 @@ def c_l(delta_width: float, c_0k: float, config: SystemConfig) -> float:
         raise ValueError("the rate closed form requires a strictly positive height h")
     d_y = config.d_y
     shifted = c_0k + h_sq
+    if shifted == h_sq:
+        # c_0k is lost in c_0k + h^2, so the difference of kernels would
+        # be rounding noise, not a rate.
+        return 0.0
     total = (
         i_i(shifted, delta_width, d_y)
         + i_j(shifted, delta_width, d_y)
@@ -380,8 +384,8 @@ def _efficiency_ratio(discrete: MetricResult, baseline: MetricResult) -> float:
     if baseline.value <= 0.0:
         raise NumericalDiagnosticError("continuous baseline rate is not positive")
     if discrete.value == 0.0 and not discrete.flags:
-        # A c_0k below about eps * h^2 is lost in c_0k + h^2, and the rate
-        # closed form returns rounding noise, which c_l may clamp to 0.
+        # A c_0k below about eps * h^2 is lost in c_0k + h^2: c_l returns
+        # 0 there, and may clamp the rounding noise just above it to 0.
         raise NumericalDiagnosticError(
             "discrete rate rounds to 0: its SNR is below the closed form's precision"
         )

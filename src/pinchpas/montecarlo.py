@@ -99,37 +99,28 @@ def simulate_outage(
     return SimEstimate(mean=p, std_error=se, n_samples=spec.n_samples)
 
 
-def _mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
+def _rate_estimate(config: SystemConfig, spec: SimulationSpec, snr) -> SimEstimate:
+    """Mean of log2(1 + snr(x, y)) over uniform users, with its standard error."""
+    total = 0.0
+    total_sq = 0.0
+    for index, take in _chunk_sizes(spec):
+        rng = _chunk_rng(spec, index)
+        x, y = _draw_users(rng, config, take)
+        rate = np.log2(1.0 + snr(x, y))
+        total += float(rate.sum())
+        total_sq += float(np.square(rate).sum())
+    n = spec.n_samples
     var = max(total_sq - total * total / n, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+    return SimEstimate(mean=total / n, std_error=math.sqrt(var / n), n_samples=n)
 
 
 def simulate_rate(
     config: SystemConfig, layout: PaLayout, spec: SimulationSpec
 ) -> SimEstimate:
     """Mean achievable rate, bits/s/Hz, under best-antenna selection."""
-    total = 0.0
-    total_sq = 0.0
-    for index, take in _chunk_sizes(spec):
-        rng = _chunk_rng(spec, index)
-        x, y = _draw_users(rng, config, take)
-        rate = np.log2(1.0 + best_snr(config, layout, x, y))
-        total += float(rate.sum())
-        total_sq += float(np.square(rate).sum())
-    mean, se = _mean_and_se(total, total_sq, spec.n_samples)
-    return SimEstimate(mean=mean, std_error=se, n_samples=spec.n_samples)
+    return _rate_estimate(config, spec, lambda x, y: best_snr(config, layout, x, y))
 
 
 def simulate_continuous_rate(config: SystemConfig, spec: SimulationSpec) -> SimEstimate:
     """Mean rate with the radiator re-placed optimally for every sample."""
-    total = 0.0
-    total_sq = 0.0
-    for index, take in _chunk_sizes(spec):
-        rng = _chunk_rng(spec, index)
-        x, y = _draw_users(rng, config, take)
-        rate = np.log2(1.0 + _continuous_snr(config, x, y))
-        total += float(rate.sum())
-        total_sq += float(np.square(rate).sum())
-    mean, se = _mean_and_se(total, total_sq, spec.n_samples)
-    return SimEstimate(mean=mean, std_error=se, n_samples=spec.n_samples)
+    return _rate_estimate(config, spec, lambda x, y: _continuous_snr(config, x, y))

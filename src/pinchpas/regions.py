@@ -1,8 +1,7 @@
 """Serving-region boundaries and the rectangular partition of the room.
 
 Between two adjacent antennas the set of floor positions where both give
-equal SNR is a circular arc; its circle is returned by boundary_circle and
-sampled by exact_boundary_x. Because the arc is nearly vertical for
+equal SNR is a circular arc. Because the arc is nearly vertical for
 typical geometries, each antenna's serving region is approximated by an
 asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width.
 On the uniform grid the crossing of antennas k and k+1 in row y lies at
@@ -19,44 +18,10 @@ from dataclasses import dataclass
 from .numerics import gauss_legendre, golden_section
 from .system import PaLayout, SystemConfig
 
-__all__ = [
-    "DegenerateBoundaryError",
-    "ImaginaryRadiusError",
-    "BoundaryCircle",
-    "RegionPartition",
-    "boundary_circle",
-    "exact_boundary_x",
-    "optimize_partition",
-]
+__all__ = ["RegionPartition", "optimize_partition"]
 
 _PARTITION_TOL_M = 1e-6
 _MISMATCH_QUAD_POINTS = 64
-
-
-class DegenerateBoundaryError(ValueError):
-    """The equal-SNR boundary is a vertical line, not a circle (alpha = 0)."""
-
-
-class ImaginaryRadiusError(ValueError):
-    """No real equal-SNR circle, or it misses the requested row.
-
-    Raised when the attenuation-spacing-height combination leaves no real
-    circle radius, or when the nearer antenna out-delivers its neighbor
-    across the entire row at the requested |y|.
-    """
-
-
-@dataclass(frozen=True)
-class BoundaryCircle:
-    """Circle carrying the equal-SNR arc between antennas k and k+1."""
-
-    center_x: float
-    radius: float
-    curvature: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be > 0, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
@@ -92,35 +57,6 @@ class RegionPartition:
             )
 
 
-def boundary_circle(config: SystemConfig, layout: PaLayout, k: int) -> BoundaryCircle:
-    """Circle of equal SNR between antennas k and k+1.
-
-    Only defined for positive attenuation; at alpha = 0 the locus is the
-    vertical midline and DegenerateBoundaryError is raised instead.
-    """
-    if not 1 <= k <= layout.m - 1:
-        raise IndexError(f"cut index k={k} outside 1..{layout.m - 1}")
-    if config.alpha == 0.0:
-        raise DegenerateBoundaryError(
-            "equal-SNR boundary is a vertical midline at alpha = 0"
-        )
-    delta = layout.delta
-    # In q = e^(-alpha delta) and w = 1 - q, not e^(alpha delta), which
-    # overflows once alpha * delta passes about 709; q only underflows
-    # towards 0, where no circle is left.
-    q = math.exp(-config.alpha * delta)
-    w = -math.expm1(-config.alpha * delta)
-    center_x = layout.x_k[k - 1] + delta * (1.0 + q / w)
-    radius_sq = delta * delta * q / (w * w) - config.h * config.h
-    if radius_sq <= 0.0:
-        raise ImaginaryRadiusError(
-            f"no real equal-SNR circle: spacing {delta} m and height {config.h} m "
-            f"at alpha = {config.alpha} leave radius^2 = {radius_sq}"
-        )
-    radius = math.sqrt(radius_sq)
-    return BoundaryCircle(center_x=center_x, radius=radius, curvature=1.0 / radius)
-
-
 def _boundary_offset(config: SystemConfig, delta: float, y: float) -> float:
     """Offset from x_k of the equal-SNR crossing of antennas k and k+1 in row y.
 
@@ -128,7 +64,9 @@ def _boundary_offset(config: SystemConfig, delta: float, y: float) -> float:
     equal-SNR circle misses row y: antenna k wins the whole row there.
     """
     dist_sq = y * y + config.h * config.h
-    # q and w as in boundary_circle, overflow-free at any alpha * delta.
+    # In q = e^(-alpha delta) and w = 1 - q, not e^(alpha delta), which
+    # overflows once alpha * delta passes about 709; q only underflows
+    # towards 0, where no circle is left.
     q = math.exp(-config.alpha * delta)
     w = -math.expm1(-config.alpha * delta)
     disc = q * delta * delta - w * w * dist_sq
@@ -136,35 +74,6 @@ def _boundary_offset(config: SystemConfig, delta: float, y: float) -> float:
         # Equivalent to |y| >= circle radius.
         return math.inf
     return (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
-
-
-def exact_boundary_x(
-    config: SystemConfig, layout: PaLayout, k: int, y: float
-) -> float:
-    """Abscissa where antennas k and k+1 deliver equal SNR at height y.
-
-    Solves the equal-SNR quadratic in closed form, arranged so no
-    catastrophic cancellation occurs for small alpha (the alpha = 0 limit
-    degenerates smoothly to the midpoint). The crossing usually falls
-    between the two antennas, but when the spacing is small relative to
-    the lateral distance the attenuation advantage of the nearer-to-feed
-    antenna pushes it at or past the farther one; the true crossing is
-    returned either way, and the partition optimizer clamps its cuts to
-    the strip separately.
-    """
-    if not 1 <= k <= layout.m - 1:
-        raise IndexError(f"cut index k={k} outside 1..{layout.m - 1}")
-    if abs(y) > config.d_y / 2.0:
-        raise ValueError(f"|y| = {abs(y)} exceeds the half-width {config.d_y / 2.0}")
-    x_k = layout.x_k[k - 1]
-    offset = _boundary_offset(config, layout.delta, y)
-    if math.isinf(offset):
-        raise ImaginaryRadiusError(
-            f"antenna {k} out-delivers antenna {k + 1} along the whole row at "
-            f"|y| = {abs(y)} with alpha = {config.alpha}: the equal-SNR circle "
-            "does not reach that height"
-        )
-    return x_k + offset
 
 
 def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:

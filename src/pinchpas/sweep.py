@@ -21,6 +21,7 @@ from ._version import __version__
 from .config import SweepSpec, parse_config_text
 from .metrics import (
     MetricResult,
+    NumericalDiagnosticError,
     _efficiency_ratio,
     continuous_rate,
     ergodic_rate,
@@ -35,6 +36,8 @@ __all__ = ["OutputTable", "run_sweep", "emit_table", "header_config_text"]
 logger = logging.getLogger(__name__)
 
 _ROW_FORMAT = "%.12g"
+# Table flag for a point dropped because a numerical self-check failed.
+_DIAGNOSTIC_FLAG = "numerical_diagnostic"
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,8 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     byte-identical; each point is independent of the others. Numerical
     flags raised at any point (for example the attenuation underflow
     clamp) are collected onto the affected table for the caller to
-    surface.
+    surface. A point whose numerical self-check fails is logged and left
+    out of its table, which then carries the flag "numerical_diagnostic".
     """
     config = spec.fixed_params
     sim = sim if sim is not None else SimulationSpec()
@@ -208,9 +212,17 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
         for value in spec.axis_values:
             point = _point_config(config, spec.sweep_axis, value)
             point_m = m if per_m else int(value)
-            tail, point_flags = _metric_point(
-                spec.metric, point, point_m, partitions, baselines, sim
-            )
+            try:
+                tail, point_flags = _metric_point(
+                    spec.metric, point, point_m, partitions, baselines, sim
+                )
+            except NumericalDiagnosticError as exc:
+                logger.warning(
+                    "%s = %r, m = %d: row left out: %s",
+                    spec.sweep_axis, value, point_m, exc,
+                )
+                flags.add(_DIAGNOSTIC_FLAG)
+                continue
             rows.append((float(value),) + tail)
             flags.update(point_flags)
         if per_m:

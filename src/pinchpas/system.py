@@ -6,11 +6,11 @@ Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
 The SNR law is written once, in `_snr`, with the scale `_antenna_scale`,
 and evaluated three ways: `snr_matrix` on every antenna (behind the scalar
-`snr_linear`/`select_pa`); `best_snr` (behind the simulator), which past a
-dozen antennas evaluates it on three candidate antennas per user that
-provably hold the best one, so its cost does not grow with the antenna
-count (the proof is in its docstring); and `_continuous_candidates`, for
-the freely placed radiator of the continuous baseline.
+`select_pa`); `best_snr` (behind the simulator), which past a dozen
+antennas evaluates it on three candidate antennas per user that provably
+hold the best one, so its cost does not grow with the antenna count (the
+proof is in its docstring); and `_continuous_candidates`, for the freely
+placed radiator of the continuous baseline.
 
 All computation is done in linear SI units. dB and dBm appear only in the
 configuration fields and are converted once at construction time.
@@ -30,12 +30,10 @@ __all__ = [
     "PaLayout",
     "UserPosition",
     "db_to_linear",
-    "linear_to_db",
     "derive_rf",
     "make_layout",
     "snr_matrix",
     "best_snr",
-    "snr_linear",
     "select_pa",
 ]
 
@@ -45,11 +43,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 def db_to_linear(value_db: float) -> float:
     """Power ratio in dB to linear scale."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Linear power ratio to dB."""
-    return 10.0 * math.log10(value)
 
 
 @dataclass(frozen=True)
@@ -371,16 +364,6 @@ def _window_snr(
     for k in (np.maximum(above_peak - 1, 0), above_peak):
         np.maximum(best, _snr(config, positions[k], scale[k], x, y_sq), out=best)
     return best
-
-
-def snr_linear(
-    config: SystemConfig, layout: PaLayout, k: int, user: UserPosition
-) -> float:
-    """Received SNR (linear) when antenna k (1-based) serves the given user."""
-    if not 1 <= k <= layout.m:
-        raise IndexError(f"antenna index k={k} outside 1..{layout.m}")
-    snr = snr_matrix(config, layout, np.array([user.x_m]), np.array([user.y_m]))
-    return float(snr[k - 1, 0])
 
 
 def select_pa(config: SystemConfig, layout: PaLayout, user: UserPosition) -> int:

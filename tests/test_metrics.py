@@ -373,12 +373,17 @@ def test_pde_of_a_rate_that_rounds_to_zero():
     assert result.value == 0.0
     assert result.flags == ("c0k_underflow_clamp",)
 
-    unflagged = SystemConfig(d_x=200.0, alpha=5.0, gamma_t_db=40.0)
-    lay = make_layout(unflagged, 1)
-    part = optimize_partition(unflagged, lay)
-    assert ergodic_rate(unflagged, lay, part).value == 0.0
-    with pytest.raises(NumericalDiagnosticError, match="rounds to 0"):
-        pde(unflagged, lay, part)
+    # At alpha = 3.4, c_0k = 1.6e-150 is lost in c_0k + h^2 = 1; unless
+    # c_l returns an exact 0, rounding noise of 3.7e-16 passes as a rate.
+    for unflagged in (
+        SystemConfig(d_x=200.0, alpha=5.0, gamma_t_db=40.0),
+        SystemConfig(d_x=200.0, alpha=3.4, h=1.0, gamma_t_db=40.0),
+    ):
+        lay = make_layout(unflagged, 1)
+        part = optimize_partition(unflagged, lay)
+        assert ergodic_rate(unflagged, lay, part).value == 0.0
+        with pytest.raises(NumericalDiagnosticError, match="rounds to 0"):
+            pde(unflagged, lay, part)
 
 
 def _log_uniform(lo_exp, hi_exp):

@@ -20,6 +20,13 @@ REMOVED = (
     "gl_integrate",
     "asinh",
     "_best_snr",
+    "BoundaryCircle",
+    "boundary_circle",
+    "DegenerateBoundaryError",
+    "ImaginaryRadiusError",
+    "exact_boundary_x",
+    "snr_linear",
+    "linear_to_db",
 )
 
 

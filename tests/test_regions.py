@@ -6,28 +6,46 @@ import numpy as np
 import pytest
 
 from pinchpas import (
-    DegenerateBoundaryError,
-    ImaginaryRadiusError,
     RegionPartition,
     SystemConfig,
     UserPosition,
-    boundary_circle,
-    exact_boundary_x,
     make_layout,
     optimize_partition,
     select_pa,
-    snr_linear,
+    snr_matrix,
 )
 from pinchpas.numerics import gauss_legendre, golden_section
+from pinchpas.regions import _boundary_offset
+
+
+def _crossing(cfg, lay, k, y):
+    """Abscissa where antennas k and k+1 give equal SNR in row y; inf if none."""
+    return lay.x_k[k - 1] + _boundary_offset(cfg, lay.delta, y)
+
+
+def _circle(cfg, lay, k):
+    """Center and squared radius of the equal-SNR circle of antennas k and k+1."""
+    delta, g = lay.delta, math.expm1(cfg.alpha * lay.delta)
+    r_sq = delta * delta * (1.0 + g) / (g * g) - cfg.h * cfg.h
+    return lay.x_k[k - 1] + delta * (1.0 + 1.0 / g), r_sq
+
+
+def _row_snr(cfg, lay, xs, y):
+    """SNR of every antenna along row y, shape (m, len(xs))."""
+    xs = np.asarray(xs, dtype=float)
+    return snr_matrix(cfg, lay, xs, np.full(xs.shape, y))
 
 
 def _snr_residual(cfg, lay, k, y):
     """Relative SNR mismatch between antennas k and k+1 at the computed cut."""
-    xb = exact_boundary_x(cfg, lay, k, y)
-    user = UserPosition(x_m=xb, y_m=y)
-    a = snr_linear(cfg, lay, k, user)
-    b = snr_linear(cfg, lay, k + 1, user)
-    return abs(a - b) / a
+    snr = _row_snr(cfg, lay, [_crossing(cfg, lay, k, y)], y)[:, 0]
+    return abs(snr[k - 1] - snr[k]) / snr[k - 1]
+
+
+def _wins_whole_row(cfg, lay, k, y):
+    """Antenna k out-delivers antenna k+1 everywhere along row y."""
+    snr = _row_snr(cfg, lay, np.linspace(0.0, cfg.d_x, 101), y)
+    return bool(np.all(snr[k - 1] >= snr[k]))
 
 
 def test_boundary_equalizes_snr():
@@ -44,21 +62,18 @@ def test_boundary_equalizes_snr():
         lay = make_layout(cfg, m)
         k = int(rng.integers(1, m))
         y = float(rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0))
-        try:
-            assert _snr_residual(cfg, lay, k, y) < 1e-12
-        except ImaginaryRadiusError:
+        if math.isinf(_crossing(cfg, lay, k, y)):
             # No crossing at this height: antenna k must dominate everywhere.
-            xs = np.linspace(0.0, d_x, 101)
-            for x in xs:
-                u = UserPosition(x_m=float(x), y_m=y)
-                assert snr_linear(cfg, lay, k, u) >= snr_linear(cfg, lay, k + 1, u)
+            assert _wins_whole_row(cfg, lay, k, y)
+        else:
+            assert _snr_residual(cfg, lay, k, y) < 1e-12
 
 
 def test_boundary_is_even_in_y():
     cfg = SystemConfig(d_x=20.0, alpha=0.06)
     lay = make_layout(cfg, 4)
     for y in (0.5, 2.0, 4.9):
-        assert exact_boundary_x(cfg, lay, 2, y) == exact_boundary_x(cfg, lay, 2, -y)
+        assert _crossing(cfg, lay, 2, y) == _crossing(cfg, lay, 2, -y)
 
 
 def test_boundary_zero_attenuation_is_midpoint():
@@ -67,7 +82,7 @@ def test_boundary_zero_attenuation_is_midpoint():
     for k in (1, 2):
         mid = 0.5 * (lay.x_k[k - 1] + lay.x_k[k])
         for y in (0.0, 3.0):
-            assert exact_boundary_x(cfg, lay, k, y) == pytest.approx(mid, abs=1e-12)
+            assert _crossing(cfg, lay, k, y) == pytest.approx(mid, abs=1e-12)
 
 
 def test_boundary_small_alpha_limit_is_smooth():
@@ -78,7 +93,7 @@ def test_boundary_small_alpha_limit_is_smooth():
         cfg = SystemConfig(alpha=alpha, **lay_args)
         lay = make_layout(cfg, 3)
         mid = 0.5 * (lay.x_k[0] + lay.x_k[1])
-        xb = exact_boundary_x(cfg, lay, 1, 2.0)
+        xb = _crossing(cfg, lay, 1, 2.0)
         assert xb > mid  # attenuation always pushes the cut away from the feed
         assert xb - mid < 20.0 * alpha * lay.delta * lay.delta  # vanishes linearly
         assert _snr_residual(cfg, lay, 1, 2.0) < 1e-10
@@ -88,50 +103,36 @@ def test_boundary_lies_on_equal_snr_circle():
     cfg = SystemConfig(d_x=24.0, d_y=9.0, alpha=0.08, h=2.5)
     lay = make_layout(cfg, 4)
     for k in (1, 2, 3):
-        circle = boundary_circle(cfg, lay, k)
+        center, r_sq = _circle(cfg, lay, k)
         for y in (0.0, 1.1, 3.7, 4.5):
-            xb = exact_boundary_x(cfg, lay, k, y)
-            lhs = (xb - circle.center_x) ** 2 + y * y
-            assert lhs == pytest.approx(circle.radius**2, rel=1e-9)
+            xb = _crossing(cfg, lay, k, y)
+            assert (xb - center) ** 2 + y * y == pytest.approx(r_sq, rel=1e-9)
 
 
-def test_circle_center_and_radius_closed_form():
-    cfg = SystemConfig(d_x=24.0, d_y=9.0, alpha=0.08, h=2.5)
-    lay = make_layout(cfg, 4)
-    delta = lay.delta
-    g1 = math.expm1(cfg.alpha * delta)
-    circle = boundary_circle(cfg, lay, 2)
-    assert circle.center_x == pytest.approx(lay.x_k[1] + delta * (1.0 + 1.0 / g1))
-    r_sq = delta * delta * (1.0 + g1) / (g1 * g1) - cfg.h * cfg.h
-    assert circle.radius**2 == pytest.approx(r_sq, rel=1e-12)
-    assert circle.curvature == pytest.approx(1.0 / circle.radius, rel=1e-15)
-
-
-def test_circle_degenerate_and_imaginary():
-    cfg0 = SystemConfig(d_x=10.0, alpha=0.0)
-    lay0 = make_layout(cfg0, 2)
-    with pytest.raises(DegenerateBoundaryError):
-        boundary_circle(cfg0, lay0, 1)
-
+def test_offset_is_inf_in_every_row_without_a_real_circle():
     # Strong attenuation with a short spacing: the equal-SNR circle would
-    # need an imaginary radius.
+    # need an imaginary radius, so no row has a crossing and antenna k
+    # wins each one.
     cfg = SystemConfig(d_x=1.0, d_y=4.0, alpha=0.5, h=3.0)
     lay = make_layout(cfg, 10)
-    with pytest.raises(ImaginaryRadiusError):
-        boundary_circle(cfg, lay, 1)
+    assert _circle(cfg, lay, 1)[1] < 0.0
+    y_nodes, _ = gauss_legendre(64, -cfg.d_y / 2.0, cfg.d_y / 2.0)
+    for y in (*y_nodes, 0.0, cfg.d_y / 2.0):
+        assert _boundary_offset(cfg, lay.delta, float(y)) == math.inf
+    assert _wins_whole_row(cfg, lay, 1, 0.0)
 
 
-def test_boundary_row_without_crossing_raises():
+def test_boundary_row_without_crossing_is_inf():
     # Wide room, tight spacing: rows far from the axis never see the
-    # crossing, and the error message should say so.
+    # crossing, and antenna k wins them whole.
     cfg = SystemConfig(d_x=10.0, d_y=50.0, alpha=0.05, h=3.0)
     lay = make_layout(cfg, 10)
-    radius = boundary_circle(cfg, lay, 1).radius
-    with pytest.raises(ImaginaryRadiusError):
-        exact_boundary_x(cfg, lay, 1, radius + 0.5)
+    radius = math.sqrt(_circle(cfg, lay, 1)[1])
+    assert math.isinf(_crossing(cfg, lay, 1, radius + 0.5))
+    assert _wins_whole_row(cfg, lay, 1, radius + 0.5)
     # Just inside the circle the crossing exists and equalizes the SNR,
     # even though it falls beyond the next antenna.
-    xb = exact_boundary_x(cfg, lay, 1, radius - 0.05)
+    xb = _crossing(cfg, lay, 1, radius - 0.05)
     assert xb > lay.x_k[1]
     assert _snr_residual(cfg, lay, 1, radius - 0.05) < 1e-9
 
@@ -143,10 +144,10 @@ def test_boundary_bow_matches_circle_geometry():
         for m in (2, 4, 6):
             cfg = SystemConfig(d_x=24.0, d_y=10.0, alpha=alpha, h=3.0)
             lay = make_layout(cfg, m)
-            circle = boundary_circle(cfg, lay, 1)
+            radius = math.sqrt(_circle(cfg, lay, 1)[1])
             half = cfg.d_y / 2.0
-            bow = exact_boundary_x(cfg, lay, 1, half) - exact_boundary_x(cfg, lay, 1, 0.0)
-            sagitta = circle.radius - math.sqrt(circle.radius**2 - half * half)
+            bow = _crossing(cfg, lay, 1, half) - _crossing(cfg, lay, 1, 0.0)
+            sagitta = radius - math.sqrt(radius**2 - half * half)
             assert bow == pytest.approx(sagitta, rel=1e-9)
             assert bow > 0.0
 
@@ -160,7 +161,7 @@ def test_boundary_bow_small_in_weak_attenuation_slice():
     for m in (4, 6, 8):  # delta = 6, 4, 3 meters
         lay = make_layout(cfg, m)
         half = cfg.d_y / 2.0
-        bow = exact_boundary_x(cfg, lay, 1, half) - exact_boundary_x(cfg, lay, 1, 0.0)
+        bow = _crossing(cfg, lay, 1, half) - _crossing(cfg, lay, 1, 0.0)
         assert bow < 0.05 * lay.delta
 
 
@@ -206,15 +207,10 @@ def test_partition_zero_attenuation_is_symmetric():
 
 def _arc_samples(cfg, lay, k, y_nodes):
     """Exact arc abscissae, with rows the circle misses clamped at x_{k+1}."""
-    samples = []
-    for y in y_nodes:
-        try:
-            samples.append(exact_boundary_x(cfg, lay, k, float(y)))
-        except ImaginaryRadiusError:
-            # Antenna k wins the whole row; any abscissa at or past x_{k+1}
-            # weighs the same inside the strip.
-            samples.append(lay.x_k[k])
-    return np.array(samples)
+    # Where the circle misses a row antenna k wins it whole; any abscissa
+    # at or past x_{k+1} weighs the same inside the strip.
+    samples = [_crossing(cfg, lay, k, float(y)) for y in y_nodes]
+    return np.array([lay.x_k[k] if math.isinf(x) else x for x in samples])
 
 
 def test_partition_cut_minimizes_misassigned_area():

@@ -2,9 +2,13 @@
 
 import logging
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinchpas import (
     OutputTable,
@@ -301,6 +305,68 @@ def test_cli_pde_along_d_x_in_long_rooms(tmp_path):
     data = [line.split() for line in table if not line.startswith("#")]
     assert [float(row[0]) for row in data] == [100.0, 300.0, 500.0]
     assert all(0.0 < float(row[1]) <= 1.0 for row in data)
+
+
+def _data_rows(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [[float(v) for v in line.split()] for line in lines if not line.startswith("#")]
+
+
+def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
+    # At alpha = 5 the discrete rate rounds to 0 and pde fails its
+    # self-check; the alpha = 0.05 row must still be written.
+    cfg = _write_cfg(
+        tmp_path,
+        "d_x = 200\ngamma_t_db = 40\nsweep_axis = alpha\naxis_values = 0.05,5\n"
+        "m_values = 1\n",
+    )
+    out = tmp_path / "o"
+    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert _data_rows(out / "pde_m1.dat") == [[0.05, 0.00382089366214]]
+    assert "alpha = 5.0, m = 1: row left out: discrete rate rounds to 0" in caplog.text
+    assert "numerical flags raised: numerical_diagnostic" in capsys.readouterr().err
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(["outage", "rate", "pde", "regions"]),
+    d_x=_log_uniform(-2.0, 4.0),
+    d_y=_log_uniform(-2.0, 3.0),
+    h=_log_uniform(-6.0, 1.5),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 10.0), _log_uniform(-6.0, 1.0)),
+    gammas=st.lists(st.floats(40.0, 160.0), min_size=2, max_size=2, unique=True),
+    gamma_thr_db=st.floats(-10.0, 50.0),
+    m=st.integers(1, 200),
+)
+# The room of test_cli_failed_self_check_costs_one_row, so a sweep that
+# drops its table on one failed point fails here whatever the draw.
+@example(
+    command="pde", d_x=200.0, d_y=10.0, h=3.0, alpha=5.0,
+    gammas=[40.0, 50.0], gamma_thr_db=20.0, m=1,
+)
+def test_cli_validated_configs_write_every_table(
+    command, d_x, d_y, h, alpha, gammas, gamma_thr_db, m
+):
+    # The rooms of test_validated_configs_end_cleanly, through the CLI:
+    # every run exits 0 or 2, writes its table, and writes only finite rows.
+    lo, hi = sorted(gammas)
+    text = (
+        f"d_x = {d_x!r}\nd_y = {d_y!r}\nh = {h!r}\nalpha = {alpha!r}\n"
+        f"gamma_thr_db = {gamma_thr_db!r}\nsweep_axis = gamma_t_db\n"
+        f"axis_values = {lo!r},{hi!r}\nm_values = {m}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = Path(tmp) / "o"
+        assert main([command, "--config", str(cfg), "--out-dir", str(out)]) in (0, 2)
+        assert sorted(p.name for p in out.iterdir()) == [f"{command}_m{m}.dat"]
+        rows = _data_rows(out / f"{command}_m{m}.dat")
+        assert all(math.isfinite(v) for row in rows for v in row)
 
 
 def test_cli_missing_config_is_usage_error(tmp_path):

@@ -14,10 +14,8 @@ from pinchpas import (
     best_snr,
     db_to_linear,
     derive_rf,
-    linear_to_db,
     make_layout,
     select_pa,
-    snr_linear,
     snr_matrix,
 )
 from pinchpas.system import SPEED_OF_LIGHT, _window_snr
@@ -25,10 +23,11 @@ from pinchpas.system import SPEED_OF_LIGHT, _window_snr
 
 def test_db_round_trip():
     for v in (1e-6, 0.5, 1.0, 42.0, 1e9):
-        assert abs(linear_to_db(db_to_linear(linear_to_db(v))) - linear_to_db(v)) < 1e-12
+        v_db = 10.0 * math.log10(v)
+        assert abs(10.0 * math.log10(db_to_linear(v_db)) - v_db) < 1e-12
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
-    assert linear_to_db(100.0) == pytest.approx(20.0, abs=1e-13)
+    assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
 
 
 def test_derive_rf_matches_hand_computation():
@@ -74,21 +73,20 @@ def test_layout_geometry():
         PaLayout(m=2, delta=1.0, x_k=(0.5, 1.6))
 
 
+def _hand_snr(cfg, x_k, x, y):
+    """big_c e^(-alpha x_k) / ((x - x_k)^2 + y^2 + h^2), written out."""
+    big_c = derive_rf(cfg).big_c
+    return big_c * math.exp(-cfg.alpha * x_k) / ((x - x_k) ** 2 + y * y + cfg.h * cfg.h)
+
+
 def test_snr_formula_direct():
     cfg = SystemConfig(d_x=10.0, alpha=0.08, gamma_t_db=95.0)
     lay = make_layout(cfg, 2)
-    user = UserPosition(x_m=4.0, y_m=-2.0)
-    rf = derive_rf(cfg)
+    snr = snr_matrix(cfg, lay, np.array([4.0]), np.array([-2.0]))
+    assert snr.shape == (2, 1)
     for k in (1, 2):
-        xk = lay.x_k[k - 1]
-        expected = (
-            rf.big_c
-            * math.exp(-cfg.alpha * xk)
-            / ((4.0 - xk) ** 2 + 4.0 + cfg.h * cfg.h)
-        )
-        assert snr_linear(cfg, lay, k, user) == pytest.approx(expected, rel=1e-15)
-    with pytest.raises(IndexError):
-        snr_linear(cfg, lay, 3, user)
+        expected = _hand_snr(cfg, lay.x_k[k - 1], 4.0, -2.0)
+        assert snr[k - 1, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_select_pa_prefers_smaller_index_on_tie():
@@ -109,7 +107,7 @@ def test_select_pa_matches_max_over_snr():
             x_m=float(rng.uniform(0.0, cfg.d_x)),
             y_m=float(rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0)),
         )
-        snrs = [snr_linear(cfg, lay, k, user) for k in range(1, 7)]
+        snrs = [_hand_snr(cfg, x_k, user.x_m, user.y_m) for x_k in lay.x_k]
         assert select_pa(cfg, lay, user) == 1 + int(np.argmax(snrs))
 
 
