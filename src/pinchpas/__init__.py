@@ -27,6 +27,7 @@ from .montecarlo import (
     SimulationSpec,
     simulate_continuous_rate,
     simulate_outage,
+    simulate_outage_curve,
     simulate_rate,
 )
 from .regions import RegionPartition, optimize_partition
@@ -85,6 +86,7 @@ __all__ = [
     "select_pa",
     "simulate_continuous_rate",
     "simulate_outage",
+    "simulate_outage_curve",
     "simulate_rate",
     "snr_matrix",
     "ti2",

@@ -6,29 +6,43 @@ standard errors are accumulated chunk by chunk so a run of a billion
 samples needs only chunk-sized memory. Each user's best SNR comes from
 `system.best_snr`, which past a dozen antennas evaluates the one SNR law
 on three candidate antennas per user that provably hold the best, so the
-cost per sample does not grow with the antenna count. Streams are
+cost per sample does not grow with the antenna count. An outage curve
+over transmit SNR draws each user once for all its points. Streams are
 counter-based: a given (seed, chunk size) pair reproduces the same
 estimate regardless of platform.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .system import PaLayout, SystemConfig, _continuous_snr, best_snr, db_to_linear
+from .system import (
+    PaLayout,
+    SystemConfig,
+    _continuous_snr,
+    best_snr,
+    db_to_linear,
+    derive_rf,
+)
 
 __all__ = [
     "SimulationSpec",
     "SimEstimate",
     "simulate_outage",
+    "simulate_outage_curve",
     "simulate_rate",
     "simulate_continuous_rate",
 ]
 
 _MIN_SAMPLES = 1_000
+# Relative half-width of the band around a rescaled outage threshold whose
+# users `simulate_outage_curve` recomputes at their own transmit SNR. The
+# rescaled and the direct SNR differ by a few roundings, about 1e-15.
+_RESCALE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,16 +101,52 @@ def simulate_outage(
     config: SystemConfig, layout: PaLayout, spec: SimulationSpec
 ) -> SimEstimate:
     """Fraction of users whose best-antenna SNR is at or below the threshold."""
+    return simulate_outage_curve(config, layout, spec, (config.gamma_t_db,))[0]
+
+
+def simulate_outage_curve(
+    config: SystemConfig,
+    layout: PaLayout,
+    spec: SimulationSpec,
+    gamma_t_dbs: tuple[float, ...],
+) -> tuple[SimEstimate, ...]:
+    """`simulate_outage` at each transmit SNR in `gamma_t_dbs`, from one draw.
+
+    Every antenna's SNR carries the factor big_c, which is linear in the
+    transmit SNR, so neither the best antenna nor the best SNR divided by
+    big_c depends on gamma_t. Each chunk's users are drawn and their best
+    SNR computed once, at `config`; gamma_t point i counts the users at or
+    below threshold * C(config) / C(gamma_i), with C = `derive_rf`'s big_c.
+    The rare users within `_RESCALE_BAND` of that rescaled threshold are
+    recomputed at gamma_i itself, so each estimate equals `simulate_outage`
+    at `config` with gamma_t_db = gamma_i, bit for bit.
+    """
     threshold = db_to_linear(config.gamma_thr_db)
-    hits = 0
+    big_c = derive_rf(config).big_c
+    bands = []
+    for gamma_t_db in gamma_t_dbs:
+        point = dataclasses.replace(config, gamma_t_db=gamma_t_db)
+        limit = threshold * (big_c / derive_rf(point).big_c)
+        low, high = limit * (1.0 - _RESCALE_BAND), limit * (1.0 + _RESCALE_BAND)
+        bands.append((point, low, high))
+    hits = [0] * len(bands)
     for index, take in _chunk_sizes(spec):
-        rng = _chunk_rng(spec, index)
-        x, y = _draw_users(rng, config, take)
+        x, y = _draw_users(_chunk_rng(spec, index), config, take)
         best = best_snr(config, layout, x, y)
-        hits += int(np.count_nonzero(best <= threshold))
-    p = hits / spec.n_samples
-    se = math.sqrt(p * (1.0 - p) / spec.n_samples)
-    return SimEstimate(mean=p, std_error=se, n_samples=spec.n_samples)
+        for i, (point, low, high) in enumerate(bands):
+            below = int(np.count_nonzero(best <= low))
+            hits[i] += below
+            if np.count_nonzero(best <= high) > below:
+                near = np.flatnonzero((best > low) & (best <= high))
+                exact = best_snr(point, layout, x[near], y[near])
+                hits[i] += int(np.count_nonzero(exact <= threshold))
+    n = spec.n_samples
+    estimates = []
+    for count in hits:
+        p = count / n
+        se = math.sqrt(p * (1.0 - p) / n)
+        estimates.append(SimEstimate(mean=p, std_error=se, n_samples=n))
+    return tuple(estimates)
 
 
 def _rate_estimate(config: SystemConfig, spec: SimulationSpec, snr) -> SimEstimate:

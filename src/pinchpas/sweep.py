@@ -27,7 +27,7 @@ from .metrics import (
     ergodic_rate,
     outage_probability,
 )
-from .montecarlo import SimulationSpec, simulate_outage
+from .montecarlo import SimEstimate, SimulationSpec, simulate_outage_curve
 from .regions import RegionPartition, optimize_partition
 from .system import PaLayout, SystemConfig, make_layout
 
@@ -133,18 +133,39 @@ class _ContinuousRateCache:
         return self._store[config]
 
 
+class _OutageCurveCache:
+    """Memoizes simulated outage curves over transmit SNR.
+
+    Transmit SNR only scales every antenna's SNR, so along a gamma_t sweep
+    one draw of users per antenna count answers every point. On any other
+    axis each point is a curve of its own gamma_t alone.
+    """
+
+    def __init__(self, spec: SweepSpec, sim: SimulationSpec):
+        self._gammas = spec.axis_values if spec.sweep_axis == "gamma_t_db" else None
+        self._sim = sim
+        self._store: dict[tuple, dict[float, SimEstimate]] = {}
+
+    def get(self, config: SystemConfig, m: int) -> SimEstimate:
+        gammas = self._gammas or (config.gamma_t_db,)
+        base = dataclasses.replace(config, gamma_t_db=gammas[0])
+        if (base, m) not in self._store:
+            curve = simulate_outage_curve(base, make_layout(base, m), self._sim, gammas)
+            self._store[(base, m)] = dict(zip(gammas, curve))
+        return self._store[(base, m)][config.gamma_t_db]
+
+
 def _metric_point(
     metric: str,
     config: SystemConfig,
     m: int,
     partitions: _PartitionCache,
     baselines: _ContinuousRateCache,
-    sim: SimulationSpec,
+    curves: _OutageCurveCache,
 ) -> tuple[tuple[float, ...], tuple[str, ...]]:
     """One row's trailing columns plus any numerical flags raised there."""
     if metric == "simulate":
-        layout = make_layout(config, m)
-        estimate = simulate_outage(config, layout, sim)
+        estimate = curves.get(config, m)
         return (estimate.mean, estimate.std_error), ()
     layout, partition = partitions.get(config, m)
     if metric == "outage":
@@ -173,6 +194,7 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     sim = sim if sim is not None else SimulationSpec()
     partitions = _PartitionCache()
     baselines = _ContinuousRateCache()
+    curves = _OutageCurveCache(spec, sim)
     tables: list[OutputTable] = []
 
     if spec.metric == "regions":
@@ -214,7 +236,7 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
             point_m = m if per_m else int(value)
             try:
                 tail, point_flags = _metric_point(
-                    spec.metric, point, point_m, partitions, baselines, sim
+                    spec.metric, point, point_m, partitions, baselines, curves
                 )
             except NumericalDiagnosticError as exc:
                 logger.warning(

@@ -82,6 +82,22 @@ def rate_kernel_quad(delta_width: float, c_0k: float, d_y: float, h: float) -> f
     return 2.0 * val / (delta_width * d_y * math.log(2.0))
 
 
+def rate_kernel_scaled_quad(delta_width: float, c_0k: float, d_y: float, h: float) -> float:
+    """`rate_kernel_quad` to a relative tolerance however small c_0k is.
+
+    The integrand log1p(c_0k / q) / c_0k stays of order 1 / q as c_0k
+    shrinks, so the absolute tolerance can be 0.
+    """
+
+    def f(y, u):
+        return math.log1p(c_0k / (u * u + y * y + h * h)) / c_0k
+
+    val, _ = integrate.dblquad(
+        f, 0.0, delta_width, 0.0, d_y / 2.0, epsabs=0.0, epsrel=1e-12
+    )
+    return 2.0 * c_0k * val / (delta_width * d_y * math.log(2.0))
+
+
 def ti2_quad(z: float) -> float:
     """Inverse-tangent integral by quadrature of its defining integrand.
 

@@ -187,6 +187,28 @@ def test_rate_kernel_matches_2d_quadrature():
         assert c_l(delta, c0, cfg) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("c0", [1e-14, 1e-12, 1e-10, 1e-8])
+def test_rate_kernel_small_c0k_matches_log1p_quadrature(c0):
+    # The difference of kernels at c_0k + h^2 and h^2 cancels here, to
+    # relative errors of 2.6, 0.31, 6.4e-4 and 1.0e-5 at these points.
+    cfg = SystemConfig(d_x=100.0, d_y=10.0, h=1.0)
+    ref = oracle.rate_kernel_scaled_quad(100.0, c0, cfg.d_y, cfg.h)
+    assert c_l(100.0, c0, cfg) == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("delta", [100.0, 3.0, 1e-3, 3.4e-7])
+def test_rate_kernel_continuous_across_slope_switch(delta):
+    # c_l switches from the kernel difference to the slope form at
+    # c_0k = 1e-4 h^2; both sides must agree with each other and the oracle.
+    cfg = SystemConfig(d_x=100.0, d_y=10.0, h=2.0)
+    edge = 1e-4 * cfg.h * cfg.h
+    below = c_l(delta, edge * (1.0 - 1e-12), cfg)
+    above = c_l(delta, edge * (1.0 + 1e-12), cfg)
+    assert abs(above - below) < 1e-8 * above
+    ref = oracle.rate_kernel_scaled_quad(delta, edge, cfg.d_y, cfg.h)
+    assert below == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+
 def test_rate_kernel_requires_height():
     flat = SystemConfig(d_x=10.0, h=0.0)
     with pytest.raises(ValueError):

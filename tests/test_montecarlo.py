@@ -1,20 +1,26 @@
 """Simulation oracle: determinism, stream independence, and agreement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pinchpas import (
     SimulationSpec,
     SystemConfig,
+    best_snr,
+    db_to_linear,
     ergodic_rate,
     make_layout,
     optimize_partition,
     outage_probability,
     simulate_continuous_rate,
     simulate_outage,
+    simulate_outage_curve,
     simulate_rate,
 )
-from pinchpas.montecarlo import _chunk_rng, _chunk_sizes
+from pinchpas import montecarlo
+from pinchpas.montecarlo import _chunk_rng, _chunk_sizes, _draw_users
 
 
 def test_spec_validation():
@@ -123,3 +129,56 @@ def test_standard_error_scales_with_samples():
     large = simulate_rate(cfg, lay, SimulationSpec(n_samples=160_000, seed=8))
     ratio = small.std_error / large.std_error
     assert ratio == pytest.approx(4.0, rel=0.15)
+
+
+# ------------------------------------------------------- outage curves --
+
+_CURVE_GAMMAS = (88.0, 93.5, 97.0, 100.25, 106.0, 112.0)
+
+
+def _direct_outage_hits(config, layout, spec):
+    """Users at or below the threshold, each best SNR computed at `config`."""
+    threshold = db_to_linear(config.gamma_thr_db)
+    hits = 0
+    for index, take in _chunk_sizes(spec):
+        x, y = _draw_users(_chunk_rng(spec, index), config, take)
+        hits += int(np.count_nonzero(best_snr(config, layout, x, y) <= threshold))
+    return hits
+
+
+@pytest.mark.parametrize("seed", [0, 3, 8191])
+@pytest.mark.parametrize("m", [1, 10, 40])
+def test_outage_curve_equals_pointwise_simulation(seed, m):
+    # m = 40 takes best_snr's candidate window; 7,000 does not divide 30,000.
+    cfg = SystemConfig(d_x=30.0, gamma_t_db=97.0)
+    lay = make_layout(cfg, m)
+    spec = SimulationSpec(n_samples=30_000, seed=seed, chunk_size=7_000)
+    curve = simulate_outage_curve(cfg, lay, spec, _CURVE_GAMMAS)
+    assert len(curve) == len(_CURVE_GAMMAS)
+    for gamma_t_db, estimate in zip(_CURVE_GAMMAS, curve):
+        point = replace(cfg, gamma_t_db=gamma_t_db)
+        assert estimate == simulate_outage(point, lay, spec)
+        assert estimate.mean == _direct_outage_hits(point, lay, spec) / spec.n_samples
+    assert any(0.0 < estimate.mean < 1.0 for estimate in curve)
+
+
+def test_outage_curve_recomputes_users_near_the_rescaled_threshold(monkeypatch):
+    # A band of +-50% sends a large share of users through the recount at
+    # their own transmit SNR, which must give the same counts.
+    monkeypatch.setattr(montecarlo, "_RESCALE_BAND", 0.5)
+    recounted = []
+
+    def counting_best_snr(config, layout, x, y):
+        if config.gamma_t_db != cfg.gamma_t_db:
+            recounted.append(x.size)
+        return best_snr(config, layout, x, y)
+
+    monkeypatch.setattr(montecarlo, "best_snr", counting_best_snr)
+    cfg = SystemConfig(d_x=30.0, gamma_t_db=100.0)
+    lay = make_layout(cfg, 10)
+    spec = SimulationSpec(n_samples=20_000, seed=5, chunk_size=6_000)
+    curve = simulate_outage_curve(cfg, lay, spec, _CURVE_GAMMAS)
+    assert sum(recounted) > 1_000
+    for gamma_t_db, estimate in zip(_CURVE_GAMMAS, curve):
+        point = replace(cfg, gamma_t_db=gamma_t_db)
+        assert estimate.mean == _direct_outage_hits(point, lay, spec) / spec.n_samples

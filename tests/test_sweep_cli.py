@@ -3,6 +3,7 @@
 import logging
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,15 @@ from pinchpas import (
     SystemConfig,
     continuous_rate,
     emit_table,
+    make_layout,
     header_config_text,
     load_config,
     parse_config_text,
     reload_run,
     run_sweep,
+    simulate_outage,
 )
+from pinchpas import montecarlo
 from pinchpas.cli import main
 
 
@@ -94,6 +98,51 @@ def test_sweep_simulate_carries_stderr_column():
     assert all(len(r) == 3 for r in tables[0].rows)
     assert any("seed = 5" in line for line in tables[0].header)
     assert any("n_samples = 50000" in line for line in tables[0].header)
+
+
+def _count_user_draws(monkeypatch):
+    calls = []
+    draw = montecarlo._draw_users
+
+    def counting_draw(rng, config, n):
+        calls.append(n)
+        return draw(rng, config, n)
+
+    monkeypatch.setattr(montecarlo, "_draw_users", counting_draw)
+    return calls
+
+
+def test_sweep_simulate_gamma_draws_users_once_per_table(monkeypatch):
+    calls = _count_user_draws(monkeypatch)
+    spec = _spec(
+        "d_x = 30\nmetric = simulate\naxis_values = 90:110:5\nm_values = 1,20\n"
+    )
+    sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
+    tables = run_sweep(spec, sim)
+    # 4 chunks per table, not 4 per point.
+    assert len(calls) == 2 * 4
+    for table, m in zip(tables, (1, 20)):
+        for gamma_t_db, mean, std_error in table.rows:
+            point = replace(spec.fixed_params, gamma_t_db=gamma_t_db)
+            expected = simulate_outage(point, make_layout(point, m), sim)
+            assert (mean, std_error) == (expected.mean, expected.std_error)
+
+
+def test_sweep_simulate_alpha_table_is_pointwise(monkeypatch):
+    calls = _count_user_draws(monkeypatch)
+    spec = _spec(
+        "d_x = 30\nmetric = simulate\nsweep_axis = alpha\n"
+        "axis_values = 0.02,0.05,0.1\nm_values = 10\n"
+    )
+    sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
+    (table,) = run_sweep(spec, sim)
+    assert len(calls) == 3 * 4
+    expected = []
+    for alpha in (0.02, 0.05, 0.1):
+        point = replace(spec.fixed_params, alpha=alpha)
+        estimate = simulate_outage(point, make_layout(point, 10), sim)
+        expected.append((alpha, estimate.mean, estimate.std_error))
+    assert list(table.rows) == expected
 
 
 def test_sweep_d_x_axis():
@@ -314,7 +363,8 @@ def _data_rows(path):
 
 def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
     # At alpha = 5 the discrete rate rounds to 0 and pde fails its
-    # self-check; the alpha = 0.05 row must still be written.
+    # self-check; the alpha = 0.05 row must still be written. Its c_0k is
+    # 5.4e-6 h^2, where c_l's slope form is within 5e-13 of quadrature.
     cfg = _write_cfg(
         tmp_path,
         "d_x = 200\ngamma_t_db = 40\nsweep_axis = alpha\naxis_values = 0.05,5\n"
@@ -322,7 +372,7 @@ def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
     )
     out = tmp_path / "o"
     assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
-    assert _data_rows(out / "pde_m1.dat") == [[0.05, 0.00382089366214]]
+    assert _data_rows(out / "pde_m1.dat") == [[0.05, 0.00382089368821]]
     assert "alpha = 5.0, m = 1: row left out: discrete rate rounds to 0" in caplog.text
     assert "numerical flags raised: numerical_diagnostic" in capsys.readouterr().err
 
