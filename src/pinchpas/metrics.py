@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .system import (
     _continuous_kinks,
     _continuous_snr,
     db_to_linear,
+    derive_rf,
 )
 
 __all__ = [
@@ -366,24 +367,55 @@ def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> flo
     return float(placement[0]) if station[0] >= feed[0] else 0.0
 
 
-def _continuous_rate_quad(config: SystemConfig, order: int) -> float:
+def _outer_rule(config: SystemConfig, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of `order` points over y in [0, d_y/2].
+
+    Rows with alpha^2 (y^2 + h^2) >= 1 are served from the feed end
+    throughout, so the y integrand has a kink at |y| = sqrt(1/alpha^2 - h^2).
+    When that lies inside the half width, each side of it gets half the
+    nodes.
+    """
+    half_width = config.d_y / 2.0
+    alpha_sq, h_sq = config.alpha * config.alpha, config.h * config.h
+    if not alpha_sq * h_sq < 1.0 < alpha_sq * (h_sq + half_width * half_width):
+        return gauss_legendre(order, 0.0, half_width)
+    kink = math.sqrt(1.0 / alpha_sq - h_sq)
+    near = gauss_legendre(order // 2, 0.0, kink)
+    far = gauss_legendre(order - order // 2, kink, half_width)
+    return np.concatenate((near[0], far[0])), np.concatenate((near[1], far[1]))
+
+
+def _continuous_rate_quad(
+    config: SystemConfig, order: int, gamma_t_dbs: tuple[float, ...]
+) -> list[float]:
     """Tensor-product Gauss-Legendre average of the continuous-placement rate.
 
+    One rate per transmit SNR in `gamma_t_dbs`. The optimal placement does
+    not depend on the transmit SNR, which only scales big_c, so the SNR is
+    computed once, at `config`, and point i's rate is the mean of
+    log2(1 + snr * C(gamma_i) / C(config)), C = `derive_rf`'s big_c; at
+    config's own gamma_t the scale is exactly 1.
+
     The outer axis covers half the room width (the integrand is even in
-    y); the inner axis splits where the optimal placement leaves the feed
-    end, at t1, and where the feed end takes over again in long rooms
-    (`_continuous_kinks`), which keeps every piece analytic. Each piece is
-    evaluated in blocks of whole rows, so no temporary grows past
-    _RATE_QUAD_BLOCK_POINTS entries whatever the order.
+    y; `_outer_rule`); the inner axis splits where the optimal placement
+    leaves the feed end, at t1, and where the feed end takes over again in
+    long rooms (`_continuous_kinks`), which keeps every piece analytic.
+    Each piece is evaluated in blocks of whole rows, so no temporary grows
+    past _RATE_QUAD_BLOCK_POINTS entries whatever the order.
     """
     d_x = config.d_x
-    y_nodes, y_weights = gauss_legendre(order, 0.0, config.d_y / 2.0)
+    big_c = derive_rf(config).big_c
+    scales = [
+        derive_rf(replace(config, gamma_t_db=g)).big_c / big_c
+        for g in gamma_t_dbs
+    ]
+    y_nodes, y_weights = _outer_rule(config, order)
     split, takeover = _continuous_kinks(config, y_nodes**2 + config.h * config.h)
     # gauss_legendre's arithmetic per row, so each node matches the rule
     # it would build for that row's piece.
     nodes, weights = leggauss_cached(order)
     rows_per_block = max(1, _RATE_QUAD_BLOCK_POINTS // order)
-    inner = np.zeros(order)
+    inner = np.zeros((len(scales), order))
     for lo, hi in (
         (np.zeros(order), split),
         (split, takeover),
@@ -396,20 +428,40 @@ def _continuous_rate_quad(config: SystemConfig, order: int) -> float:
             rows = live[start : start + rows_per_block]
             x = mid[rows, None] + half[rows, None] * nodes
             y = np.broadcast_to(y_nodes[rows, None], x.shape)
-            rate = np.log2(1.0 + _continuous_snr(config, x, y))
-            inner[rows] += half[rows] * (rate @ weights)
-    return 2.0 * float(np.dot(y_weights, inner)) / (d_x * config.d_y)
+            snr = _continuous_snr(config, x, y)
+            rate = np.empty_like(snr)
+            for i, scale in enumerate(scales):
+                np.multiply(snr, scale, out=rate)
+                rate += 1.0
+                np.log2(rate, out=rate)
+                inner[i, rows] += half[rows] * (rate @ weights)
+    return [
+        2.0 * float(np.dot(y_weights, point)) / (d_x * config.d_y) for point in inner
+    ]
 
 
-def continuous_rate(config: SystemConfig) -> MetricResult:
-    """Ergodic rate of the ideal continuously placed radiator, bits/s/Hz.
+def _continuous_rate_curve(
+    config: SystemConfig, gamma_t_dbs: tuple[float, ...]
+) -> list[tuple[float, float]]:
+    """(base, refined) continuous rates at each transmit SNR, from one geometry.
 
-    Evaluated at the base quadrature order and re-evaluated at double the
-    order; disagreement beyond the relative tolerance raises, since it
-    would mean the quadrature cannot be trusted at this parameter point.
+    The base order and its double, for `_settled_rate` to compare.
     """
-    base = _continuous_rate_quad(config, _RATE_QUAD_ORDER)
-    refined = _continuous_rate_quad(config, 2 * _RATE_QUAD_ORDER)
+    return list(
+        zip(
+            _continuous_rate_quad(config, _RATE_QUAD_ORDER, gamma_t_dbs),
+            _continuous_rate_quad(config, 2 * _RATE_QUAD_ORDER, gamma_t_dbs),
+        )
+    )
+
+
+def _settled_rate(config: SystemConfig, rates: tuple[float, float]) -> MetricResult:
+    """The refined continuous rate at `config`, if the base order agrees with it.
+
+    Disagreement beyond the relative tolerance raises, since it would mean
+    the quadrature cannot be trusted at this parameter point.
+    """
+    base, refined = rates
     if abs(base - refined) > _RATE_QUAD_REL_TOL * max(abs(refined), 1e-300):
         raise NumericalDiagnosticError(
             f"continuous-rate quadrature did not settle: {base!r} vs {refined!r} "
@@ -420,6 +472,16 @@ def continuous_rate(config: SystemConfig) -> MetricResult:
         value=refined,
         params=_params_snapshot(config),
     )
+
+
+def continuous_rate(config: SystemConfig) -> MetricResult:
+    """Ergodic rate of the ideal continuously placed radiator, bits/s/Hz.
+
+    The one-point curve: evaluated at the base quadrature order and at
+    double the order, and checked by `_settled_rate`.
+    """
+    (rates,) = _continuous_rate_curve(config, (config.gamma_t_db,))
+    return _settled_rate(config, rates)
 
 
 def _efficiency_ratio(discrete: MetricResult, baseline: MetricResult) -> float:

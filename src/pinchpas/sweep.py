@@ -22,8 +22,9 @@ from .config import SweepSpec, parse_config_text
 from .metrics import (
     MetricResult,
     NumericalDiagnosticError,
+    _continuous_rate_curve,
     _efficiency_ratio,
-    continuous_rate,
+    _settled_rate,
     ergodic_rate,
     outage_probability,
 )
@@ -121,38 +122,55 @@ class _PartitionCache:
         return self._store[key]
 
 
-class _ContinuousRateCache:
-    """Memoizes the continuous baseline, which is independent of m."""
+def _gamma_curve(
+    spec: SweepSpec, config: SystemConfig
+) -> tuple[SystemConfig, tuple[float, ...]]:
+    """The transmit-SNR curve a sweep point belongs to: its key and its gamma_t points.
 
-    def __init__(self):
-        self._store: dict[SystemConfig, MetricResult] = {}
+    Transmit SNR only scales every SNR, so along a gamma_t_db axis one
+    curve, keyed by the config at axis_values[0], answers every point. On
+    any other axis each point is a curve of its own gamma_t alone.
+    """
+    gammas = spec.axis_values if spec.sweep_axis == "gamma_t_db" else (config.gamma_t_db,)
+    return dataclasses.replace(config, gamma_t_db=gammas[0]), gammas
+
+
+class _ContinuousRateCache:
+    """Memoizes the continuous baseline, which is independent of m, per curve.
+
+    Each point's base-vs-refined self-check runs when the point is asked
+    for, so a point that does not settle costs its own row only.
+    """
+
+    def __init__(self, spec: SweepSpec):
+        self._spec = spec
+        self._curves: dict[SystemConfig, dict[float, tuple[float, float]]] = {}
+        self._settled: dict[SystemConfig, MetricResult] = {}
 
     def get(self, config: SystemConfig) -> MetricResult:
-        if config not in self._store:
-            self._store[config] = continuous_rate(config)
-        return self._store[config]
+        if config not in self._settled:
+            key, gammas = _gamma_curve(self._spec, config)
+            if key not in self._curves:
+                self._curves[key] = dict(zip(gammas, _continuous_rate_curve(key, gammas)))
+            rates = self._curves[key][config.gamma_t_db]
+            self._settled[config] = _settled_rate(config, rates)
+        return self._settled[config]
 
 
 class _OutageCurveCache:
-    """Memoizes simulated outage curves over transmit SNR.
-
-    Transmit SNR only scales every antenna's SNR, so along a gamma_t sweep
-    one draw of users per antenna count answers every point. On any other
-    axis each point is a curve of its own gamma_t alone.
-    """
+    """Memoizes simulated outage curves over transmit SNR, one draw per curve."""
 
     def __init__(self, spec: SweepSpec, sim: SimulationSpec):
-        self._gammas = spec.axis_values if spec.sweep_axis == "gamma_t_db" else None
+        self._spec = spec
         self._sim = sim
         self._store: dict[tuple, dict[float, SimEstimate]] = {}
 
     def get(self, config: SystemConfig, m: int) -> SimEstimate:
-        gammas = self._gammas or (config.gamma_t_db,)
-        base = dataclasses.replace(config, gamma_t_db=gammas[0])
-        if (base, m) not in self._store:
-            curve = simulate_outage_curve(base, make_layout(base, m), self._sim, gammas)
-            self._store[(base, m)] = dict(zip(gammas, curve))
-        return self._store[(base, m)][config.gamma_t_db]
+        key, gammas = _gamma_curve(self._spec, config)
+        if (key, m) not in self._store:
+            curve = simulate_outage_curve(key, make_layout(key, m), self._sim, gammas)
+            self._store[(key, m)] = dict(zip(gammas, curve))
+        return self._store[(key, m)][config.gamma_t_db]
 
 
 def _metric_point(
@@ -193,7 +211,7 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     config = spec.fixed_params
     sim = sim if sim is not None else SimulationSpec()
     partitions = _PartitionCache()
-    baselines = _ContinuousRateCache()
+    baselines = _ContinuousRateCache(spec)
     curves = _OutageCurveCache(spec, sim)
     tables: list[OutputTable] = []
 

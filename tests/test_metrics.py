@@ -1,6 +1,7 @@
 """Closed-form metrics against quadrature oracles and brute force."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -287,20 +288,26 @@ def test_continuous_rate_matches_nested_quadrature(params):
 
 def _continuous_rate_quad_loop(cfg, order):
     # Row-by-row form of metrics._continuous_rate_quad: the same nodes,
-    # breakpoints and SNR, summed one y node at a time.
+    # breakpoints and SNR, summed one y node at a time. The outer rule
+    # gives half its nodes to each side of the feed-only kink in y.
     from pinchpas.numerics import gauss_legendre
     from pinchpas.system import _continuous_kinks, _continuous_snr
 
-    y_nodes, y_weights = gauss_legendre(order, 0.0, cfg.d_y / 2.0)
+    half_width = cfg.d_y / 2.0
+    outer = [(0.0, half_width, order)]
+    if cfg.alpha > 0.0 and cfg.h**2 < cfg.alpha**-2 < cfg.h**2 + half_width**2:
+        kink = math.sqrt(cfg.alpha**-2 - cfg.h**2)
+        outer = [(0.0, kink, order // 2), (kink, half_width, order - order // 2)]
     total = 0.0
-    for y, wy in zip(y_nodes, y_weights):
-        kinks = _continuous_kinks(cfg, np.array([y * y + cfg.h * cfg.h]))
-        split, takeover = (float(v[0]) for v in kinks)
-        for lo, hi in ((0.0, split), (split, takeover), (takeover, cfg.d_x)):
-            if hi > lo:
-                x, w = gauss_legendre(order, lo, hi)
-                snr = _continuous_snr(cfg, x, np.full_like(x, y))
-                total += wy * float(np.dot(w, np.log2(1.0 + snr)))
+    for y_lo, y_hi, n in outer:
+        for y, wy in zip(*gauss_legendre(n, y_lo, y_hi)):
+            kinks = _continuous_kinks(cfg, np.array([y * y + cfg.h * cfg.h]))
+            split, takeover = (float(v[0]) for v in kinks)
+            for lo, hi in ((0.0, split), (split, takeover), (takeover, cfg.d_x)):
+                if hi > lo:
+                    x, w = gauss_legendre(order, lo, hi)
+                    snr = _continuous_snr(cfg, x, np.full_like(x, y))
+                    total += wy * float(np.dot(w, np.log2(1.0 + snr)))
     return 2.0 * total / (cfg.d_x * cfg.d_y)
 
 
@@ -314,20 +321,40 @@ def test_blocked_continuous_rate_matches_row_loop(monkeypatch, alpha, block_poin
     for order in (128, 256):
         ref = _continuous_rate_quad_loop(cfg, order)
         # Only the summation order differs: a few hundred terms in float64.
-        assert metrics._continuous_rate_quad(cfg, order) == pytest.approx(
-            ref, rel=1e-13, abs=0.0
-        )
+        (value,) = metrics._continuous_rate_quad(cfg, order, (cfg.gamma_t_db,))
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_continuous_rate_with_partial_feed_rows_within_self_check():
-    # Rows with alpha^2 (y^2 + h^2) >= 1 (here |y| >= 4) are served from
-    # the feed end throughout, so the y integrand has a kink at |y| = 4
-    # that the fixed outer Gauss rule does not split at. That caps the
-    # agreement near 3e-8; the bound is the baseline's own self-check
-    # tolerance.
-    cfg = SystemConfig(d_x=30.0, alpha=0.2)
-    ref = oracle.continuous_rate_quad(cfg)
-    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-6, abs=0.0)
+    # Rows with alpha^2 (y^2 + h^2) >= 1 (|y| >= 4 at alpha = 0.2, |y| >= 1.2
+    # at alpha = 0.3) are served from the feed end throughout, so the y
+    # integrand has a kink there, which the outer rule splits at.
+    for alpha in (0.2, 0.3):
+        cfg = SystemConfig(d_x=30.0, alpha=alpha)
+        ref = oracle.continuous_rate_quad(cfg)
+        assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+_CURVE_GAMMAS = tuple(90.0 + i for i in range(21))
+
+
+@pytest.mark.parametrize("d_x", [10.0, 30.0, 500.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2, 0.4])
+def test_continuous_rate_curve_matches_pointwise(alpha, d_x):
+    # One geometry per transmit-SNR curve: the SNR is computed at the first
+    # gamma_t and rescaled, so each point is a few roundings from its own
+    # evaluation, and the first point is the same arithmetic exactly.
+    from pinchpas import metrics
+
+    cfg = SystemConfig(d_x=d_x, alpha=alpha, gamma_t_db=_CURVE_GAMMAS[0])
+    curve = metrics._continuous_rate_curve(cfg, _CURVE_GAMMAS)
+    for gamma_t_db, rates in zip(_CURVE_GAMMAS, curve):
+        point = replace(cfg, gamma_t_db=gamma_t_db)
+        value = metrics._settled_rate(point, rates).value
+        expected = continuous_rate(point).value
+        assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert "%.12g" % value == "%.12g" % expected
+    assert metrics._settled_rate(cfg, curve[0]).value == continuous_rate(cfg).value
 
 
 def test_continuous_rate_exceeds_discrete():

@@ -19,6 +19,8 @@ from pinchpas import (
     continuous_rate,
     emit_table,
     make_layout,
+    optimize_partition,
+    pde,
     header_config_text,
     load_config,
     parse_config_text,
@@ -26,7 +28,7 @@ from pinchpas import (
     run_sweep,
     simulate_outage,
 )
-from pinchpas import montecarlo
+from pinchpas import metrics, montecarlo
 from pinchpas.cli import main
 
 
@@ -143,6 +145,57 @@ def test_sweep_simulate_alpha_table_is_pointwise(monkeypatch):
         estimate = simulate_outage(point, make_layout(point, 10), sim)
         expected.append((alpha, estimate.mean, estimate.std_error))
     assert list(table.rows) == expected
+
+
+def _count_kink_calls(monkeypatch):
+    calls = []
+    kinks = metrics._continuous_kinks
+
+    def counting_kinks(config, dist_sq):
+        calls.append(config)
+        return kinks(config, dist_sq)
+
+    monkeypatch.setattr(metrics, "_continuous_kinks", counting_kinks)
+    return calls
+
+
+def test_sweep_pde_gamma_builds_baseline_geometry_once(monkeypatch):
+    calls = _count_kink_calls(monkeypatch)
+    spec = _spec(
+        "d_x = 30\nmetric = pde\nsweep_axis = gamma_t_db\naxis_values = 90:110:21\n"
+        "m_values = 1,2,10\n"
+    )
+    tables = run_sweep(spec)
+    # Once per quadrature order for the whole curve, not 21 points x 2.
+    assert len(calls) == 2
+    for table, m in zip(tables, (1, 2, 10)):
+        assert len(table.rows) == 21
+        for i, (gamma_t_db, efficiency) in enumerate(table.rows):
+            point = replace(spec.fixed_params, gamma_t_db=gamma_t_db)
+            layout = make_layout(point, m)
+            expected = pde(point, layout, optimize_partition(point, layout)).value
+            if i == 0:
+                assert efficiency == expected
+            assert efficiency == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_sweep_pde_alpha_builds_baseline_geometry_per_point(monkeypatch):
+    calls = _count_kink_calls(monkeypatch)
+    spec = _spec(
+        "d_x = 30\nmetric = pde\nsweep_axis = alpha\n"
+        "axis_values = 0.02,0.05,0.1\nm_values = 1,2\n"
+    )
+    (table_m1, table_m2) = run_sweep(spec)
+    assert len(calls) == 3 * 2
+    for table, m in ((table_m1, 1), (table_m2, 2)):
+        expected = []
+        for alpha in (0.02, 0.05, 0.1):
+            point = replace(spec.fixed_params, alpha=alpha)
+            layout = make_layout(point, m)
+            expected.append(
+                (alpha, pde(point, layout, optimize_partition(point, layout)).value)
+            )
+        assert list(table.rows) == expected
 
 
 def test_sweep_d_x_axis():
@@ -375,6 +428,39 @@ def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
     assert _data_rows(out / "pde_m1.dat") == [[0.05, 0.00382089368821]]
     assert "alpha = 5.0, m = 1: row left out: discrete rate rounds to 0" in caplog.text
     assert "numerical flags raised: numerical_diagnostic" in capsys.readouterr().err
+
+
+def test_cli_unsettled_baseline_point_costs_one_row(tmp_path, monkeypatch, caplog):
+    # At h = 0.003 the outer rule does not resolve the 1/(y^2 + h^2) peak,
+    # so the base and refined orders differ by about 1e-8, less at higher
+    # transmit SNR. A tolerance between the two largest gaps leaves exactly
+    # one gamma_t point unsettled; every other row is still written.
+    gammas = (90.0, 95.0, 100.0, 105.0, 110.0)
+    room = SystemConfig(d_x=10.0, h=0.003, gamma_t_db=gammas[0])
+    gaps = [
+        abs(base - refined) / refined
+        for base, refined in metrics._continuous_rate_curve(room, gammas)
+    ]
+    worst, runner_up = sorted(range(len(gaps)), key=gaps.__getitem__, reverse=True)[:2]
+    assert gaps[worst] > 1.1 * gaps[runner_up]
+    monkeypatch.setattr(
+        metrics, "_RATE_QUAD_REL_TOL", math.sqrt(gaps[worst] * gaps[runner_up])
+    )
+    cfg = _write_cfg(
+        tmp_path,
+        "d_x = 10\nh = 0.003\nsweep_axis = gamma_t_db\naxis_values = 90:110:5\n"
+        "m_values = 1,2\n",
+    )
+    out = tmp_path / "o"
+    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
+    settled = [g for i, g in enumerate(gammas) if i != worst]
+    for m in (1, 2):
+        assert [row[0] for row in _data_rows(out / f"pde_m{m}.dat")] == settled
+        assert (
+            f"gamma_t_db = {gammas[worst]!r}, m = {m}: row left out: "
+            "continuous-rate quadrature did not settle"
+        ) in caplog.text
+    assert caplog.text.count("row left out") == 2
 
 
 def _log_uniform(lo_exp, hi_exp):
