@@ -22,6 +22,7 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, load_config
 from .metrics import (
+    _ergodic_rates,
     c_l,
     ergodic_rate,
     i_i,
@@ -167,6 +168,22 @@ def _selftest() -> int:
         "best-antenna window matches full max",
         differ == 0,
         f"{differ} of 4000 users differ",
+    )
+
+    # One kernel pass over a whole table keeps each point's rate its own.
+    room = SystemConfig(d_x=30.0)
+    points = []
+    for m in range(1, 21):
+        grid = make_layout(room, m)
+        points.append((room, grid, optimize_partition(room, grid)))
+    worst = 0.0
+    for batched, point in zip(_ergodic_rates(points), points):
+        single = ergodic_rate(*point).value
+        worst = max(worst, abs(batched.value - single) / single)
+    all_ok &= _check(
+        "batched rate table matches pointwise rates",
+        worst <= 1e-13,
+        f"worst rel={worst:.3e}",
     )
 
     efficiency = pde(config, layout, partition).value

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -65,6 +66,12 @@ _IJ_SERIES_TERMS = 6
 # 100, d_y 2 to 10, h 1 to 3); further down the difference cancels, to a
 # relative error of 1e-5 at 1e-8 * h^2 with width 100.
 _C_L_SLOPE_RATIO = 1e-4
+
+# Sub-rectangles per kernel call of the rate assembler, which takes whole
+# points. Along m = 1..100 at d_x = 30, laying the whole table out at once
+# (10,100 sub-rectangles) left the heap 0.7 MB larger, against 0.1 MB for
+# runs of 512; runs of 2,048 were about 40% faster but took 0.8 MB.
+_RATE_BLOCK = 512
 
 _RATE_QUAD_ORDER = 128
 _RATE_QUAD_REL_TOL = 1e-6
@@ -166,15 +173,12 @@ def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[list[float], bool]:
-    """Attenuated SNR scale per antenna, clamped against exp underflow.
-
-    Returned as Python floats, the type the scalar kernels take.
-    """
+def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[np.ndarray, bool]:
+    """Attenuated SNR scale per antenna, clamped against exp underflow."""
     positions = np.asarray(layout.x_k)
     clamped = config.alpha * positions > _UNDERFLOW_EXPONENT
     values = np.where(clamped, sys.float_info.min, _antenna_scale(config, positions))
-    return values.tolist(), bool(clamped.any())
+    return values, bool(clamped.any())
 
 
 def outage_probability(
@@ -190,10 +194,10 @@ def outage_probability(
     c0k, clamped = _c0k_values(config, layout)
     h_sq = config.h * config.h
     total = 0.0
-    for k in range(layout.m):
+    for k, scale in enumerate(c0k.tolist()):
         # Squared horizontal reach at the threshold; negative means even a
         # user directly under antenna k is in outage.
-        a_0k = c0k[k] / gamma_thr - h_sq
+        a_0k = scale / gamma_thr - h_sq
         left = partition.left_limits[k]
         right = partition.right_limits[k]
         total += left * p_l(left, a_0k, config.d_y)
@@ -207,24 +211,108 @@ def outage_probability(
     )
 
 
-def i_i(x: float, delta_width: float, d_y: float) -> float:
+def _arrays(*values) -> list[np.ndarray]:
+    """The arguments as float arrays broadcast to one shape."""
+    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+
+
+def _float_or_array(value):
+    """A kernel's result: a Python float when every argument was a scalar."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _require_positive(name: str, value) -> None:
+    """Raise a ValueError naming `name` unless every element of value is > 0."""
+    array = np.asarray(value, dtype=float)
+    bad = ~(array > 0)
+    if bad.any():
+        raise ValueError(f"{name} must be > 0, got {float(array[bad][0])!r}")
+
+
+def _piecewise(
+    mask: np.ndarray, when_true, when_false, *args: np.ndarray
+) -> np.ndarray:
+    """when_true(*args) where mask holds and when_false(*args) elsewhere.
+
+    Each branch sees only its own elements of the arguments, which share
+    mask's shape; a branch with no elements is not called.
+    """
+    value = np.empty(mask.shape)
+    for branch, where in ((when_true, mask), (when_false, ~mask)):
+        if where.any():
+            value[where] = branch(*(arg[where] for arg in args))
+    return value
+
+
+def i_i(x, delta_width, d_y):
     """Log-kernel building block of the conditional rate.
 
     Closed form of the integral of delta_width * ln(delta_width^2 + x + y^2)
-    for y from 0 to d_y/2.
+    for y from 0 to d_y/2. Floats give a float; arrays broadcast.
     """
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x!r}")
+    _require_positive("x", x)
+    x, delta_width, d_y = _arrays(x, delta_width, d_y)
     d_sq = delta_width * delta_width
-    root = math.sqrt(d_sq + x)
-    return (
-        0.5 * delta_width * d_y * math.log(d_y * d_y / 4.0 + d_sq + x)
+    root = np.sqrt(d_sq + x)
+    return _float_or_array(
+        0.5 * delta_width * d_y * np.log(d_y * d_y / 4.0 + d_sq + x)
         - delta_width * d_y
-        + 2.0 * delta_width * root * math.atan(d_y / (2.0 * root))
+        + 2.0 * delta_width * root * np.arctan(d_y / (2.0 * root))
     )
 
 
-def i_j(x: float, delta_width: float, d_y: float) -> float:
+def _j_integrals(x: np.ndarray, half: np.ndarray) -> list[np.ndarray]:
+    """J_1 .. J_6, the integrals of (x + y^2)^(-n) for y from 0 to half.
+
+    J_1 in closed form, then J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
+    """
+    sqrt_x = np.sqrt(x)
+    inv_corner_sq = 1.0 / (x + half * half)
+    inv_corner_pow = 1.0
+    j = [np.arctan(half / sqrt_x) / sqrt_x]
+    for n in range(1, _IJ_SERIES_TERMS):
+        inv_corner_pow = inv_corner_pow * inv_corner_sq
+        j.append((half * inv_corner_pow + (2 * n - 1) * j[-1]) / (2 * n * x))
+    return j
+
+
+def _arctan_kernel_series(x, delta_width, d_y):
+    half = 0.5 * d_y
+    d_sq = delta_width * delta_width
+    delta_pow = delta_width
+    total = 2.0 * delta_width * half
+    for n, j_n in enumerate(_j_integrals(x, half), start=1):
+        delta_pow = delta_pow * d_sq
+        total = total + (-1) ** n * 2.0 * delta_pow / (2 * n + 1) * j_n
+    return total
+
+
+def _arctan_kernel_closed(x, delta_width, d_y):
+    corner = np.sqrt(x + d_y * d_y / 4.0)
+    root = np.sqrt(x + delta_width * delta_width)
+    edge = 0.5 * delta_width * d_y - delta_width * root * np.arctan(
+        d_y / (2.0 * root)
+    )
+    core = 0.5 * d_y * corner * np.arctan(delta_width / corner)
+    return core + edge + x * _kernel_slope(x, delta_width, d_y)
+
+
+def _arctan_kernel(x, delta_width, d_y) -> np.ndarray:
+    # i_j without its argument check. `_conditional_rates`, which checks its
+    # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
+    # `metrics.i_j` and labels each call by its arguments taken as scalars.
+    x, delta_width, d_y = _arrays(x, delta_width, d_y)
+    return _piecewise(
+        x > _IJ_DIRECT_RATIO * delta_width * delta_width,
+        _arctan_kernel_series,
+        _arctan_kernel_closed,
+        x,
+        delta_width,
+        d_y,
+    )
+
+
+def i_j(x, delta_width, d_y):
     """Arctangent-kernel building block of the conditional rate.
 
     Integral of 2*sqrt(x + y^2)*arctan(delta_width / sqrt(x + y^2)) for y
@@ -233,122 +321,160 @@ def i_j(x: float, delta_width: float, d_y: float) -> float:
     lose roughly x * eps, the arctangent's series is integrated term by
     term: 2*delta*Y + sum over n >= 1 of (-1)^n * 2*delta^(2n+1) / (2n+1)
     * J_n, with J_n the integral of (x + y^2)^(-n) over the same range.
+    Floats give a float; arrays broadcast, each element taking its own
+    branch.
     """
-    if not x > 0:
-        raise ValueError(f"x must be > 0, got {x!r}")
+    _require_positive("x", x)
+    return _float_or_array(_arctan_kernel(x, delta_width, d_y))
+
+
+def _kernel_slope_series(x, delta_width, d_y):
     d_sq = delta_width * delta_width
-    if x > _IJ_DIRECT_RATIO * d_sq:
-        half = 0.5 * d_y
-        sqrt_x = math.sqrt(x)
-        inv_corner_sq = 1.0 / (x + half * half)
-        # J_1, then J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
-        j_n = math.atan(half / sqrt_x) / sqrt_x
-        inv_corner_pow = 1.0
-        delta_pow = delta_width
-        total = 2.0 * delta_width * half
-        for n in range(1, _IJ_SERIES_TERMS + 1):
-            delta_pow *= d_sq
-            total += (-1) ** n * 2.0 * delta_pow / (2 * n + 1) * j_n
-            inv_corner_pow *= inv_corner_sq
-            j_n = (half * inv_corner_pow + (2 * n - 1) * j_n) / (2 * n * x)
-        return total
-    corner = math.sqrt(x + d_y * d_y / 4.0)
-    root = math.sqrt(x + d_sq)
-    edge = 0.5 * delta_width * d_y - delta_width * root * math.atan(
-        d_y / (2.0 * root)
-    )
-    core = 0.5 * d_y * corner * math.atan(delta_width / corner)
-    return core + edge + x * _kernel_slope(x, delta_width, d_y)
+    delta_pow = delta_width
+    total = 0.0
+    for n, j_n in enumerate(_j_integrals(x, 0.5 * d_y), start=1):
+        total = total + (-1) ** (n - 1) * delta_pow / (2 * n - 1) * j_n
+        delta_pow = delta_pow * d_sq
+    return total
 
 
-def _kernel_slope(x: float, delta_width: float, d_y: float) -> float:
+def _kernel_slope_closed(x, delta_width, d_y):
+    sqrt_x = np.sqrt(x)
+    a_upper = np.arcsinh(d_y / (2.0 * sqrt_x))
+    b_minus = sqrt_x / (np.sqrt(x + delta_width * delta_width) + delta_width)
+    low, high = ti2(np.stack((b_minus * np.exp(-a_upper), b_minus * np.exp(a_upper))))
+    return 0.5 * math.pi * a_upper + low - high
+
+
+def _kernel_slope(x, delta_width, d_y):
     """d(i_i + i_j)/dx: the integral of atan(delta_width / s) / s, s = sqrt(x + y^2).
 
     y runs from 0 to d_y/2. Up to x = 1e4 * delta_width^2 it is the closed
     form pi/2 * A + ti2(b e^-A) - ti2(b e^A), A = asinh(d_y / (2 sqrt(x))),
     b = sqrt(x) / (sqrt(x + delta^2) + delta); beyond, the arctangent's
     series: sum over n >= 1 of (-1)^(n-1) * delta^(2n-1) / (2n-1) * J_n,
-    with `i_j`'s J_n.
+    with `i_j`'s J_n. Floats give a float; arrays broadcast.
     """
-    d_sq = delta_width * delta_width
-    sqrt_x = math.sqrt(x)
-    if x > _IJ_DIRECT_RATIO * d_sq:
-        # i_j's J_n recursion, repeated rather than shared: a shared helper
-        # made i_j's series branch, 21,000 calls a pass of the m sweep to
-        # 100 antennas, about 2 us a call slower (2.7 to 4.8 us).
-        half = 0.5 * d_y
-        inv_corner_sq = 1.0 / (x + half * half)
-        j_n = math.atan(half / sqrt_x) / sqrt_x
-        inv_corner_pow = 1.0
-        delta_pow = delta_width
-        total = 0.0
-        for n in range(1, _IJ_SERIES_TERMS + 1):
-            total += (-1) ** (n - 1) * delta_pow / (2 * n - 1) * j_n
-            delta_pow *= d_sq
-            inv_corner_pow *= inv_corner_sq
-            j_n = (half * inv_corner_pow + (2 * n - 1) * j_n) / (2 * n * x)
-        return total
-    a_upper = math.asinh(d_y / (2.0 * sqrt_x))
-    b_minus = sqrt_x / (math.sqrt(x + d_sq) + delta_width)
-    return (
-        0.5 * math.pi * a_upper
-        + ti2(b_minus * math.exp(-a_upper))
-        - ti2(b_minus * math.exp(a_upper))
+    x, delta_width, d_y = _arrays(x, delta_width, d_y)
+    return _float_or_array(
+        _piecewise(
+            x > _IJ_DIRECT_RATIO * delta_width * delta_width,
+            _kernel_slope_series,
+            _kernel_slope_closed,
+            x,
+            delta_width,
+            d_y,
+        )
     )
 
 
-def c_l(delta_width: float, c_0k: float, config: SystemConfig) -> float:
-    """Conditional ergodic rate over one sub-rectangle, bits/s/Hz.
-
-    Mean of log2(1 + c_0k / (eps^2 + y^2 + h^2)) with eps uniform on
-    [0, delta_width] and y uniform on [-d_y/2, d_y/2].
-    """
-    if not delta_width > 0:
-        raise ValueError(f"delta_width must be > 0, got {delta_width!r}")
-    if not c_0k > 0:
-        raise ValueError(f"c_0k must be > 0, got {c_0k!r}")
-    h_sq = config.h * config.h
-    if not h_sq > 0:
+def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
+    """`c_l` for arrays of widths, scales, squared heights and room widths."""
+    _require_positive("delta_width", delta_width)
+    _require_positive("c_0k", c_0k)
+    if not np.all(np.asarray(h_sq) > 0):
         raise ValueError("the rate closed form requires a strictly positive height h")
-    d_y = config.d_y
+    delta_width, c_0k, h_sq, d_y = _arrays(delta_width, c_0k, h_sq, d_y)
     shifted = c_0k + h_sq
-    if shifted == h_sq:
-        # c_0k is lost in c_0k + h^2, so the difference of kernels would
-        # be rounding noise, not a rate.
-        return 0.0
-    if c_0k <= _C_L_SLOPE_RATIO * h_sq:
+    total = np.zeros(shifted.shape)
+    # Where c_0k is lost in c_0k + h^2 the difference of kernels would be
+    # rounding noise, not a rate, so the total stays an exact 0.
+    slope = (shifted != h_sq) & (c_0k <= _C_L_SLOPE_RATIO * h_sq)
+    if slope.any():
         # The kernel difference would cancel. c_0k times the kernels' slope
         # at the midpoint h^2 + c_0k / 2 is within about (c_0k / h^2)^2 / 12
         # of it, relative: the slope's second derivative over the slope is at
         # most 2 / h^4.
-        total = c_0k * _kernel_slope(h_sq + 0.5 * c_0k, delta_width, d_y)
-    else:
-        total = (
-            i_i(shifted, delta_width, d_y)
-            + i_j(shifted, delta_width, d_y)
-            - i_i(h_sq, delta_width, d_y)
-            - i_j(h_sq, delta_width, d_y)
+        c, w, y = c_0k[slope], delta_width[slope], d_y[slope]
+        total[slope] = c * _kernel_slope(h_sq[slope] + 0.5 * c, w, y)
+    difference = c_0k > _C_L_SLOPE_RATIO * h_sq
+    if difference.any():
+        # Both ends in one call: row 0 at c_0k + h^2, row 1 at h^2.
+        x = np.stack((shifted[difference], h_sq[difference]))
+        w, y = delta_width[difference], d_y[difference]
+        log_part = i_i(x, w, y)
+        arctan_part = _arctan_kernel(x, w, y)
+        total[difference] = log_part[0] + arctan_part[0] - log_part[1] - arctan_part[1]
+    return np.maximum(0.0, 2.0 * total / (delta_width * d_y * math.log(2.0)))
+
+
+def c_l(delta_width, c_0k, config: SystemConfig):
+    """Conditional ergodic rate over one sub-rectangle, bits/s/Hz.
+
+    Mean of log2(1 + c_0k / (eps^2 + y^2 + h^2)) with eps uniform on
+    [0, delta_width] and y uniform on [-d_y/2, d_y/2]. Floats give a
+    float; arrays of widths and scales broadcast.
+    """
+    return _float_or_array(
+        _conditional_rates(delta_width, c_0k, config.h * config.h, config.d_y)
+    )
+
+
+def _point_blocks(points: Sequence) -> Iterator[list]:
+    """Runs of consecutive points holding at most _RATE_BLOCK sub-rectangles.
+
+    A point with more sub-rectangles than that is a run of its own.
+    """
+    block, size = [], 0
+    for point in points:
+        count = 2 * point[1].m
+        if block and size + count > _RATE_BLOCK:
+            yield block
+            block, size = [], 0
+        block.append(point)
+        size += count
+    if block:
+        yield block
+
+
+def _ergodic_rates(
+    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]],
+) -> list[MetricResult]:
+    """Spatially averaged rate at each (config, layout, partition), in few kernel calls.
+
+    The points are taken in runs (`_point_blocks`). A run's sub-rectangles,
+    left and right of each antenna in antenna order, are laid end to end
+    and `_conditional_rates` evaluates them in one call. Each point's rate
+    is the width-weighted sum over its own sub-rectangles, added in that
+    order, over d_x, and carries that point's own underflow flag.
+    """
+    results = []
+    for block in _point_blocks(points):
+        widths, scales, h_sq, d_y, clamps = [], [], [], [], []
+        for config, layout, partition in block:
+            c0k, clamped = _c0k_values(config, layout)
+            widths.append(
+                np.column_stack((partition.left_limits, partition.right_limits)).ravel()
+            )
+            scales.append(np.repeat(c0k, 2))
+            h_sq.append(np.full(2 * layout.m, config.h * config.h))
+            d_y.append(np.full(2 * layout.m, config.d_y))
+            clamps.append(clamped)
+        ends = np.cumsum([w.size for w in widths[:-1]])
+        widths, scales, h_sq, d_y = (
+            np.concatenate(v) for v in (widths, scales, h_sq, d_y)
         )
-    return max(0.0, 2.0 * total / (delta_width * d_y * math.log(2.0)))
+        weighted = widths * _conditional_rates(widths, scales, h_sq, d_y)
+        for (config, layout, _), terms, clamped in zip(
+            block, np.split(weighted, ends), clamps
+        ):
+            # cumsum adds left to right, as a loop over the antennas would.
+            results.append(
+                MetricResult(
+                    kind="ergodic_rate",
+                    value=float(np.cumsum(terms)[-1]) / config.d_x,
+                    params=_params_snapshot(config, m=layout.m),
+                    flags=(_UNDERFLOW_FLAG,) if clamped else (),
+                )
+            )
+    return results
 
 
 def ergodic_rate(
     config: SystemConfig, layout: PaLayout, partition: RegionPartition
 ) -> MetricResult:
     """Spatially averaged rate of the discrete system, bits/s/Hz."""
-    c0k, clamped = _c0k_values(config, layout)
-    total = 0.0
-    for k in range(layout.m):
-        left = partition.left_limits[k]
-        right = partition.right_limits[k]
-        total += left * c_l(left, c0k[k], config)
-        total += right * c_l(right, c0k[k], config)
-    return MetricResult(
-        kind="ergodic_rate",
-        value=total / config.d_x,
-        params=_params_snapshot(config, m=layout.m),
-        flags=(_UNDERFLOW_FLAG,) if clamped else (),
-    )
+    return _ergodic_rates([(config, layout, partition)])[0]
 
 
 def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> float:

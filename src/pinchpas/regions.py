@@ -105,11 +105,19 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
         y_nodes, y_weights = gauss_legendre(
             _MISMATCH_QUAD_POINTS, -config.d_y / 2.0, config.d_y / 2.0
         )
-        samples = [_boundary_offset(config, delta, float(y)) for y in y_nodes]
+        # Python floats: numpy scalars make each of the objective's 64
+        # terms several times slower, for the same result. The loop adds
+        # left to right; sum() of Python floats compensates from Python
+        # 3.12 on, which could move the offset.
+        weights = y_weights.tolist()
+        samples = [_boundary_offset(config, delta, y) for y in y_nodes.tolist()]
         samples = [delta if math.isinf(s) else s for s in samples]
 
         def mismatch(b: float) -> float:
-            return sum(w * abs(s - b) for w, s in zip(y_weights, samples))
+            total = 0.0
+            for w, s in zip(weights, samples):
+                total += w * abs(s - b)
+            return total
 
         offset = golden_section(mismatch, 0.0, delta, tol=_PARTITION_TOL_M)
     return RegionPartition(

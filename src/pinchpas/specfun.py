@@ -1,12 +1,14 @@
 """The inverse-tangent integral Ti2 used by the rate closed forms.
 
-`ti2` is a pure scalar float64 routine with no state, so it is safe to
-call from any number of threads.
+`ti2` is a pure float64 routine with no state, so it is safe to call
+from any number of threads. It takes a float or an array of any shape.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = ["CATALAN", "ti2"]
 
@@ -55,54 +57,85 @@ def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
 _TI2_TAYLOR = _ti2_taylor_coefficients(_TI2_TAYLOR_TERMS)
 
 
-def _ti2_series(z: float) -> float:
-    # sum (-1)^n z^(2n+1) / (2n+1)^2 for |z| <= the series edge.
+def _ti2_series(z: np.ndarray) -> np.ndarray:
+    # sum (-1)^n z^(2n+1) / (2n+1)^2 for |z| <= the series edge. Each
+    # element stops at its own first term below the tolerance.
+    value = z.copy()
+    live = np.arange(z.size)
     z_sq = z * z
-    term = z
-    total = z
+    term = z.copy()
+    total = z.copy()
     for n in range(1, _MAX_TERMS + 1):
+        if not live.size:
+            return value
         term *= -z_sq
         piece = term / ((2 * n + 1) * (2 * n + 1))
         total += piece
-        if abs(piece) <= _REL_TOL * abs(total):
-            return total
+        done = np.abs(piece) <= _REL_TOL * np.abs(total)
+        if done.any():
+            value[live[done]] = total[done]
+            keep = ~done
+            live, z_sq, term, total = live[keep], z_sq[keep], term[keep], total[keep]
+    if not live.size:
+        return value
     raise ArithmeticError(
         f"inverse-tangent integral series did not reach rel_tol={_REL_TOL} "
-        f"within {_MAX_TERMS} terms at z={z}"
+        f"within {_MAX_TERMS} terms at z={float(z[live[0]])!r}"
     )
 
 
-def _ti2_near_one(z: float) -> float:
+def _ti2_near_one(z: np.ndarray) -> np.ndarray:
+    # Every fourth coefficient is up to twenty times smaller than its
+    # neighbours, so one term below the tolerance can come before larger
+    # ones; stopping there left relative errors up to 3.4e-12. Each element
+    # stops at its own second term in a row below the tolerance, or after
+    # the last coefficient.
+    value = np.empty_like(z)
+    live = np.arange(z.size)
     w = z - 1.0
-    total = CATALAN
-    w_pow = 1.0
+    total = np.full(z.size, CATALAN)
+    w_pow = np.ones(z.size)
+    quiet = np.zeros(z.size, dtype=bool)
     for c in _TI2_TAYLOR:
+        if not live.size:
+            return value
         w_pow *= w
         piece = c * w_pow
         total += piece
-        if abs(piece) <= _REL_TOL * abs(total):
-            break
-    return total
+        small = np.abs(piece) <= _REL_TOL * np.abs(total)
+        done = small & quiet
+        quiet = small
+        if done.any():
+            value[live[done]] = total[done]
+            keep = ~done
+            live, w, total, w_pow, quiet = (
+                live[keep], w[keep], total[keep], w_pow[keep], quiet[keep]
+            )
+    value[live] = total
+    return value
 
 
-def ti2(z: float) -> float:
+def ti2(z):
     """Inverse-tangent integral Ti2(z) = integral of arctan(t)/t from 0 to z.
 
     Odd in z and defined for every finite real argument. Large arguments
     are folded back with Ti2(z) = Ti2(1/z) + (pi/2) ln z; arguments near
     1 use a Taylor expansion so the value at z = 1 is Catalan's constant
-    to full precision.
+    to full precision. A float gives a float; an array gives an array of
+    its shape, each element taking its own branch.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"ti2 argument must be finite, got {z!r}")
-    if z < 0.0:
-        return -ti2(-z)
-    if z == 0.0:
-        return 0.0
-    if z <= _TI2_SERIES_EDGE:
-        return _ti2_series(z)
-    if z <= _TI2_INVERSION_EDGE:
-        return _ti2_near_one(z)
-    inv = 1.0 / z
-    inner = _ti2_series(inv) if inv <= _TI2_SERIES_EDGE else _ti2_near_one(inv)
-    return inner + 0.5 * math.pi * math.log(z)
+    z = np.asarray(z, dtype=float)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise ValueError(f"ti2 argument must be finite, got {float(z[~finite][0])!r}")
+    size = np.abs(z).ravel()
+    inverted = size > _TI2_INVERSION_EDGE
+    folded = size.copy()
+    folded[inverted] = 1.0 / size[inverted]
+    series = folded <= _TI2_SERIES_EDGE
+    value = np.empty_like(folded)
+    value[series] = _ti2_series(folded[series])
+    value[~series] = _ti2_near_one(folded[~series])
+    value[inverted] += 0.5 * math.pi * np.log(size[inverted])
+    value = np.where(z.ravel() < 0.0, -value, value).reshape(z.shape)
+    return float(value) if value.ndim == 0 else value

@@ -24,8 +24,8 @@ from .metrics import (
     NumericalDiagnosticError,
     _continuous_rate_curve,
     _efficiency_ratio,
+    _ergodic_rates,
     _settled_rate,
-    ergodic_rate,
     outage_probability,
 )
 from .montecarlo import SimEstimate, SimulationSpec, simulate_outage_curve
@@ -173,11 +173,37 @@ class _OutageCurveCache:
         return self._store[(key, m)][config.gamma_t_db]
 
 
+class _TableRates:
+    """The discrete ergodic rate at each point of one table, from one kernel pass.
+
+    The pass runs when the first rate is asked for. A pde row asks after
+    its baseline, so the first baseline curve, whose quadrature rules are
+    a sweep's largest transient memory, is built before the table's
+    partitions and rate pass, which then reuse that memory.
+    """
+
+    def __init__(
+        self, points: list[tuple[SystemConfig, int]], partitions: _PartitionCache
+    ):
+        self._points = points
+        self._partitions = partitions
+        self._rates: dict[tuple[SystemConfig, int], MetricResult] | None = None
+
+    def get(self, config: SystemConfig, m: int) -> MetricResult:
+        if self._rates is None:
+            results = _ergodic_rates(
+                [(point, *self._partitions.get(point, k)) for point, k in self._points]
+            )
+            self._rates = dict(zip(self._points, results))
+        return self._rates[(config, m)]
+
+
 def _metric_point(
     metric: str,
     config: SystemConfig,
     m: int,
     partitions: _PartitionCache,
+    rates: _TableRates,
     baselines: _ContinuousRateCache,
     curves: _OutageCurveCache,
 ) -> tuple[tuple[float, ...], tuple[str, ...]]:
@@ -185,16 +211,16 @@ def _metric_point(
     if metric == "simulate":
         estimate = curves.get(config, m)
         return (estimate.mean, estimate.std_error), ()
-    layout, partition = partitions.get(config, m)
     if metric == "outage":
-        result = outage_probability(config, layout, partition)
+        result = outage_probability(config, *partitions.get(config, m))
         return (result.value,), result.flags
     if metric == "rate":
-        result = ergodic_rate(config, layout, partition)
-        return (result.value,), result.flags
+        discrete = rates.get(config, m)
+        return (discrete.value,), discrete.flags
     if metric == "pde":
-        discrete = ergodic_rate(config, layout, partition)
-        return (_efficiency_ratio(discrete, baselines.get(config)),), discrete.flags
+        baseline = baselines.get(config)
+        discrete = rates.get(config, m)
+        return (_efficiency_ratio(discrete, baseline),), discrete.flags
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -249,12 +275,15 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     for m in spec.m_values if per_m else (0,):
         rows = []
         flags: set[str] = set()
-        for value in spec.axis_values:
-            point = _point_config(config, spec.sweep_axis, value)
-            point_m = m if per_m else int(value)
+        points = [
+            (_point_config(config, spec.sweep_axis, value), m if per_m else int(value))
+            for value in spec.axis_values
+        ]
+        rates = _TableRates(points, partitions)
+        for value, (point, point_m) in zip(spec.axis_values, points):
             try:
                 tail, point_flags = _metric_point(
-                    spec.metric, point, point_m, partitions, baselines, curves
+                    spec.metric, point, point_m, partitions, rates, baselines, curves
                 )
             except NumericalDiagnosticError as exc:
                 logger.warning(

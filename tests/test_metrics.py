@@ -25,6 +25,7 @@ from pinchpas import (
     p_l,
     pde,
 )
+from pinchpas import metrics
 
 import oracle_utils as oracle
 
@@ -224,6 +225,109 @@ def test_ergodic_rate_matches_composed_oracle():
     ref = oracle.discrete_rate_quad(cfg, lay, part)
     assert res.value == pytest.approx(ref, rel=1e-9)
     assert res.kind == "ergodic_rate"
+
+
+def test_rate_kernels_broadcast_and_match_scalar_calls():
+    # Arrays give arrays of the broadcast shape, each element equal to the
+    # kernel's scalar call; floats give floats.
+    cfg = SystemConfig(d_x=30.0, alpha=0.2)
+    xs = np.array([[9.0], [9.0 + 7e3]])  # h^2, and c_0k + h^2 at 100 dB
+    widths = np.array([3.4e-7, 0.3, 3.0, 15.0])  # both i_j branches
+    for kernel in (i_i, i_j, metrics._kernel_slope):
+        values = kernel(xs, widths, cfg.d_y)
+        assert values.shape == (2, 4)
+        for (i, j), value in np.ndenumerate(values):
+            single = kernel(float(xs[i, 0]), float(widths[j]), cfg.d_y)
+            assert isinstance(single, float) and value == single
+    scales = np.array([[1e-30], [1e-5], [1e3]])  # exact 0, slope, difference
+    rates = c_l(widths, scales, cfg)
+    assert rates.shape == (3, 4) and not rates[0].any()
+    for (i, j), value in np.ndenumerate(rates):
+        assert value == c_l(float(widths[j]), float(scales[i, 0]), cfg)
+
+
+def test_rate_kernels_name_the_bad_array_argument():
+    cfg = SystemConfig(d_x=10.0)
+    with pytest.raises(ValueError, match="delta_width must be > 0"):
+        c_l(np.array([1.0, 0.0]), 100.0, cfg)
+    with pytest.raises(ValueError, match="c_0k must be > 0"):
+        c_l(1.0, np.array([100.0, -1.0]), cfg)
+    with pytest.raises(ValueError, match="x must be > 0"):
+        i_j(np.array([1.0, np.nan]), 1.0, 4.0)
+    with pytest.raises(ValueError, match="x must be > 0"):
+        i_i(np.array([-1.0]), 1.0, 4.0)
+
+
+def _kernel_cases(points):
+    """The c_l forms and i_j branches that a table's sub-rectangles reach."""
+    cases = set()
+    for cfg, lay, part in points:
+        h_sq = cfg.h * cfg.h
+        scales = np.repeat(metrics._c0k_values(cfg, lay)[0], 2)
+        widths = np.column_stack((part.left_limits, part.right_limits)).ravel()
+        lost = scales + h_sq == h_sq
+        if lost.any():
+            cases.add("exact 0")
+        if (~lost & (scales <= 1e-4 * h_sq)).any():
+            cases.add("slope")
+        difference = scales > 1e-4 * h_sq
+        for x in (scales + h_sq, np.full(scales.shape, h_sq)):
+            series = (x > 1e4 * widths * widths)[difference]
+            if series.any():
+                cases.add("i_j series")
+            if not series.all():
+                cases.add("i_j closed")
+    return cases
+
+
+def _rate_tables():
+    """The point lists of rate tables along m (1..100) and gamma_t (40..120 dB)."""
+    tables = []
+    for alpha in (0.05, 0.2):
+        cfg = SystemConfig(d_x=30.0, alpha=alpha)
+        layouts = [make_layout(cfg, m) for m in range(1, 101)]
+        tables.append([(cfg, lay, optimize_partition(cfg, lay)) for lay in layouts])
+    # alpha = 1.5 takes the far antennas' c_0k below eps * h^2 at low gamma_t.
+    for alpha in (0.05, 0.2, 1.5):
+        cfg = SystemConfig(d_x=30.0, alpha=alpha)
+        for m in (1, 10, 100):
+            lay = make_layout(cfg, m)
+            part = optimize_partition(cfg, lay)
+            tables.append(
+                [(replace(cfg, gamma_t_db=float(g)), lay, part)
+                 for g in np.linspace(40.0, 120.0, 17)]
+            )
+    return tables
+
+
+def test_batched_rates_match_pointwise_rates():
+    reached = set()
+    for table in _rate_tables():
+        reached |= _kernel_cases(table)
+        batched = metrics._ergodic_rates(table)
+        assert len(batched) == len(table)
+        for result, point in zip(batched, table):
+            single = ergodic_rate(*point)
+            assert result.value == pytest.approx(single.value, rel=1e-14, abs=0.0)
+            assert (result.kind, result.params, result.flags) == (
+                single.kind, single.params, single.flags
+            )
+    assert reached == {"exact 0", "slope", "i_j series", "i_j closed"}
+
+
+def test_batched_rates_flag_only_the_clamped_points():
+    # m = 2 in a 200 m room puts the antennas at 50 and 150 m, so alpha * x_k
+    # passes the clamp's 700 at alpha = 6 (the far antenna) and 20 (both).
+    points = []
+    for alpha in (0.05, 4.0, 6.0, 20.0, 0.1):
+        cfg = SystemConfig(d_x=200.0, alpha=alpha)
+        lay = make_layout(cfg, 2)
+        points.append((cfg, lay, optimize_partition(cfg, lay)))
+    results = metrics._ergodic_rates(points)
+    flag = ("c0k_underflow_clamp",)
+    assert [r.flags for r in results] == [(), (), flag, flag, ()]
+    assert [r.value for r in results] == [ergodic_rate(*p).value for p in points]
+    assert results[0].value > 0.0 and results[4].value > 0.0
 
 
 # ------------------------------------------------- continuous benchmark --

@@ -187,6 +187,26 @@ def test_partition_shape_and_coverage():
         assert total == pytest.approx(cfg.d_x, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "alpha, m, offset_hex",
+    [
+        (0.05, 10, "0x1.ef52fcf2aba96p+0"),
+        (0.05, 100, "0x1.33331c47cfd08p-2"),
+        (0.2, 10, "0x1.7ffffbd1f3120p+1"),
+        (0.2, 100, "0x1.33331c47cfd08p-2"),
+    ],
+)
+def test_partition_offset_is_pinned_bit_for_bit(alpha, m, offset_hex):
+    # The shared offset of the golden-section search, recorded before its
+    # objective moved from numpy scalars to Python floats. Any change in
+    # the search's arithmetic shows here first.
+    cfg = SystemConfig(d_x=30.0, alpha=alpha)
+    lay = make_layout(cfg, m)
+    part = optimize_partition(cfg, lay)
+    assert part.right_limits[0].hex() == offset_hex
+    assert (lay.delta - part.left_limits[1]).hex() == offset_hex
+
+
 def test_partition_single_antenna_spans_room():
     cfg = SystemConfig(d_x=14.0, alpha=0.09)
     lay = make_layout(cfg, 1)

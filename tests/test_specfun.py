@@ -59,3 +59,29 @@ def test_ti2_rejects_non_finite():
         ti2(math.inf)
     with pytest.raises(ValueError):
         ti2(math.nan)
+
+
+def test_ti2_on_arrays_keeps_shape_and_matches_mpmath():
+    # Every branch (series, near one, inversion) in one array, both signs.
+    rng = np.random.default_rng(21)
+    sizes = np.exp(rng.uniform(math.log(1e-6), math.log(1e8), size=(4, 75)))
+    zs = sizes * rng.choice((-1.0, 1.0), size=sizes.shape)
+    values = ti2(zs)
+    assert isinstance(values, np.ndarray) and values.shape == zs.shape
+    for z, value in zip(zs.ravel(), values.ravel()):
+        ref = math.copysign(oracle.ti2_mpmath(abs(float(z))), z)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), f"z={z}"
+    assert np.array_equal(ti2(-zs), -values)
+    assert ti2(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    assert isinstance(ti2(0.5), float)
+
+
+def test_ti2_array_elements_equal_scalar_calls():
+    zs = np.array([1e-8, 0.3, 0.6, 0.61, 1.0, 1.49, 1.5, 1.51, 2.0, 37.0, 1e6])
+    assert ti2(zs).tolist() == [ti2(float(z)) for z in zs]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_ti2_array_rejects_any_non_finite_element(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ti2(np.array([0.5, bad, 2.0]))

@@ -18,6 +18,7 @@ from pinchpas import (
     SystemConfig,
     continuous_rate,
     emit_table,
+    ergodic_rate,
     make_layout,
     optimize_partition,
     pde,
@@ -28,7 +29,7 @@ from pinchpas import (
     run_sweep,
     simulate_outage,
 )
-from pinchpas import metrics, montecarlo
+from pinchpas import metrics, montecarlo, sweep
 from pinchpas.cli import main
 
 
@@ -196,6 +197,49 @@ def test_sweep_pde_alpha_builds_baseline_geometry_per_point(monkeypatch):
                 (alpha, pde(point, layout, optimize_partition(point, layout)).value)
             )
         assert list(table.rows) == expected
+
+
+def _count_rate_passes(monkeypatch):
+    calls = []
+    rates = sweep._ergodic_rates
+
+    def counting_rates(points):
+        calls.append(len(points))
+        return rates(points)
+
+    monkeypatch.setattr(sweep, "_ergodic_rates", counting_rates)
+    return calls
+
+
+def test_sweep_pde_m_axis_is_one_rate_pass(monkeypatch):
+    calls = _count_rate_passes(monkeypatch)
+    spec = _spec("d_x = 30\nmetric = pde\nsweep_axis = m\naxis_values = 1:30:30\n")
+    (table,) = run_sweep(spec)
+    # All 30 points in one call, not one per point.
+    assert calls == [30]
+    assert len(table.rows) == 30
+    for m, efficiency in table.rows:
+        layout = make_layout(spec.fixed_params, int(m))
+        partition = optimize_partition(spec.fixed_params, layout)
+        expected = pde(spec.fixed_params, layout, partition).value
+        assert efficiency == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_sweep_rate_gamma_is_one_rate_pass_per_table(monkeypatch):
+    calls = _count_rate_passes(monkeypatch)
+    spec = _spec(
+        "d_x = 30\nmetric = rate\nsweep_axis = gamma_t_db\naxis_values = 90:110:21\n"
+        "m_values = 1,2,10\n"
+    )
+    tables = run_sweep(spec)
+    assert calls == [21, 21, 21]
+    for table, m in zip(tables, (1, 2, 10)):
+        assert len(table.rows) == 21
+        for gamma_t_db, rate in table.rows:
+            point = replace(spec.fixed_params, gamma_t_db=gamma_t_db)
+            layout = make_layout(point, m)
+            expected = ergodic_rate(point, layout, optimize_partition(point, layout)).value
+            assert rate == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_sweep_d_x_axis():
