@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import gauss_legendre, leggauss_cached
+from .numerics import leggauss_cached
 from .regions import RegionPartition
-from .specfun import ti2
+from .specfun import _dilog, ti2
 from .system import (
     PaLayout,
     SystemConfig,
@@ -27,7 +27,8 @@ from .system import (
     _antenna_scale,
     _continuous_candidates,
     _continuous_kinks,
-    _continuous_snr,
+    _feedward_offset,
+    _station_log_ratio,
     db_to_linear,
     derive_rf,
 )
@@ -73,12 +74,10 @@ _C_L_SLOPE_RATIO = 1e-4
 # runs of 512; runs of 2,048 were about 40% faster but took 0.8 MB.
 _RATE_BLOCK = 512
 
-_RATE_QUAD_ORDER = 128
+# Gauss-Legendre nodes per piece of the continuous baseline's y rule at the
+# base order; the self-check compares it with twice as many.
+_RATE_QUAD_ORDER = 64
 _RATE_QUAD_REL_TOL = 1e-6
-# Grid points evaluated at once by the continuous-rate quadrature: 32 rows
-# at order 128, 16 at order 256. One whole order-256 grid would hold each
-# temporary at 0.5 MB and raise the peak memory of a sweep by about 16%.
-_RATE_QUAD_BLOCK_POINTS = 4096
 
 
 class NumericalDiagnosticError(RuntimeError):
@@ -109,9 +108,8 @@ class MetricResult:
 
 
 def _params_snapshot(config: SystemConfig, **extra) -> dict:
-    snap = asdict(config)
-    snap.update(extra)
-    return snap
+    # The fields are flat floats, so a shallow copy is `asdict`'s dict.
+    return {**vars(config), **extra}
 
 
 def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
@@ -493,77 +491,165 @@ def continuous_optimal_position(config: SystemConfig, user: UserPosition) -> flo
     return float(placement[0]) if station[0] >= feed[0] else 0.0
 
 
-def _outer_rule(config: SystemConfig, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights of `order` points over y in [0, d_y/2].
+def _feed_integral(x, dist_sq, dist, big_c):
+    """Integral of ln(1 + C / (t^2 + d^2)) for t from 0 to x: a feed-served piece.
 
-    Rows with alpha^2 (y^2 + h^2) >= 1 are served from the feed end
-    throughout, so the y integrand has a kink at |y| = sqrt(1/alpha^2 - h^2).
-    When that lies inside the half width, each side of it gets half the
-    nodes.
+    G(x; d^2 + C) - G(x; d^2) with G(x; a) = x ln(x^2 + a) - 2x
+    + 2 sqrt(a) atan(x / sqrt(a)), regrouped so that nothing cancels when C
+    is small against d^2: the logarithms as one log1p, and the arctangent
+    terms through s - d = C / (s + d), s = sqrt(d^2 + C), and
+    atan(x/d) - atan(x/s) = atan(x (s - d) / (d s + x^2)).
     """
-    half_width = config.d_y / 2.0
-    alpha_sq, h_sq = config.alpha * config.alpha, config.h * config.h
-    if not alpha_sq * h_sq < 1.0 < alpha_sq * (h_sq + half_width * half_width):
-        return gauss_legendre(order, 0.0, half_width)
-    kink = math.sqrt(1.0 / alpha_sq - h_sq)
-    near = gauss_legendre(order // 2, 0.0, kink)
-    far = gauss_legendre(order - order // 2, kink, half_width)
-    return np.concatenate((near[0], far[0])), np.concatenate((near[1], far[1]))
+    root = np.sqrt(dist_sq + big_c)
+    gap = big_c / (root + dist)
+    return x * np.log1p(big_c / (x * x + dist_sq)) + 2.0 * (
+        gap * np.arctan(x / root) - dist * np.arctan(x * gap / (dist * root + x * x))
+    )
 
 
-def _continuous_rate_quad(
-    config: SystemConfig, order: int, gamma_t_dbs: tuple[float, ...]
-) -> list[float]:
-    """Tensor-product Gauss-Legendre average of the continuous-placement rate.
+# Coefficients of q, q^2, ... in P_k, k = 1..6, where the even derivatives of
+# ln(1 + e^v) are d^(2k)/dv^(2k) ln(1 + e^v) = P_k(q), q = e^v / (1 + e^v)^2.
+# Each is even in v, so a polynomial in q: P_1 = q and, since
+# (dq/dv)^2 = q^2 (1 - 4q) and d^2q/dv^2 = q - 6q^2,
+# P_(k+1) = P_k'' q^2 (1 - 4q) + P_k' (q - 6q^2).
+_SOFTPLUS_EVEN_DERIVATIVES = (
+    (1,),
+    (1, -6),
+    (1, -30, 120),
+    (1, -126, 1680, -5040),
+    (1, -510, 17640, -151200, 362880),
+    (1, -2046, 168960, -3160080, 19958400, -39916800),
+)
+# Up to this alpha times its length, a middle piece is summed from the
+# Taylor series of its integrand about the midpoint: term k is
+# P_k(q) (alpha L / 2)^(2k) / (2k + 1)! of the piece's mean, and
+# ln(1 + e^v)'s poles at v = +-i pi bound it by about (alpha L / 2 pi)^(2k),
+# so six terms reach 1e-16 at alpha L = 0.5. Beyond, the difference of
+# dilogarithms has lost at most about eps ln(w) / (alpha L) to cancellation.
+_MIDDLE_SERIES_SPAN = 0.5
 
-    One rate per transmit SNR in `gamma_t_dbs`. The optimal placement does
-    not depend on the transmit SNR, which only scales big_c, so the SNR is
-    computed once, at `config`, and point i's rate is the mean of
-    log2(1 + snr * C(gamma_i) / C(config)), C = `derive_rf`'s big_c; at
-    config's own gamma_t the scale is exactly 1.
 
-    The outer axis covers half the room width (the integrand is even in
-    y; `_outer_rule`); the inner axis splits where the optimal placement
-    leaves the feed end, at t1, and where the feed end takes over again in
-    long rooms (`_continuous_kinks`), which keeps every piece analytic.
-    Each piece is evaluated in blocks of whole rows, so no temporary grows
-    past _RATE_QUAD_BLOCK_POINTS entries whatever the order.
+def _middle_series(start_snr, decay):
+    w = start_snr * np.exp(-0.5 * decay)
+    q = w / (1.0 + w) / (1.0 + w)
+    total = np.log1p(w)
+    half_decay_sq = 0.25 * decay * decay
+    decay_pow = np.ones_like(decay)
+    for k, coefficients in enumerate(_SOFTPLUS_EVEN_DERIVATIVES, start=1):
+        decay_pow = decay_pow * half_decay_sq / ((2 * k) * (2 * k + 1))
+        derivative = 0.0
+        for c in reversed(coefficients):
+            derivative = derivative * q + c
+        total = total + derivative * q * decay_pow
+    return total
+
+
+def _middle_dilog(start_snr, decay):
+    return (_dilog(-start_snr * np.exp(-decay)) - _dilog(-start_snr)) / decay
+
+
+def _middle_integral(alpha: float, length, start_snr):
+    """Integral of ln(1 + w0 e^(-alpha s)) for s from 0 to length: the middle piece.
+
+    The radiator follows the user at p = x - t1, so its SNR decays from
+    w0 = C / (t1^2 + d^2) at x = t1. The integral is
+    [Li2(-w0) - Li2(-w0 e^(-alpha L))] / alpha; up to alpha L =
+    _MIDDLE_SERIES_SPAN, where that cancels, L times its Taylor series
+    about the midpoint (at alpha = 0, L ln(1 + w0)).
     """
-    d_x = config.d_x
-    big_c = derive_rf(config).big_c
-    scales = [
-        derive_rf(replace(config, gamma_t_db=g)).big_c / big_c
-        for g in gamma_t_dbs
-    ]
-    y_nodes, y_weights = _outer_rule(config, order)
-    split, takeover = _continuous_kinks(config, y_nodes**2 + config.h * config.h)
-    # gauss_legendre's arithmetic per row, so each node matches the rule
-    # it would build for that row's piece.
+    start_snr, decay = np.broadcast_arrays(start_snr, alpha * np.asarray(length))
+    mean = _piecewise(
+        decay <= _MIDDLE_SERIES_SPAN, _middle_series, _middle_dilog, start_snr, decay
+    )
+    return length * mean
+
+
+def _row_integrals(config, dist_sq, big_c) -> np.ndarray:
+    """Integral over x in [0, d_x] of ln(1 + continuous SNR), per row and big_c.
+
+    dist_sq holds the rows' d^2 = y^2 + h^2, shape (n,), and big_c one
+    transmit SNR's scale per row of the result, shape (g, 1); the result
+    has shape (g, n). Each row is served from the feed end on [0, t1] and
+    [takeover, d_x] (`_feed_integral`) and by p* = x - t1 between
+    (`_middle_integral`), with t1 and takeover from `_continuous_kinks`.
+    """
+    t1, takeover = _continuous_kinks(config, dist_sq)
+    dist = np.sqrt(dist_sq)
+
+    def feed(x):
+        return _feed_integral(x, dist_sq, dist, big_c)
+
+    middle = _middle_integral(config.alpha, takeover - t1, big_c / (t1 * t1 + dist_sq))
+    return feed(t1) + middle + (feed(config.d_x) - feed(takeover))
+
+
+def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
+    """Each u = asinh(y / h) in (0, u_end) where the feed end starts or stops winning at d_x.
+
+    Below u_end t1 is finite, and the feed end takes over again before d_x
+    where `_station_log_ratio` at d_x, with t1 clipped to d_x, is negative.
+    Its sign changes between 64 even steps in u, up to 1e-6 short of
+    u_end (where t1 reaches d_x or stops being finite), are narrowed by
+    four more rounds of 64 steps each, to 64^-5 (1e-9) of u_end: the row
+    integral leaves such a root like (y - y0)^2, so a breakpoint that far
+    off costs the rule about its cube.
+    """
+    h_sq, alpha, d_x = config.h * config.h, config.alpha, config.d_x
+
+    def falls(u):
+        dist_sq = h_sq * np.cosh(u) ** 2
+        t1 = np.minimum(_feedward_offset(alpha, dist_sq), d_x)
+        return _station_log_ratio(alpha, d_x, t1, dist_sq) < 0.0
+
+    fractions = np.linspace(0.0, 1.0, 65)
+    scan_end = u_end * (1.0 - 1e-6)
+    grid, step = (scan_end * fractions)[None, :], scan_end / 64.0
+    for _ in range(4):
+        sign = falls(grid)
+        bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
+        grid = (grid[bracket, index])[:, None] + step * fractions
+        step /= 64.0
+    sign = falls(grid)
+    bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    return (grid[bracket, index] + 0.5 * step).tolist()
+
+
+def _outer_edges(config: SystemConfig) -> np.ndarray:
+    """Pieces of the baseline's y rule, as edges in u = asinh(y / h) over [0, d_y/2].
+
+    The row integral has a kink where rows become feed-served throughout,
+    at alpha^2 (y^2 + h^2) = 1; where t1 reaches d_x, at
+    y^2 + h^2 = d_x (2 - alpha d_x) / alpha (only when alpha d_x < 1); and
+    where the feed end starts winning again at d_x (`_takeover_onsets`).
+    """
+    h, alpha, d_x = config.h, config.alpha, config.d_x
+    far = math.hypot(h, 0.5 * config.d_y)
+    u_end = math.asinh(0.5 * config.d_y / h)
+    kinks = []
+    if 0.0 < alpha * h < 1.0 < alpha * far:
+        kinks.append(math.acosh(1.0 / (alpha * h)))
+    reach = d_x * (2.0 - alpha * d_x)
+    if alpha * d_x < 1.0 and alpha * h * h < reach < alpha * far * far:
+        kinks.append(math.acosh(math.sqrt(reach / alpha) / h))
+    if 0.0 < alpha * h < 1.0:
+        kinks += _takeover_onsets(config, min(kinks, default=u_end))
+    return np.array([0.0, *sorted(kinks), u_end])
+
+
+def _outer_rule(
+    config: SystemConfig, edges: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Squared row distances d^2 = y^2 + h^2 and weights of the baseline's y rule.
+
+    `order` Gauss-Legendre nodes per piece of `edges`, in u = asinh(y / h),
+    with dy = h cosh(u) du: the row integral varies on the scale of d, so
+    this resolves the 1/(y^2 + h^2) peak however large d_y/h is.
+    """
     nodes, weights = leggauss_cached(order)
-    rows_per_block = max(1, _RATE_QUAD_BLOCK_POINTS // order)
-    inner = np.zeros((len(scales), order))
-    for lo, hi in (
-        (np.zeros(order), split),
-        (split, takeover),
-        (takeover, np.full(order, d_x)),
-    ):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        live = np.flatnonzero(hi > lo)
-        for start in range(0, live.size, rows_per_block):
-            rows = live[start : start + rows_per_block]
-            x = mid[rows, None] + half[rows, None] * nodes
-            y = np.broadcast_to(y_nodes[rows, None], x.shape)
-            snr = _continuous_snr(config, x, y)
-            rate = np.empty_like(snr)
-            for i, scale in enumerate(scales):
-                np.multiply(snr, scale, out=rate)
-                rate += 1.0
-                np.log2(rate, out=rate)
-                inner[i, rows] += half[rows] * (rate @ weights)
-    return [
-        2.0 * float(np.dot(y_weights, point)) / (d_x * config.d_y) for point in inner
-    ]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    dist = config.h * np.cosh(mid + half * nodes).ravel()
+    return dist * dist, (half * weights).ravel() * dist
 
 
 def _continuous_rate_curve(
@@ -571,14 +657,35 @@ def _continuous_rate_curve(
 ) -> list[tuple[float, float]]:
     """(base, refined) continuous rates at each transmit SNR, from one geometry.
 
-    The base order and its double, for `_settled_rate` to compare.
+    The rate is the mean over the room of log2(1 + SNR) of a radiator
+    placed optimally for each user: the integral over half the room width
+    (it is even in y) of closed-form rows (`_row_integrals`). The y rule
+    (`_outer_rule`) has _RATE_QUAD_ORDER nodes per piece at the base order
+    and twice as many refined, for `_settled_rate` to compare. The rows'
+    kinks do not depend on the transmit SNR, so both rules' rows are laid
+    out, and their kinks found, once for the whole curve.
     """
-    return list(
-        zip(
-            _continuous_rate_quad(config, _RATE_QUAD_ORDER, gamma_t_dbs),
-            _continuous_rate_quad(config, 2 * _RATE_QUAD_ORDER, gamma_t_dbs),
+    if not config.h > 0:
+        raise ValueError(
+            f"h must be > 0 for the continuous baseline, got {config.h!r}"
         )
+    edges = _outer_edges(config)
+    base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
+    refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
+    # `derive_rf`'s big_c at each gamma_t: eta times the linear transmit SNR.
+    big_c = derive_rf(config).eta * np.array([db_to_linear(g) for g in gamma_t_dbs])
+    rows = _row_integrals(
+        config, np.concatenate((base_sq, refined_sq)), big_c[:, None]
     )
+    norm = 2.0 / (config.d_x * config.d_y * math.log(2.0))
+    split = base_sq.size
+    return [
+        (
+            norm * float(np.dot(row[:split], base_weights)),
+            norm * float(np.dot(row[split:], refined_weights)),
+        )
+        for row in rows
+    ]
 
 
 def _settled_rate(config: SystemConfig, rates: tuple[float, float]) -> MetricResult:
@@ -591,7 +698,7 @@ def _settled_rate(config: SystemConfig, rates: tuple[float, float]) -> MetricRes
     if abs(base - refined) > _RATE_QUAD_REL_TOL * max(abs(refined), 1e-300):
         raise NumericalDiagnosticError(
             f"continuous-rate quadrature did not settle: {base!r} vs {refined!r} "
-            f"at orders {_RATE_QUAD_ORDER}/{2 * _RATE_QUAD_ORDER}"
+            f"at {_RATE_QUAD_ORDER}/{2 * _RATE_QUAD_ORDER} nodes per piece in y"
         )
     return MetricResult(
         kind="continuous_rate",

@@ -1,7 +1,9 @@
-"""The inverse-tangent integral Ti2 used by the rate closed forms.
+"""The inverse-tangent integral Ti2 and the dilogarithm Li2 of the closed forms.
 
-`ti2` is a pure float64 routine with no state, so it is safe to call
-from any number of threads. It takes a float or an array of any shape.
+`ti2` serves the discrete rate's kernels and `_dilog` the continuous
+baseline's rows. Both are pure float64 routines with no state, so they
+are safe to call from any number of threads, and both take a float or an
+array of any shape.
 """
 
 from __future__ import annotations
@@ -55,6 +57,19 @@ def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
 
 
 _TI2_TAYLOR = _ti2_taylor_coefficients(_TI2_TAYLOR_TERMS)
+
+# B_2k / (2k + 1)! for k = 1..9, from the Bernoulli numbers B_2 .. B_18:
+# the odd terms of Li2(z) = u - u^2/4 + sum B_2k u^(2k+1) / (2k + 1)!,
+# u = -ln(1 - z). For -1 <= z <= 0, |u| <= ln 2 and each term is about
+# (u / 2 pi)^2 of the one before, so the B_18 term is below 1e-18.
+_DILOG_BERNOULLI = tuple(
+    numerator / denominator / math.factorial(2 * k + 1)
+    for k, (numerator, denominator) in enumerate(
+        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+         (-3617, 510), (43867, 798)),
+        start=1,
+    )
+)
 
 
 def _ti2_series(z: np.ndarray) -> np.ndarray:
@@ -138,4 +153,30 @@ def ti2(z):
     value[~series] = _ti2_near_one(folded[~series])
     value[inverted] += 0.5 * math.pi * np.log(size[inverted])
     value = np.where(z.ravel() < 0.0, -value, value).reshape(z.shape)
+    return float(value) if value.ndim == 0 else value
+
+
+def _dilog(z):
+    """Dilogarithm Li2(z) = -integral of ln(1 - t)/t from 0 to z, for z <= 0.
+
+    On [-1, 0] it is the Bernoulli series in u = -ln(1 - z); below -1 the
+    inversion Li2(z) = -pi^2/6 - ln^2(-z)/2 - Li2(1/z) maps back inside. A
+    float gives a float; an array gives an array of its shape.
+    """
+    z = np.asarray(z, dtype=float)
+    bad = ~((z <= 0.0) & np.isfinite(z))
+    if bad.any():
+        raise ValueError(f"_dilog needs finite z <= 0, got {float(z[bad][0])!r}")
+    inverted = z < -1.0
+    folded = np.where(inverted, 1.0 / np.minimum(z, -1.0), z)
+    u = -np.log1p(-folded)
+    u_sq = u * u
+    odd = 0.0
+    for coefficient in reversed(_DILOG_BERNOULLI):
+        odd = odd * u_sq + coefficient
+    value = u - 0.25 * u_sq + odd * u_sq * u
+    log_size = np.log(-np.minimum(z, -1.0))
+    value = np.where(
+        inverted, -math.pi * math.pi / 6.0 - 0.5 * log_size * log_size - value, value
+    )
     return float(value) if value.ndim == 0 else value

@@ -176,10 +176,7 @@ class _OutageCurveCache:
 class _TableRates:
     """The discrete ergodic rate at each point of one table, from one kernel pass.
 
-    The pass runs when the first rate is asked for. A pde row asks after
-    its baseline, so the first baseline curve, whose quadrature rules are
-    a sweep's largest transient memory, is built before the table's
-    partitions and rate pass, which then reuse that memory.
+    The pass runs when the first rate is asked for.
     """
 
     def __init__(

@@ -250,6 +250,14 @@ def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.nd
     return np.maximum(station, feed, out=station)
 
 
+def _station_log_ratio(alpha: float, x, t1, dist_sq):
+    """ln of p* = x - t1's SNR over the feed end's, for a user at x on row d^2.
+
+    f(x) = ln(x^2 + d^2) - ln(t1^2 + d^2) - alpha (x - t1), for x >= t1.
+    """
+    return np.log(x * x + dist_sq) - np.log(t1 * t1 + dist_sq) - alpha * (x - t1)
+
+
 def _continuous_kinks(
     config: SystemConfig, dist_sq: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -257,10 +265,10 @@ def _continuous_kinks(
 
     Returns t1, where p* leaves the feed end, and where the feed end wins
     again, both clipped to d_x. On [t1, d_x] the log-ratio of p*'s SNR to
-    the feed end's, f(x) = ln(x^2 + d^2) - ln(t1^2 + d^2) - alpha (x - t1),
-    rises from 0 to a peak at t2 = (1 + sqrt(1 - alpha^2 d^2)) / alpha and
-    is concave and decreasing beyond: a row with f(d_x) < 0 has one root
-    in (t2, d_x), found by bisection.
+    the feed end's (`_station_log_ratio`) rises from 0 to a peak at
+    t2 = (1 + sqrt(1 - alpha^2 d^2)) / alpha and is concave and decreasing
+    beyond: a row with f(d_x) < 0 has one root in (t2, d_x), found by
+    bisection.
     """
     alpha, d_x = config.alpha, config.d_x
     offset = _feedward_offset(alpha, dist_sq)
@@ -269,7 +277,7 @@ def _continuous_kinks(
     d_sq, t1 = dist_sq[rows], offset[rows]
 
     def log_ratio(x):
-        return np.log(x * x + d_sq) - np.log(t1 * t1 + d_sq) - alpha * (x - t1)
+        return _station_log_ratio(alpha, x, t1, d_sq)
 
     falls = log_ratio(d_x) < 0.0
     if falls.any():

@@ -9,7 +9,7 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from pinchpas import SystemConfig, UserPosition, derive_rf
 
@@ -183,9 +183,14 @@ def continuous_rate_quad(config: SystemConfig) -> float:
     exp(-alpha p) / ((x - p)^2 + d^2) when that lies on the waveguide,
     and the feed end p = 0 is always a contender. For x below t1 the
     stationary point is off the waveguide and the feed end serves, so the
-    inner integral is split there; when alpha d >= 1 the SNR falls with
-    p everywhere and the feed end serves the whole row. The outer
-    integral is split where that happens, at alpha^2 (y^2 + h^2) = 1.
+    inner integral is split there, and again where the feed end wins back
+    the far end of the row (brentq on the two SNRs' log-ratio, which falls
+    through 0 once past its peak at (1 + sqrt(1 - alpha^2 d^2)) / alpha);
+    when alpha d >= 1 the SNR falls with p everywhere and the feed end
+    serves the whole row. The outer
+    integral is split where a row's pieces change: at alpha^2 (y^2 + h^2)
+    = 1, where t1 reaches d_x, and where the feed end starts winning again
+    at x = d_x (`_takeover_onsets`).
     """
     big_c = derive_rf(config).big_c
     alpha, d_x, h = config.alpha, config.d_x, config.h
@@ -194,33 +199,70 @@ def continuous_rate_quad(config: SystemConfig) -> float:
         return big_c * math.exp(-alpha * p) / ((x - p) ** 2 + d_sq)
 
     def row(y):
+        t1 = _feedward_offset(alpha, y * y + h * h)
         d_sq = y * y + h * h
-        if alpha * alpha * d_sq >= 1.0:
-            t1 = math.inf
-        else:
-            t1 = alpha * d_sq / (1.0 + math.sqrt(1.0 - alpha * alpha * d_sq))
 
         def f(x):
             best = snr(0.0, x, d_sq)
             if x > t1:
                 best = max(best, snr(x - t1, x, d_sq))
-            return math.log2(1.0 + best)
+            return math.log1p(best) / math.log(2.0)
 
         cut = min(t1, d_x)
+        takeover = d_x
+        if cut < d_x and snr(d_x - t1, d_x, d_sq) < snr(0.0, d_x, d_sq):
+            peak = (1.0 + math.sqrt(1.0 - alpha * alpha * d_sq)) / alpha
+            takeover = optimize.brentq(
+                lambda x: math.log(snr(x - t1, x, d_sq) / snr(0.0, x, d_sq)),
+                min(peak, d_x), d_x, xtol=1e-15, rtol=1e-15,
+            )
         total = 0.0
-        for lo, hi in ((0.0, cut), (cut, d_x)):
+        for lo, hi in ((0.0, cut), (cut, takeover), (takeover, d_x)):
             if hi > lo:
                 val, _ = integrate.quad(f, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13)
                 total += val
         return total
 
     half_width = config.d_y / 2.0
-    kinks = []
-    if alpha > 0.0 and 1.0 / (alpha * alpha) > h * h:
-        y_kink = math.sqrt(1.0 / (alpha * alpha) - h * h)
-        if y_kink < half_width:
-            kinks.append(y_kink)
+    kinks = [y for y in _row_kinks(config) if 0.0 < y < half_width]
     val, _ = integrate.quad(
         row, 0.0, half_width, points=kinks or None, limit=200, epsabs=0.0, epsrel=1e-13
     )
     return 2.0 * val / (d_x * config.d_y)
+
+
+def _feedward_offset(alpha: float, d_sq: float) -> float:
+    # Offset t1 of the SNR's interior maximum; inf when there is none.
+    if alpha * alpha * d_sq >= 1.0:
+        return math.inf
+    return alpha * d_sq / (1.0 + math.sqrt(1.0 - alpha * alpha * d_sq))
+
+
+def _row_kinks(config: SystemConfig) -> list:
+    """Each y > 0 where the set of x pieces of a row changes.
+
+    Where alpha^2 (y^2 + h^2) = 1 the interior maximum vanishes; where
+    t1 = d_x, at y^2 + h^2 = d_x (2 - alpha d_x) / alpha, it leaves the
+    room; and where ln((d_x^2 + d^2) / (t1^2 + d^2)) = alpha (d_x - t1) the
+    feed end starts or stops beating it at x = d_x. Those last roots are
+    bracketed on a 2001-point grid in y and refined by brentq.
+    """
+    alpha, d_x, h = config.alpha, config.d_x, config.h
+    if alpha == 0.0 or alpha * h >= 1.0:
+        return []  # t1 = 0 in every row, or no row has an interior maximum
+    kinks = [math.sqrt(1.0 / (alpha * alpha) - h * h)]
+    if alpha * d_x < 1.0 and d_x * (2.0 - alpha * d_x) / alpha > h * h:
+        kinks.append(math.sqrt(d_x * (2.0 - alpha * d_x) / alpha - h * h))
+    end = min(kinks + [config.d_y / 2.0])
+
+    def gain(y):
+        d_sq = y * y + h * h
+        t1 = _feedward_offset(alpha, d_sq)
+        return math.log((d_x * d_x + d_sq) / (t1 * t1 + d_sq)) - alpha * (d_x - t1)
+
+    grid = np.linspace(0.0, end, 2001)[:-1]
+    signs = [gain(y) < 0.0 for y in grid]
+    for i in range(grid.size - 1):
+        if signs[i] != signs[i + 1]:
+            kinks.append(optimize.brentq(gain, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15))
+    return sorted(kinks)

@@ -387,46 +387,70 @@ def test_continuous_rate_matches_simulation():
 def test_continuous_rate_matches_nested_quadrature(params):
     cfg = SystemConfig(**params)
     ref = oracle.continuous_rate_quad(cfg)
-    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def _continuous_rate_quad_loop(cfg, order):
-    # Row-by-row form of metrics._continuous_rate_quad: the same nodes,
-    # breakpoints and SNR, summed one y node at a time. The outer rule
-    # gives half its nodes to each side of the feed-only kink in y.
-    from pinchpas.numerics import gauss_legendre
-    from pinchpas.system import _continuous_kinks, _continuous_snr
-
-    half_width = cfg.d_y / 2.0
-    outer = [(0.0, half_width, order)]
-    if cfg.alpha > 0.0 and cfg.h**2 < cfg.alpha**-2 < cfg.h**2 + half_width**2:
-        kink = math.sqrt(cfg.alpha**-2 - cfg.h**2)
-        outer = [(0.0, kink, order // 2), (kink, half_width, order - order // 2)]
-    total = 0.0
-    for y_lo, y_hi, n in outer:
-        for y, wy in zip(*gauss_legendre(n, y_lo, y_hi)):
-            kinks = _continuous_kinks(cfg, np.array([y * y + cfg.h * cfg.h]))
-            split, takeover = (float(v[0]) for v in kinks)
-            for lo, hi in ((0.0, split), (split, takeover), (takeover, cfg.d_x)):
-                if hi > lo:
-                    x, w = gauss_legendre(order, lo, hi)
-                    snr = _continuous_snr(cfg, x, np.full_like(x, y))
-                    total += wy * float(np.dot(w, np.log2(1.0 + snr)))
-    return 2.0 * total / (cfg.d_x * cfg.d_y)
+@pytest.mark.parametrize("gamma_t_db", [100.0, 20.0])
+@pytest.mark.parametrize("d_x", [10.0, 30.0, 500.0])
+@pytest.mark.parametrize("alpha", [0.0, 1e-8, 1e-6, 0.05, 0.2, 0.25, 0.3])
+def test_continuous_rate_matches_oracle_without_cancellation(alpha, d_x, gamma_t_db):
+    # The middle pieces' dilogarithm difference over alpha cancels as
+    # alpha -> 0, and the feed pieces' G(d^2 + C) - G(d^2) at low SNR
+    # (C = 7e-5 against d^2 >= 9 at 20 dB); neither may cost digits. At
+    # alpha 0.2 and 0.25 in the 10 m room the feed end starts winning the
+    # far end of the row again inside the room (y = 1.43 at alpha 0.25).
+    cfg = SystemConfig(d_x=d_x, alpha=alpha, gamma_t_db=gamma_t_db)
+    ref = oracle.continuous_rate_quad(cfg)
+    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("block_points", [4096, 1000])
-@pytest.mark.parametrize("alpha", [0.0, 0.05, 0.2, 0.4])
-def test_blocked_continuous_rate_matches_row_loop(monkeypatch, alpha, block_points):
-    from pinchpas import metrics
+def test_softplus_derivative_table_follows_its_recurrence():
+    q = np.polynomial.Polynomial([0.0, 1.0])
+    derivative = q
+    for coefficients in metrics._SOFTPLUS_EVEN_DERIVATIVES:
+        assert derivative.coef.tolist() == [0.0, *coefficients]
+        derivative = derivative.deriv(2) * q * q * (1.0 - 4.0 * q) + (
+            derivative.deriv() * (q - 6.0 * q * q)
+        )
 
-    monkeypatch.setattr(metrics, "_RATE_QUAD_BLOCK_POINTS", block_points)
-    cfg = SystemConfig(d_x=30.0, alpha=alpha)
-    for order in (128, 256):
-        ref = _continuous_rate_quad_loop(cfg, order)
-        # Only the summation order differs: a few hundred terms in float64.
-        (value,) = metrics._continuous_rate_quad(cfg, order, (cfg.gamma_t_db,))
-        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+@pytest.mark.parametrize("start_snr", [1e-12, 1e-3, 1.0, 7.0, 1e3, 1e10, 1e20])
+def test_middle_piece_branches_meet_at_the_switch(start_snr):
+    # The mean of ln(1 + w0 e^(-alpha L s)) over s in [0, 1], from the
+    # midpoint series and from the dilogarithm difference, where
+    # _middle_integral switches from one to the other.
+    import mpmath
+
+    decay = metrics._MIDDLE_SERIES_SPAN
+    with mpmath.workdps(30):
+        ref = float(
+            mpmath.quad(lambda s: mpmath.log1p(start_snr * mpmath.exp(-decay * s)), [0, 1])
+        )
+    for branch in (metrics._middle_series, metrics._middle_dilog):
+        value = float(branch(np.array([start_snr]), np.array([decay]))[0])
+        assert value == pytest.approx(ref, rel=1e-14, abs=0.0), branch.__name__
+
+
+def test_continuous_rate_settles_when_room_is_wide_against_height():
+    # d_y/h = 1.8e4: the rows' 1/(y^2 + h^2) peak is 1e-4 m wide, which a
+    # rule even in y did not resolve (its base and refined orders differed
+    # by 1.1e-6, past the self-check). The rule is even in asinh(y / h).
+    cfg = SystemConfig(d_x=0.059, d_y=2.16, h=1.2e-4, alpha=0.41)
+    ref = oracle.continuous_rate_quad(cfg)
+    assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_continuous_rate_settles_in_random_rooms():
+    rng = np.random.default_rng(2025)
+    for _ in range(200):
+        cfg = SystemConfig(
+            d_x=10.0 ** rng.uniform(-2.0, 4.0),
+            d_y=10.0 ** rng.uniform(-2.0, 4.0),
+            h=10.0 ** rng.uniform(-4.0, 2.0),
+            alpha=rng.uniform(0.0, 10.0),
+            gamma_t_db=rng.uniform(40.0, 120.0),
+        )
+        assert continuous_rate(cfg).value > 0.0, cfg
 
 
 def test_continuous_rate_with_partial_feed_rows_within_self_check():
@@ -436,7 +460,12 @@ def test_continuous_rate_with_partial_feed_rows_within_self_check():
     for alpha in (0.2, 0.3):
         cfg = SystemConfig(d_x=30.0, alpha=alpha)
         ref = oracle.continuous_rate_quad(cfg)
-        assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_continuous_rate_requires_height():
+    with pytest.raises(ValueError, match="h must be > 0"):
+        continuous_rate(SystemConfig(d_x=10.0, h=0.0))
 
 
 _CURVE_GAMMAS = tuple(90.0 + i for i in range(21))
@@ -493,6 +522,15 @@ def test_pde_increases_with_antenna_count():
 
 
 # --------------------------------------------------------------- plumbing --
+
+def test_params_snapshot_matches_asdict():
+    from dataclasses import asdict
+
+    cfg = SystemConfig(d_x=12.0, alpha=0.07, gamma_t_db=97.5)
+    assert metrics._params_snapshot(cfg) == asdict(cfg)
+    assert metrics._params_snapshot(cfg, m=4) == {**asdict(cfg), "m": 4}
+    assert "m" not in vars(cfg)  # the snapshot is a copy
+
 
 def test_metric_result_validation():
     with pytest.raises(ValueError):

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from pinchpas.specfun import CATALAN, ti2
+from pinchpas.specfun import CATALAN, _dilog, ti2
 
 import oracle_utils as oracle
 
@@ -85,3 +86,28 @@ def test_ti2_array_elements_equal_scalar_calls():
 def test_ti2_array_rejects_any_non_finite_element(bad):
     with pytest.raises(ValueError, match="finite"):
         ti2(np.array([0.5, bad, 2.0]))
+
+
+def test_dilog_matches_mpmath():
+    rng = np.random.default_rng(21)
+    zs = -np.exp(rng.uniform(math.log(1e-30), math.log(1e30), size=2000))
+    zs = np.concatenate((zs, [0.0, -0.5, -1.0]))
+    values = _dilog(zs)
+    for z, value in zip(zs.tolist(), values.tolist()):
+        with mpmath.workdps(30):
+            ref = float(mpmath.polylog(2, z))
+        assert value == pytest.approx(ref, rel=1e-14, abs=0.0), f"z={z}"
+    assert _dilog(0.0) == 0.0
+    assert _dilog(-1.0) == pytest.approx(-math.pi**2 / 12.0, rel=1e-15)
+
+
+def test_dilog_keeps_shapes():
+    assert isinstance(_dilog(-0.5), float)
+    assert _dilog(np.full((2, 3), -4.0)).shape == (2, 3)
+    assert _dilog(np.array([-2.0])).shape == (1,)
+
+
+@pytest.mark.parametrize("z", [1e-300, 0.5, math.inf, -math.inf, math.nan])
+def test_dilog_rejects_arguments_off_its_branch(z):
+    with pytest.raises(ValueError, match="z <= 0"):
+        _dilog(z)
