@@ -20,9 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .config import ConfigError, load_config
+from .config import ConfigError, SweepSpec, load_config
 from .metrics import (
-    _ergodic_rates,
     c_l,
     ergodic_rate,
     i_i,
@@ -170,16 +169,18 @@ def _selftest() -> int:
         f"{differ} of 4000 users differ",
     )
 
-    # One kernel pass over a whole table keeps each point's rate its own.
+    # A rate sweep along m, one kernel pass, keeps each point's rate its own.
     room = SystemConfig(d_x=30.0)
-    points = []
-    for m in range(1, 21):
-        grid = make_layout(room, m)
-        points.append((room, grid, optimize_partition(room, grid)))
+    counts = tuple(float(m) for m in range(1, 21))
+    spec = SweepSpec(
+        metric="rate", sweep_axis="m", axis_values=counts, fixed_params=room, m_values=(1,)
+    )
+    (table,) = run_sweep(spec)
     worst = 0.0
-    for batched, point in zip(_ergodic_rates(points), points):
-        single = ergodic_rate(*point).value
-        worst = max(worst, abs(batched.value - single) / single)
+    for m, rate in table.rows:
+        grid = make_layout(room, int(m))
+        single = ergodic_rate(room, grid, optimize_partition(room, grid)).value
+        worst = max(worst, abs(rate - single) / single)
     all_ok &= _check(
         "batched rate table matches pointwise rates",
         worst <= 1e-13,

@@ -68,6 +68,8 @@ class SweepSpec:
             raise ConfigError("m_values must be nonempty")
         if any(m < 1 for m in self.m_values):
             raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
+        if len(set(self.m_values)) < len(self.m_values):
+            raise ConfigError(f"m_values must not repeat, got {self.m_values}")
 
 
 def _split_lines(text: str) -> list[tuple[int, str, str]]:
@@ -130,30 +132,31 @@ def _parse_axis_values(value: str, lineno: int) -> tuple[float, ...]:
 
 def _parse_m_values(value: str, lineno: int) -> tuple[int, ...]:
     # Accepts the same lo:hi:count shorthand as axis_values, so long as
-    # every resulting value is a whole number.
+    # every resulting value is a whole number. Each m writes its own
+    # table, so none may repeat.
+    values = []
     if ":" in value:
-        floats = _parse_axis_values(value, lineno)
-        values = []
-        for v in floats:
+        for v in _parse_axis_values(value, lineno):
             if abs(v - round(v)) > 1e-9:
                 raise ConfigError(
                     f"line {lineno}: m_values range produced non-integer {v!r}"
                 )
             values.append(int(round(v)))
-        return tuple(values)
-    values = []
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: m_values entries must be integers, got {token!r}"
-            ) from None
-    if not values:
-        raise ConfigError(f"line {lineno}: m_values is empty")
+    else:
+        for token in value.split(","):
+            token = token.strip()
+            if not token:
+                continue
+            try:
+                values.append(int(token))
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: m_values entries must be integers, got {token!r}"
+                ) from None
+        if not values:
+            raise ConfigError(f"line {lineno}: m_values is empty")
+    if len(set(values)) < len(values):
+        raise ConfigError(f"line {lineno}: m_values must not repeat, got {value!r}")
     return tuple(values)
 
 

@@ -17,17 +17,11 @@ __all__ = ["CATALAN", "ti2"]
 # Catalan's constant, G = sum (-1)^n / (2n+1)^2.
 CATALAN = 0.915965594177219015054618569679
 
-# Branch edges for ti2. Below the series edge the alternating series
-# converges in a few dozen terms; between the edges a Taylor expansion
-# about z = 1 is used; above, the inversion identity maps back inside.
+# Branch edges for ti2. Up to the series edge the alternating series is
+# summed; between the edges the Taylor expansion about z = 1; above, the
+# inversion identity maps back inside.
 _TI2_SERIES_EDGE = 0.6
 _TI2_INVERSION_EDGE = 1.5
-_TI2_TAYLOR_TERMS = 96
-
-# Target relative truncation error of the series, and the number of terms
-# after which the alternating series is declared stuck.
-_REL_TOL = 1e-12
-_MAX_TERMS = 4096
 
 
 def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
@@ -56,7 +50,12 @@ def _ti2_taylor_coefficients(n_terms: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-_TI2_TAYLOR = _ti2_taylor_coefficients(_TI2_TAYLOR_TERMS)
+# Ti2(z) = z * sum (-1)^n (z^2)^n / (2n + 1)^2. Up to |z| = 0.6 the first
+# term left out, n = 30, is below 1e-17 of the sum.
+_TI2_SERIES = tuple((-1.0) ** n / ((2 * n + 1) * (2 * n + 1)) for n in range(30))
+# Ti2(1 + w) = Catalan + sum c_m w^m. The series' radius is sqrt(2) and
+# |w| <= 0.5 here, so the terms past the 48th add about 2e-22.
+_TI2_NEAR_ONE = (CATALAN, *_ti2_taylor_coefficients(48))
 
 # B_2k / (2k + 1)! for k = 1..9, from the Bernoulli numbers B_2 .. B_18:
 # the odd terms of Li2(z) = u - u^2/4 + sum B_2k u^(2k+1) / (2k + 1)!,
@@ -72,62 +71,12 @@ _DILOG_BERNOULLI = tuple(
 )
 
 
-def _ti2_series(z: np.ndarray) -> np.ndarray:
-    # sum (-1)^n z^(2n+1) / (2n+1)^2 for |z| <= the series edge. Each
-    # element stops at its own first term below the tolerance.
-    value = z.copy()
-    live = np.arange(z.size)
-    z_sq = z * z
-    term = z.copy()
-    total = z.copy()
-    for n in range(1, _MAX_TERMS + 1):
-        if not live.size:
-            return value
-        term *= -z_sq
-        piece = term / ((2 * n + 1) * (2 * n + 1))
-        total += piece
-        done = np.abs(piece) <= _REL_TOL * np.abs(total)
-        if done.any():
-            value[live[done]] = total[done]
-            keep = ~done
-            live, z_sq, term, total = live[keep], z_sq[keep], term[keep], total[keep]
-    if not live.size:
-        return value
-    raise ArithmeticError(
-        f"inverse-tangent integral series did not reach rel_tol={_REL_TOL} "
-        f"within {_MAX_TERMS} terms at z={float(z[live[0]])!r}"
-    )
-
-
-def _ti2_near_one(z: np.ndarray) -> np.ndarray:
-    # Every fourth coefficient is up to twenty times smaller than its
-    # neighbours, so one term below the tolerance can come before larger
-    # ones; stopping there left relative errors up to 3.4e-12. Each element
-    # stops at its own second term in a row below the tolerance, or after
-    # the last coefficient.
-    value = np.empty_like(z)
-    live = np.arange(z.size)
-    w = z - 1.0
-    total = np.full(z.size, CATALAN)
-    w_pow = np.ones(z.size)
-    quiet = np.zeros(z.size, dtype=bool)
-    for c in _TI2_TAYLOR:
-        if not live.size:
-            return value
-        w_pow *= w
-        piece = c * w_pow
-        total += piece
-        small = np.abs(piece) <= _REL_TOL * np.abs(total)
-        done = small & quiet
-        quiet = small
-        if done.any():
-            value[live[done]] = total[done]
-            keep = ~done
-            live, w, total, w_pow, quiet = (
-                live[keep], w[keep], total[keep], w_pow[keep], quiet[keep]
-            )
-    value[live] = total
-    return value
+def _horner(coefficients: tuple[float, ...], x):
+    """The polynomial sum c_n x^n with the given c_0, c_1, ..., by Horner's rule."""
+    total = 0.0
+    for coefficient in reversed(coefficients):
+        total = total * x + coefficient
+    return total
 
 
 def ti2(z):
@@ -143,16 +92,18 @@ def ti2(z):
     finite = np.isfinite(z)
     if not finite.all():
         raise ValueError(f"ti2 argument must be finite, got {float(z[~finite][0])!r}")
-    size = np.abs(z).ravel()
+    size = np.abs(z)
     inverted = size > _TI2_INVERSION_EDGE
-    folded = size.copy()
-    folded[inverted] = 1.0 / size[inverted]
-    series = folded <= _TI2_SERIES_EDGE
-    value = np.empty_like(folded)
-    value[series] = _ti2_series(folded[series])
-    value[~series] = _ti2_near_one(folded[~series])
-    value[inverted] += 0.5 * math.pi * np.log(size[inverted])
-    value = np.where(z.ravel() < 0.0, -value, value).reshape(z.shape)
+    folded = np.where(inverted, 1.0 / np.maximum(size, _TI2_INVERSION_EDGE), size)
+    value = np.where(
+        folded <= _TI2_SERIES_EDGE,
+        folded * _horner(_TI2_SERIES, folded * folded),
+        _horner(_TI2_NEAR_ONE, folded - 1.0),
+    )
+    value = np.where(
+        inverted, value + 0.5 * math.pi * np.log(np.maximum(size, 1.0)), value
+    )
+    value = np.where(z < 0.0, -value, value)
     return float(value) if value.ndim == 0 else value
 
 
@@ -171,10 +122,7 @@ def _dilog(z):
     folded = np.where(inverted, 1.0 / np.minimum(z, -1.0), z)
     u = -np.log1p(-folded)
     u_sq = u * u
-    odd = 0.0
-    for coefficient in reversed(_DILOG_BERNOULLI):
-        odd = odd * u_sq + coefficient
-    value = u - 0.25 * u_sq + odd * u_sq * u
+    value = u - 0.25 * u_sq + _horner(_DILOG_BERNOULLI, u_sq) * u_sq * u
     log_size = np.log(-np.minimum(z, -1.0))
     value = np.where(
         inverted, -math.pi * math.pi / 6.0 - 0.5 * log_size * log_size - value, value

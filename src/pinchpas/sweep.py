@@ -2,11 +2,16 @@
 
 A sweep evaluates one metric along one axis, producing one table per
 requested antenna count (or a single table when the antenna count itself
-is the axis). Tables are two or three numeric columns behind a '#' header
-that echoes every effective parameter; stripping the single-hash prefix
-recovers a loadable configuration, so every emitted file doubles as the
-recipe that produced it. Double-hash lines are annotations and are not
-part of the round trip.
+is the axis). The metric is evaluated once per run, for the points of
+every table together: one partition per geometry and m, one simulator
+draw and one continuous baseline per transmit-SNR curve, and one
+discrete-rate pass.
+
+Tables are two or three numeric columns behind a '#' header that echoes
+every effective parameter; stripping the single-hash prefix recovers a
+loadable configuration, so every emitted file doubles as the recipe that
+produced it. Double-hash lines are annotations and are not part of the
+round trip.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 from ._version import __version__
 from .config import SweepSpec, parse_config_text
 from .metrics import (
-    MetricResult,
     NumericalDiagnosticError,
     _continuous_rate_curve,
     _efficiency_ratio,
@@ -97,150 +101,108 @@ def _table_header(
     return tuple(lines)
 
 
-def _point_config(base: SystemConfig, axis: str, value: float) -> SystemConfig:
-    if axis == "m":
-        return base
-    return dataclasses.replace(base, **{axis: value})
-
-
-class _PartitionCache:
-    """Memoizes optimized partitions across sweep points.
+def _partitioned(
+    points: list[tuple[SystemConfig, int]],
+) -> list[tuple[SystemConfig, PaLayout, RegionPartition]]:
+    """Each (config, m) point with its layout and optimized partition.
 
     The partition depends only on the geometry and the attenuation, not on
-    transmit power or threshold, so gamma sweeps reuse a single partition
-    per antenna count.
+    transmit power or threshold, so one search serves every point that
+    shares them and m.
     """
-
-    def __init__(self):
-        self._store: dict[tuple, tuple[PaLayout, RegionPartition]] = {}
-
-    def get(self, config: SystemConfig, m: int) -> tuple[PaLayout, RegionPartition]:
+    searched: dict[tuple, tuple[PaLayout, RegionPartition]] = {}
+    partitioned = []
+    for config, m in points:
         key = (config.d_x, config.d_y, config.h, config.alpha, m)
-        if key not in self._store:
+        if key not in searched:
             layout = make_layout(config, m)
-            self._store[key] = (layout, optimize_partition(config, layout))
-        return self._store[key]
+            searched[key] = (layout, optimize_partition(config, layout))
+        partitioned.append((config, *searched[key]))
+    return partitioned
 
 
-def _gamma_curve(
-    spec: SweepSpec, config: SystemConfig
-) -> tuple[SystemConfig, tuple[float, ...]]:
-    """The transmit-SNR curve a sweep point belongs to: its key and its gamma_t points.
+def _curves(
+    points: list[tuple[SystemConfig, int]],
+) -> list[tuple[int, list[SystemConfig]]]:
+    """The points as transmit-SNR curves: each curve's m and its distinct configs.
 
-    Transmit SNR only scales every SNR, so along a gamma_t_db axis one
-    curve, keyed by the config at axis_values[0], answers every point. On
-    any other axis each point is a curve of its own gamma_t alone.
+    Transmit SNR only scales every SNR, so the points that differ only in
+    gamma_t_db are one curve, whose geometry is worked out once at its
+    first config. Curves and configs come in the order first met.
     """
-    gammas = spec.axis_values if spec.sweep_axis == "gamma_t_db" else (config.gamma_t_db,)
-    return dataclasses.replace(config, gamma_t_db=gammas[0]), gammas
+    curves: dict[tuple[SystemConfig, int], dict[SystemConfig, None]] = {}
+    for config, m in points:
+        unscaled = dataclasses.replace(config, gamma_t_db=0.0)
+        curves.setdefault((unscaled, m), {})[config] = None
+    return [(m, list(configs)) for (_, m), configs in curves.items()]
 
 
-class _ContinuousRateCache:
-    """Memoizes the continuous baseline, which is independent of m, per curve.
+def _baselines(configs: list[SystemConfig]) -> dict[SystemConfig, tuple[float, float]]:
+    """The continuous baseline's (base, refined) rates at each config.
 
-    Each point's base-vs-refined self-check runs when the point is asked
-    for, so a point that does not settle costs its own row only.
+    The baseline does not depend on m, so one `_continuous_rate_curve`
+    call serves each curve of the distinct configs.
     """
-
-    def __init__(self, spec: SweepSpec):
-        self._spec = spec
-        self._curves: dict[SystemConfig, dict[float, tuple[float, float]]] = {}
-        self._settled: dict[SystemConfig, MetricResult] = {}
-
-    def get(self, config: SystemConfig) -> MetricResult:
-        if config not in self._settled:
-            key, gammas = _gamma_curve(self._spec, config)
-            if key not in self._curves:
-                self._curves[key] = dict(zip(gammas, _continuous_rate_curve(key, gammas)))
-            rates = self._curves[key][config.gamma_t_db]
-            self._settled[config] = _settled_rate(config, rates)
-        return self._settled[config]
+    rates: dict[SystemConfig, tuple[float, float]] = {}
+    for _, curve in _curves([(config, 0) for config in configs]):
+        gammas = [config.gamma_t_db for config in curve]
+        rates.update(zip(curve, _continuous_rate_curve(curve[0], gammas)))
+    return rates
 
 
-class _OutageCurveCache:
-    """Memoizes simulated outage curves over transmit SNR, one draw per curve."""
+def _evaluate(
+    metric: str, points: list[tuple[SystemConfig, int]], sim: SimulationSpec
+) -> list[tuple[tuple[float, ...], tuple[str, ...]] | NumericalDiagnosticError]:
+    """Per (config, m) point, its row's trailing columns and numerical flags.
 
-    def __init__(self, spec: SweepSpec, sim: SimulationSpec):
-        self._spec = spec
-        self._sim = sim
-        self._store: dict[tuple, dict[float, SimEstimate]] = {}
-
-    def get(self, config: SystemConfig, m: int) -> SimEstimate:
-        key, gammas = _gamma_curve(self._spec, config)
-        if (key, m) not in self._store:
-            curve = simulate_outage_curve(key, make_layout(key, m), self._sim, gammas)
-            self._store[(key, m)] = dict(zip(gammas, curve))
-        return self._store[(key, m)][config.gamma_t_db]
-
-
-class _TableRates:
-    """The discrete ergodic rate at each point of one table, from one kernel pass.
-
-    The pass runs when the first rate is asked for.
+    A point whose numerical self-check failed gets that error instead. The
+    whole run is evaluated at once: the simulator draws its users once per
+    curve, and a `rate` or `pde` run is one `_ergodic_rates` pass.
     """
-
-    def __init__(
-        self, points: list[tuple[SystemConfig, int]], partitions: _PartitionCache
-    ):
-        self._points = points
-        self._partitions = partitions
-        self._rates: dict[tuple[SystemConfig, int], MetricResult] | None = None
-
-    def get(self, config: SystemConfig, m: int) -> MetricResult:
-        if self._rates is None:
-            results = _ergodic_rates(
-                [(point, *self._partitions.get(point, k)) for point, k in self._points]
-            )
-            self._rates = dict(zip(self._points, results))
-        return self._rates[(config, m)]
-
-
-def _metric_point(
-    metric: str,
-    config: SystemConfig,
-    m: int,
-    partitions: _PartitionCache,
-    rates: _TableRates,
-    baselines: _ContinuousRateCache,
-    curves: _OutageCurveCache,
-) -> tuple[tuple[float, ...], tuple[str, ...]]:
-    """One row's trailing columns plus any numerical flags raised there."""
     if metric == "simulate":
-        estimate = curves.get(config, m)
-        return (estimate.mean, estimate.std_error), ()
+        estimates: dict[tuple[SystemConfig, int], SimEstimate] = {}
+        for m, curve in _curves(points):
+            gammas = [config.gamma_t_db for config in curve]
+            found = simulate_outage_curve(curve[0], make_layout(curve[0], m), sim, gammas)
+            estimates.update(zip([(config, m) for config in curve], found))
+        return [((e.mean, e.std_error), ()) for e in map(estimates.get, points)]
     if metric == "outage":
-        result = outage_probability(config, *partitions.get(config, m))
-        return (result.value,), result.flags
+        results = [outage_probability(*point) for point in _partitioned(points)]
+        return [((result.value,), result.flags) for result in results]
+    rates = _ergodic_rates(_partitioned(points))
     if metric == "rate":
-        discrete = rates.get(config, m)
-        return (discrete.value,), discrete.flags
-    if metric == "pde":
-        baseline = baselines.get(config)
-        discrete = rates.get(config, m)
-        return (_efficiency_ratio(discrete, baseline),), discrete.flags
-    raise ValueError(f"unknown metric {metric!r}")
+        return [((discrete.value,), discrete.flags) for discrete in rates]
+    baselines = _baselines([config for config, _ in points])
+    results = []
+    for (config, _), discrete in zip(points, rates):
+        try:
+            baseline = _settled_rate(config, baselines[config])
+            ratio = _efficiency_ratio(discrete, baseline)
+        except NumericalDiagnosticError as exc:
+            results.append(exc)
+            continue
+        results.append(((ratio,), discrete.flags))
+    return results
 
 
 def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[OutputTable]:
     """Evaluate the sweep and return its output tables.
 
-    Points are evaluated in a fixed order so repeated runs are
-    byte-identical; each point is independent of the others. Numerical
-    flags raised at any point (for example the attenuation underflow
-    clamp) are collected onto the affected table for the caller to
-    surface. A point whose numerical self-check fails is logged and left
-    out of its table, which then carries the flag "numerical_diagnostic".
+    The whole run is evaluated in one `_evaluate` call, in a fixed order,
+    and the tables are cut from its results; repeated runs are
+    byte-identical. Numerical flags raised at any point (for example the attenuation
+    underflow clamp) are collected onto the affected table for the caller
+    to surface. A point whose numerical self-check fails is logged and
+    left out of its table, which then carries the flag
+    "numerical_diagnostic".
     """
     config = spec.fixed_params
     sim = sim if sim is not None else SimulationSpec()
-    partitions = _PartitionCache()
-    baselines = _ContinuousRateCache(spec)
-    curves = _OutageCurveCache(spec, sim)
     tables: list[OutputTable] = []
 
     if spec.metric == "regions":
-        for m in spec.m_values:
-            layout, partition = partitions.get(config, m)
+        points = [(config, m) for m in spec.m_values]
+        for m, (_, layout, partition) in zip(spec.m_values, _partitioned(points)):
             rows = tuple(
                 (
                     float(k + 1),
@@ -269,26 +231,31 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     }[spec.metric]
 
     per_m = spec.sweep_axis != "m"
-    for m in spec.m_values if per_m else (0,):
+    table_ms = spec.m_values if per_m else (0,)
+    points = [
+        (dataclasses.replace(config, **{spec.sweep_axis: value}), m)
+        if per_m
+        else (config, int(value))
+        for m in table_ms
+        for value in spec.axis_values
+    ]
+    results = _evaluate(spec.metric, points, sim)
+    count = len(spec.axis_values)
+    for i, m in enumerate(table_ms):
         rows = []
         flags: set[str] = set()
-        points = [
-            (_point_config(config, spec.sweep_axis, value), m if per_m else int(value))
-            for value in spec.axis_values
-        ]
-        rates = _TableRates(points, partitions)
-        for value, (point, point_m) in zip(spec.axis_values, points):
-            try:
-                tail, point_flags = _metric_point(
-                    spec.metric, point, point_m, partitions, rates, baselines, curves
-                )
-            except NumericalDiagnosticError as exc:
+        table = slice(i * count, (i + 1) * count)
+        for value, (_, point_m), result in zip(
+            spec.axis_values, points[table], results[table]
+        ):
+            if isinstance(result, NumericalDiagnosticError):
                 logger.warning(
                     "%s = %r, m = %d: row left out: %s",
-                    spec.sweep_axis, value, point_m, exc,
+                    spec.sweep_axis, value, point_m, result,
                 )
                 flags.add(_DIAGNOSTIC_FLAG)
                 continue
+            tail, point_flags = result
             rows.append((float(value),) + tail)
             flags.update(point_flags)
         if per_m:

@@ -99,6 +99,14 @@ def test_axis_values_must_increase():
         parse_config_text("d_x = 10\naxis_values = 5, 5\n")
 
 
+def test_m_values_must_not_repeat():
+    # Each m writes its own table; a repeat would overwrite the first.
+    with pytest.raises(ConfigError, match="line 2: m_values must not repeat, got '2,1,2'"):
+        parse_config_text("d_x = 10\nm_values = 2,1,2\n")
+    with pytest.raises(ConfigError, match=r"line 3: m_values must not repeat"):
+        parse_config_text("d_x = 10\nmetric = regions\nm_values = 3:3:2\n")
+
+
 def test_m_values_must_be_positive():
     with pytest.raises(ConfigError):
         parse_config_text("d_x = 10\nm_values = 0, 2\n")
@@ -172,6 +180,9 @@ def test_sweep_spec_direct_validation():
     with pytest.raises(ConfigError):
         SweepSpec(metric="outage", sweep_axis="gamma_t_db", axis_values=(90.0,),
                   fixed_params=base, m_values=(0,))
+    with pytest.raises(ConfigError, match="must not repeat"):
+        SweepSpec(metric="outage", sweep_axis="gamma_t_db", axis_values=(90.0,),
+                  fixed_params=base, m_values=(2, 1, 2))
 
 
 def test_load_config_reads_utf8(tmp_path):

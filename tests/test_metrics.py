@@ -189,6 +189,20 @@ def test_rate_kernel_matches_2d_quadrature():
         assert c_l(delta, c0, cfg) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
+@pytest.mark.parametrize("gamma_t_db", [90.0, 100.0, 110.0])
+def test_rate_kernel_matches_mpmath_in_the_benchmark_room(gamma_t_db):
+    # The d_x = 30 room at the first and last of ten antennas, so c_0k / h^2
+    # runs from about 19 to 7,500; widths span the partitions' 0.15 to 15 m.
+    cfg = SystemConfig(d_x=30.0, gamma_t_db=gamma_t_db)
+    scales, _ = metrics._c0k_values(cfg, make_layout(cfg, 10))
+    for c0 in (float(scales[0]), float(scales[-1])):
+        for delta in (0.15, 0.5, 1.5, 5.0, 15.0):
+            ref = oracle.rate_kernel_mpmath(delta, c0, cfg.d_y, cfg.h)
+            assert c_l(delta, c0, cfg) == pytest.approx(ref, rel=1e-13, abs=0.0), (
+                f"delta={delta} c0={c0}"
+            )
+
+
 @pytest.mark.parametrize("c0", [1e-14, 1e-12, 1e-10, 1e-8])
 def test_rate_kernel_small_c0k_matches_log1p_quadrature(c0):
     # The difference of kernels at c_0k + h^2 and h^2 cancels here, to

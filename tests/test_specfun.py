@@ -31,6 +31,22 @@ def test_ti2_matches_mpmath_random():
         assert abs(ti2(float(z)) - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_ti2_matches_mpmath_to_rounding_in_every_branch():
+    # Uniform in the series branch, near one, and log-uniform above the
+    # inversion edge, with both signs, plus each branch edge.
+    rng = np.random.default_rng(22)
+    sizes = np.concatenate((
+        rng.uniform(0.0, 0.6, 200),
+        rng.uniform(0.6, 1.5, 200),
+        np.exp(rng.uniform(math.log(1.5), math.log(1e8), 200)),
+        [0.6, np.nextafter(0.6, 1.0), 1.5, np.nextafter(1.5, 2.0)],
+    ))
+    zs = sizes * rng.choice((-1.0, 1.0), size=sizes.size)
+    for z, value in zip(zs.tolist(), ti2(zs).tolist()):
+        ref = math.copysign(oracle.ti2_mpmath(abs(z)), z)
+        assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), f"z={z}"
+
+
 def test_ti2_odd():
     for z in (0.3, 1.0, 4.2):
         assert ti2(-z) == -ti2(z)
@@ -47,12 +63,11 @@ def test_ti2_branch_seam_continuity():
 
 
 def test_ti2_inversion_identity():
-    # Two native evaluations on each side, so the budget is twice the
-    # series truncation target (1e-12), with headroom.
+    # Each side is within a few ulps of Ti2 (see the mpmath test above).
     for z in (1.5, 2.0, 10.0, 123.0, 1e5):
         lhs = ti2(z)
         rhs = ti2(1.0 / z) + 0.5 * math.pi * math.log(z)
-        assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
+        assert abs(lhs - rhs) < 1e-14 * max(1.0, abs(lhs))
 
 
 def test_ti2_rejects_non_finite():

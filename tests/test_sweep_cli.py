@@ -226,14 +226,15 @@ def test_sweep_pde_m_axis_is_one_rate_pass(monkeypatch):
         assert efficiency == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_sweep_rate_gamma_is_one_rate_pass_per_table(monkeypatch):
+def test_sweep_rate_gamma_is_one_rate_pass_per_run(monkeypatch):
     calls = _count_rate_passes(monkeypatch)
     spec = _spec(
         "d_x = 30\nmetric = rate\nsweep_axis = gamma_t_db\naxis_values = 90:110:21\n"
         "m_values = 1,2,10\n"
     )
     tables = run_sweep(spec)
-    assert calls == [21, 21, 21]
+    # Every table's 21 points in one call, not one call per table.
+    assert calls == [63]
     for table, m in zip(tables, (1, 2, 10)):
         assert len(table.rows) == 21
         for gamma_t_db, rate in table.rows:
