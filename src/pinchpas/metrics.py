@@ -24,7 +24,6 @@ from .system import (
     PaLayout,
     SystemConfig,
     UserPosition,
-    _antenna_scale,
     _continuous_candidates,
     _continuous_kinks,
     _feedward_offset,
@@ -54,10 +53,11 @@ METRIC_KINDS = ("outage", "ergodic_rate", "continuous_rate", "pde")
 _UNDERFLOW_EXPONENT = 700.0
 _UNDERFLOW_FLAG = "c0k_underflow_clamp"
 
-# Above this ratio of x to delta^2 the grouped special-function form of
-# i_j loses precision to cancellation, so i_j is summed from the
-# arctangent's alternating series instead; there each term is at most
-# 1e-4 of the one before it, so six terms reach machine precision.
+# Above this ratio of x to delta^2 the closed form of `_kernel_slope`, and
+# so of i_j, loses precision to cancellation between its terms, so the
+# slope is summed from the arctangent's alternating series instead; there
+# each term is at most 1e-4 of the one before it, so six terms reach
+# machine precision.
 _IJ_DIRECT_RATIO = 1e4
 _IJ_SERIES_TERMS = 6
 
@@ -175,7 +175,8 @@ def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[np.ndarray, boo
     """Attenuated SNR scale per antenna, clamped against exp underflow."""
     positions = np.asarray(layout.x_k)
     clamped = config.alpha * positions > _UNDERFLOW_EXPONENT
-    values = np.where(clamped, sys.float_info.min, _antenna_scale(config, positions))
+    scale = derive_rf(config).big_c * np.exp(-config.alpha * positions)
+    values = np.where(clamped, sys.float_info.min, scale)
     return values, bool(clamped.any())
 
 
@@ -259,33 +260,10 @@ def i_i(x, delta_width, d_y):
     )
 
 
-def _j_integrals(x: np.ndarray, half: np.ndarray) -> list[np.ndarray]:
-    """J_1 .. J_6, the integrals of (x + y^2)^(-n) for y from 0 to half.
-
-    J_1 in closed form, then J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
-    """
-    sqrt_x = np.sqrt(x)
-    inv_corner_sq = 1.0 / (x + half * half)
-    inv_corner_pow = 1.0
-    j = [np.arctan(half / sqrt_x) / sqrt_x]
-    for n in range(1, _IJ_SERIES_TERMS):
-        inv_corner_pow = inv_corner_pow * inv_corner_sq
-        j.append((half * inv_corner_pow + (2 * n - 1) * j[-1]) / (2 * n * x))
-    return j
-
-
-def _arctan_kernel_series(x, delta_width, d_y):
-    half = 0.5 * d_y
-    d_sq = delta_width * delta_width
-    delta_pow = delta_width
-    total = 2.0 * delta_width * half
-    for n, j_n in enumerate(_j_integrals(x, half), start=1):
-        delta_pow = delta_pow * d_sq
-        total = total + (-1) ** n * 2.0 * delta_pow / (2 * n + 1) * j_n
-    return total
-
-
-def _arctan_kernel_closed(x, delta_width, d_y):
+def _arctan_kernel(x, delta_width, d_y):
+    # i_j without its argument check. `_conditional_rates`, which checks its
+    # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
+    # `metrics.i_j` and labels each call by its arguments taken as scalars.
     corner = np.sqrt(x + d_y * d_y / 4.0)
     root = np.sqrt(x + delta_width * delta_width)
     edge = 0.5 * delta_width * d_y - delta_width * root * np.arctan(
@@ -295,44 +273,37 @@ def _arctan_kernel_closed(x, delta_width, d_y):
     return core + edge + x * _kernel_slope(x, delta_width, d_y)
 
 
-def _arctan_kernel(x, delta_width, d_y) -> np.ndarray:
-    # i_j without its argument check. `_conditional_rates`, which checks its
-    # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
-    # `metrics.i_j` and labels each call by its arguments taken as scalars.
-    x, delta_width, d_y = _arrays(x, delta_width, d_y)
-    return _piecewise(
-        x > _IJ_DIRECT_RATIO * delta_width * delta_width,
-        _arctan_kernel_series,
-        _arctan_kernel_closed,
-        x,
-        delta_width,
-        d_y,
-    )
-
-
 def i_j(x, delta_width, d_y):
     """Arctangent-kernel building block of the conditional rate.
 
     Integral of 2*sqrt(x + y^2)*arctan(delta_width / sqrt(x + y^2)) for y
-    from 0 to Y = d_y/2. Up to x = 1e4 * delta_width^2 it is a closed form
-    in ti2, grouped against cancellation. Beyond, where that form would
-    lose roughly x * eps, the arctangent's series is integrated term by
-    term: 2*delta*Y + sum over n >= 1 of (-1)^n * 2*delta^(2n+1) / (2n+1)
-    * J_n, with J_n the integral of (x + y^2)^(-n) over the same range.
-    Floats give a float; arrays broadcast, each element taking its own
-    branch.
+    from 0 to Y = d_y/2: an edge and a core term in closed form plus x
+    times `_kernel_slope`, the one place that picks between the closed
+    form in ti2 and the arctangent's series, per element. Floats give a
+    float; arrays broadcast.
     """
     _require_positive("x", x)
     return _float_or_array(_arctan_kernel(x, delta_width, d_y))
 
 
 def _kernel_slope_series(x, delta_width, d_y):
+    # (-1)^(n-1) * delta^(2n-1) / (2n-1) * J_n summed over the first
+    # _IJ_SERIES_TERMS n, with J_n the integral of (x + y^2)^(-n) for y
+    # from 0 to Y = d_y/2: J_1 in closed form, then
+    # J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
+    half = 0.5 * d_y
+    sqrt_x = np.sqrt(x)
+    inv_corner_sq = 1.0 / (x + half * half)
+    inv_corner_pow = 1.0
+    j_n = np.arctan(half / sqrt_x) / sqrt_x
     d_sq = delta_width * delta_width
     delta_pow = delta_width
-    total = 0.0
-    for n, j_n in enumerate(_j_integrals(x, 0.5 * d_y), start=1):
-        total = total + (-1) ** (n - 1) * delta_pow / (2 * n - 1) * j_n
+    total = delta_pow * j_n
+    for n in range(1, _IJ_SERIES_TERMS):
+        inv_corner_pow = inv_corner_pow * inv_corner_sq
+        j_n = (half * inv_corner_pow + (2 * n - 1) * j_n) / (2 * n * x)
         delta_pow = delta_pow * d_sq
+        total = total + (-1) ** n * delta_pow / (2 * n + 1) * j_n
     return total
 
 
@@ -351,7 +322,8 @@ def _kernel_slope(x, delta_width, d_y):
     form pi/2 * A + ti2(b e^-A) - ti2(b e^A), A = asinh(d_y / (2 sqrt(x))),
     b = sqrt(x) / (sqrt(x + delta^2) + delta); beyond, the arctangent's
     series: sum over n >= 1 of (-1)^(n-1) * delta^(2n-1) / (2n-1) * J_n,
-    with `i_j`'s J_n. Floats give a float; arrays broadcast.
+    with J_n the integral of (x + y^2)^(-n) over the same range. Each
+    element takes its own branch. Floats give a float; arrays broadcast.
     """
     x, delta_width, d_y = _arrays(x, delta_width, d_y)
     return _float_or_array(

@@ -4,10 +4,11 @@ Users are drawn uniformly over the service rectangle, the serving antenna
 is the one with the highest instantaneous SNR, and sample means with
 standard errors are accumulated chunk by chunk so a run of a billion
 samples needs only chunk-sized memory. Each user's best SNR comes from
-`system.best_snr`, which past a dozen antennas evaluates the one SNR law
-on three candidate antennas per user that provably hold the best, so the
-cost per sample does not grow with the antenna count. An outage curve
-over transmit SNR draws each user once for all its points. Streams are
+`system.best_snr`, big_c times the best gain, which past a dozen antennas
+is evaluated on three candidate antennas per user that provably hold the
+best, so the cost per sample does not grow with the antenna count. An
+outage curve over transmit SNR draws each user and computes its best gain
+once for all its points, and counts each point exactly. Streams are
 counter-based: a given (seed, chunk size) pair reproduces the same
 estimate regardless of platform.
 """
@@ -23,6 +24,7 @@ import numpy as np
 from .system import (
     PaLayout,
     SystemConfig,
+    _best_gain,
     _continuous_snr,
     best_snr,
     db_to_linear,
@@ -39,10 +41,6 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 1_000
-# Relative half-width of the band around a rescaled outage threshold whose
-# users `simulate_outage_curve` recomputes at their own transmit SNR. The
-# rescaled and the direct SNR differ by a few roundings, about 1e-15.
-_RESCALE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -104,6 +102,20 @@ def simulate_outage(
     return simulate_outage_curve(config, layout, spec, (config.gamma_t_db,))[0]
 
 
+def _gain_limit(threshold: float, big_c: float) -> float:
+    """The largest float g with fl(big_c * g) <= threshold.
+
+    Rounding is monotone, so fl(big_c * g) <= threshold exactly when
+    g <= this limit. threshold / big_c is within an ulp or two of it.
+    """
+    limit = threshold / big_c
+    while big_c * limit > threshold:
+        limit = math.nextafter(limit, -math.inf)
+    while big_c * math.nextafter(limit, math.inf) <= threshold:
+        limit = math.nextafter(limit, math.inf)
+    return limit
+
+
 def simulate_outage_curve(
     config: SystemConfig,
     layout: PaLayout,
@@ -112,34 +124,25 @@ def simulate_outage_curve(
 ) -> tuple[SimEstimate, ...]:
     """`simulate_outage` at each transmit SNR in `gamma_t_dbs`, from one draw.
 
-    Every antenna's SNR carries the factor big_c, which is linear in the
-    transmit SNR, so neither the best antenna nor the best SNR divided by
-    big_c depends on gamma_t. Each chunk's users are drawn and their best
-    SNR computed once, at `config`; gamma_t point i counts the users at or
-    below threshold * C(config) / C(gamma_i), with C = `derive_rf`'s big_c.
-    The rare users within `_RESCALE_BAND` of that rescaled threshold are
-    recomputed at gamma_i itself, so each estimate equals `simulate_outage`
-    at `config` with gamma_t_db = gamma_i, bit for bit.
+    A user's best SNR is big_c times its best gain (`system.best_snr`),
+    and only big_c depends on the transmit SNR. So each chunk's users are
+    drawn and their best gains computed once, and gamma_t point i counts
+    the gains at or below `_gain_limit` of the threshold and its big_c:
+    exactly the users whose best SNR at gamma_i is at or below the
+    threshold. Each estimate equals `simulate_outage` at `config` with
+    gamma_t_db = gamma_i, bit for bit, by construction.
     """
     threshold = db_to_linear(config.gamma_thr_db)
-    big_c = derive_rf(config).big_c
-    bands = []
+    limits = []
     for gamma_t_db in gamma_t_dbs:
         point = dataclasses.replace(config, gamma_t_db=gamma_t_db)
-        limit = threshold * (big_c / derive_rf(point).big_c)
-        low, high = limit * (1.0 - _RESCALE_BAND), limit * (1.0 + _RESCALE_BAND)
-        bands.append((point, low, high))
-    hits = [0] * len(bands)
+        limits.append(_gain_limit(threshold, derive_rf(point).big_c))
+    hits = [0] * len(limits)
     for index, take in _chunk_sizes(spec):
         x, y = _draw_users(_chunk_rng(spec, index), config, take)
-        best = best_snr(config, layout, x, y)
-        for i, (point, low, high) in enumerate(bands):
-            below = int(np.count_nonzero(best <= low))
-            hits[i] += below
-            if np.count_nonzero(best <= high) > below:
-                near = np.flatnonzero((best > low) & (best <= high))
-                exact = best_snr(point, layout, x[near], y[near])
-                hits[i] += int(np.count_nonzero(exact <= threshold))
+        gain = _best_gain(config, layout, x, y)
+        for i, limit in enumerate(limits):
+            hits[i] += int(np.count_nonzero(gain <= limit))
     n = spec.n_samples
     estimates = []
     for count in hits:

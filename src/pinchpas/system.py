@@ -4,13 +4,16 @@ A transmission point is created at one of M fixed positions along a lossy
 dielectric waveguide mounted at height h over a rectangular service area.
 Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
-The SNR law is written once, in `_snr`, with the scale `_antenna_scale`,
-and evaluated three ways: `snr_matrix` on every antenna (behind the scalar
-`select_pa`); `best_snr` (behind the simulator), which past a dozen
-antennas evaluates it on three candidate antennas per user that provably
-hold the best one, so its cost does not grow with the antenna count (the
-proof is in its docstring); and `_continuous_candidates`, for the freely
-placed radiator of the continuous baseline.
+The SNR law is big_c, the one factor that depends on the transmit SNR,
+times a gain e^(-alpha x_k) / distance^2 written once, in `_gain`, and
+evaluated three ways: `snr_matrix` on every antenna (behind the scalar
+`select_pa`); `best_snr` (behind the simulator), whose `_best_gain` past a
+dozen antennas evaluates it on three candidate antennas per user that
+provably hold the best one, so its cost does not grow with the antenna
+count (the proof is in its docstring); and `_continuous_candidates`, for
+the freely placed radiator of the continuous baseline. Each multiplies by
+big_c last; rounding is monotone, so the best SNR is big_c times the best
+gain, bit for bit.
 
 All computation is done in linear SI units. dB and dBm appear only in the
 configuration fields and are converted once at construction time.
@@ -19,7 +22,7 @@ configuration fields and are converted once at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +41,10 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# The dB values whose linear ratio 10^(v/10) neither overflows nor falls
+# below the smallest normal float, 2.2e-308.
+_DB_RANGE = (-3076.0, 3082.0)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -76,6 +83,17 @@ class SystemConfig:
     gamma_thr_db: float = 20.0
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
+        for name in ("gamma_t_db", "gamma_thr_db"):
+            value = getattr(self, name)
+            if not _DB_RANGE[0] <= value <= _DB_RANGE[1]:
+                raise ValueError(
+                    f"{name} must lie in [{_DB_RANGE[0]}, {_DB_RANGE[1]}] dB, "
+                    f"where its linear ratio is a normal float, got {value!r}"
+                )
         if not self.d_x > 0:
             raise ValueError(f"d_x must be > 0, got {self.d_x!r}")
         if not self.d_y > 0:
@@ -180,29 +198,33 @@ def _feedward_offset(alpha: float, dist_sq):
     )
 
 
-def _antenna_scale(config: SystemConfig, positions: np.ndarray) -> np.ndarray:
-    """SNR scale big_c * exp(-alpha x_k) of the antennas at `positions`."""
-    return derive_rf(config).big_c * np.exp(-config.alpha * positions)
-
-
-def _snr(
+def _gain(
     config: SystemConfig,
     positions: np.ndarray,
-    scale: np.ndarray,
+    attenuation: np.ndarray,
     x: np.ndarray,
     y_sq: np.ndarray,
 ) -> np.ndarray:
-    """The SNR law: scale / ((x - x_k)^2 + y^2 + h^2), computed in place.
+    """The SNR law over big_c, e^(-alpha x_k) / ((x - x_k)^2 + y^2 + h^2), in place.
 
-    `positions` and `scale` are either shape (m, 1), for every antenna, or
-    one candidate antenna per user, shape (n,) or scalar; each entry takes
-    the same operations in the same order either way.
+    `attenuation` holds e^(-alpha x_k). `positions` and `attenuation` are
+    either shape (m, 1), for every antenna, or one candidate antenna per
+    user, shape (n,) or scalar; each entry takes the same operations in the
+    same order either way.
     """
     denom = x - positions
     denom *= denom
     denom += y_sq
     denom += config.h * config.h
-    return np.divide(scale, denom, out=denom)
+    return np.divide(attenuation, denom, out=denom)
+
+
+def _gain_matrix(
+    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """`snr_matrix` over big_c."""
+    positions = np.asarray(layout.x_k)[:, None]
+    return _gain(config, positions, np.exp(-config.alpha * positions), x, y**2)
 
 
 def snr_matrix(
@@ -223,8 +245,7 @@ def snr_matrix(
     Returns:
         Strictly positive linear SNRs; row k - 1 belongs to antenna k.
     """
-    positions = np.asarray(layout.x_k)[:, None]
-    return _snr(config, positions, _antenna_scale(config, positions), x, y**2)
+    return derive_rf(config).big_c * _gain_matrix(config, layout, x, y)
 
 
 def _continuous_candidates(
@@ -239,9 +260,10 @@ def _continuous_candidates(
     y_sq = y**2
     offset = _feedward_offset(config.alpha, y_sq + config.h * config.h)
     placement = np.clip(x - offset, 0.0, config.d_x)
-    station = _snr(config, placement, _antenna_scale(config, placement), x, y_sq)
-    feed = _snr(config, 0.0, derive_rf(config).big_c, x, y_sq)
-    return placement, station, feed
+    big_c = derive_rf(config).big_c
+    station = _gain(config, placement, np.exp(-config.alpha * placement), x, y_sq)
+    feed = _gain(config, 0.0, 1.0, x, y_sq)
+    return placement, big_c * station, big_c * feed
 
 
 def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -316,7 +338,7 @@ def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:
 # window at any m, and 0.14 / 0.21 / 0.31 s through the full matrix at
 # m = 1 / 10 / 20.
 _FULL_MATRIX_MAX_M = 12
-# Users evaluated at once by `best_snr`. Small blocks keep the window's
+# Users evaluated at once by `_best_gain`. Small blocks keep the window's
 # temporaries in cache and in the allocator's free lists; unblocked, page
 # faults on fresh 2 MB temporaries made a 250,000-user chunk take about
 # 1.6x as long at m = 100.
@@ -328,23 +350,34 @@ def best_snr(
 ) -> np.ndarray:
     """Each user's best-antenna SNR (linear), shape (n,).
 
-    Returns `snr_matrix(...).max(axis=0)`; past a dozen antennas it is
-    evaluated on a window of three candidate antennas per user: antenna 1
-    and the two antennas that bracket x - t1. Antenna k's SNR at (x, y) is
-    proportional to e^(-alpha t) / ((x - t)^2 + r^2) with t = x_k and
-    r^2 = y^2 + h^2. Put u = x - t:
+    Returns `snr_matrix(...).max(axis=0)` bit for bit: big_c times
+    `_best_gain`, the best e^(-alpha x_k) / distance^2. Rounding is
+    monotone, so max_k fl(big_c g_k) = fl(big_c max_k g_k).
+    """
+    return derive_rf(config).big_c * _best_gain(config, layout, x, y)
 
-    - d/du log SNR = alpha - 2u / (u^2 + r^2), which is >= 0 for u <= 0.
+
+def _best_gain(
+    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """`_gain_matrix(...).max(axis=0)`: each user's best gain, shape (n,).
+
+    Past a dozen antennas it is evaluated on a window of three candidate
+    antennas per user: antenna 1 and the two antennas that bracket x - t1.
+    Antenna k's gain at (x, y) is e^(-alpha t) / ((x - t)^2 + r^2) with
+    t = x_k and r^2 = y^2 + h^2. Put u = x - t:
+
+    - d/du log gain = alpha - 2u / (u^2 + r^2), which is >= 0 for u <= 0.
     - If alpha^2 r^2 >= 1 it is never negative, so antenna 1 (largest u)
       wins; t1 = inf there and the bracket is antenna 1 too.
-    - Otherwise the SNR rises in u up to u = t1 (`_feedward_offset`),
+    - Otherwise the gain rises in u up to u = t1 (`_feedward_offset`),
       falls to a second root, then rises again.
     - So for t >= x - t1 it never rises with t, and the first antenna at
       or beyond x - t1 wins there; for t < x - t1 the last antenna before
       x - t1 wins, or antenna 1 if the final rise reaches past it.
 
-    Each candidate's SNR is computed exactly as `snr_matrix` computes it,
-    so the values match bit for bit. The one exception needs antenna
+    Each candidate's gain is computed exactly as `_gain_matrix` computes
+    it, so the values match bit for bit. The one exception needs antenna
     spacings below about 1e-6 of r, such as micrometre spacings in a
     centimetre room: there two antennas can tie to within rounding, and
     the window may keep the one that rounds one ulp lower.
@@ -353,24 +386,24 @@ def best_snr(
     for start in range(0, x.size, _BLOCK_USERS):
         block = slice(start, start + _BLOCK_USERS)
         if layout.m <= _FULL_MATRIX_MAX_M:
-            best[block] = snr_matrix(config, layout, x[block], y[block]).max(axis=0)
+            best[block] = _gain_matrix(config, layout, x[block], y[block]).max(axis=0)
         else:
-            best[block] = _window_snr(config, layout, x[block], y[block])
+            best[block] = _window_gain(config, layout, x[block], y[block])
     return best
 
 
-def _window_snr(
+def _window_gain(
     config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """`best_snr` over its three candidate antennas per user, for any m."""
+    """`_best_gain` over its three candidate antennas per user, for any m."""
     positions = np.asarray(layout.x_k)
-    scale = _antenna_scale(config, positions)
+    attenuation = np.exp(-config.alpha * positions)
     y_sq = y**2
     peak = x - _feedward_offset(config.alpha, y_sq + config.h * config.h)
     above_peak = _first_at_or_beyond(layout, peak)
-    best = _snr(config, positions[0], scale[0], x, y_sq)
+    best = _gain(config, positions[0], attenuation[0], x, y_sq)
     for k in (np.maximum(above_peak - 1, 0), above_peak):
-        np.maximum(best, _snr(config, positions[k], scale[k], x, y_sq), out=best)
+        np.maximum(best, _gain(config, positions[k], attenuation[k], x, y_sq), out=best)
     return best
 
 

@@ -179,6 +179,31 @@ def test_ij_continuous_across_evaluation_switch():
     assert abs(hi - lo) < 1e-9 * abs(hi)
 
 
+# x / delta^2 on both sides of the switch at 1e4, with i_j's tolerance
+# there. Below it the slope's closed form in ti2 cancels most where d_y is
+# small against sqrt(x): 4.7e-12 at delta = 8, d_y = 0.5. From the switch
+# on the slope's series holds i_j to rounding.
+_IJ_RATIOS = (
+    (1e3, 1e-11),
+    (5e3, 1e-11),
+    (1e4 * (1.0 - 1e-12), 1e-11),
+    (1e4 * (1.0 + 1e-12), 1e-14),
+    (3e4, 1e-14),
+    *((10.0**e, 1e-14) for e in range(5, 15)),
+)
+
+
+@pytest.mark.parametrize("delta", [0.01, 0.3, 1.7, 8.0])
+@pytest.mark.parametrize("d_y", [0.5, 9.0, 100.0])
+def test_ij_matches_mpmath_on_both_sides_of_the_switch(delta, d_y):
+    # i_j is one form in every regime: its closed edge and core terms plus
+    # x times the kernels' slope, which takes its series from x = 1e4 delta^2.
+    for ratio, rel in _IJ_RATIOS:
+        x = ratio * delta * delta
+        ref = oracle.ij_mpmath(x, delta, d_y)
+        assert i_j(x, delta, d_y) == pytest.approx(ref, rel=rel, abs=0.0), ratio
+
+
 def test_rate_kernel_matches_2d_quadrature():
     cfg = SystemConfig(d_x=10.0)
     rng = np.random.default_rng(36)

@@ -1,9 +1,12 @@
 """Simulation oracle: determinism, stream independence, and agreement."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinchpas import (
     SimulationSpec,
@@ -162,23 +165,18 @@ def test_outage_curve_equals_pointwise_simulation(seed, m):
     assert any(0.0 < estimate.mean < 1.0 for estimate in curve)
 
 
-def test_outage_curve_recomputes_users_near_the_rescaled_threshold(monkeypatch):
-    # A band of +-50% sends a large share of users through the recount at
-    # their own transmit SNR, which must give the same counts.
-    monkeypatch.setattr(montecarlo, "_RESCALE_BAND", 0.5)
-    recounted = []
-
-    def counting_best_snr(config, layout, x, y):
-        if config.gamma_t_db != cfg.gamma_t_db:
-            recounted.append(x.size)
-        return best_snr(config, layout, x, y)
-
-    monkeypatch.setattr(montecarlo, "best_snr", counting_best_snr)
-    cfg = SystemConfig(d_x=30.0, gamma_t_db=100.0)
-    lay = make_layout(cfg, 10)
-    spec = SimulationSpec(n_samples=20_000, seed=5, chunk_size=6_000)
-    curve = simulate_outage_curve(cfg, lay, spec, _CURVE_GAMMAS)
-    assert sum(recounted) > 1_000
-    for gamma_t_db, estimate in zip(_CURVE_GAMMAS, curve):
-        point = replace(cfg, gamma_t_db=gamma_t_db)
-        assert estimate.mean == _direct_outage_hits(point, lay, spec) / spec.n_samples
+@settings(max_examples=400, deadline=None)
+@given(
+    threshold_exp=st.floats(-300.0, 300.0),
+    big_c_exp=st.floats(-300.0, 300.0),
+)
+@example(threshold_exp=2.0, big_c_exp=math.log10(7.25e-7) + 10.0)  # 20 dB; 100 dB at 28 GHz
+@example(threshold_exp=300.0, big_c_exp=-300.0)  # threshold / big_c overflows
+@example(threshold_exp=-300.0, big_c_exp=300.0)  # and underflows to 0
+def test_gain_limit_is_the_last_gain_in_outage(threshold_exp, big_c_exp):
+    # A user is in outage when fl(big_c g) <= threshold; the curve counts
+    # g <= limit instead, which is the same set only if the limit is the
+    # largest such float.
+    threshold, big_c = 10.0**threshold_exp, 10.0**big_c_exp
+    limit = montecarlo._gain_limit(threshold, big_c)
+    assert big_c * limit <= threshold < big_c * math.nextafter(limit, math.inf)

@@ -365,6 +365,36 @@ def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, text, field",
+    [
+        ("outage", "d_x = 10\ngamma_thr_db = -inf\n", "gamma_thr_db"),
+        ("outage", "d_x = 10\ngamma_thr_db = -4000\n", "gamma_thr_db"),
+        ("simulate", "d_x = inf\naxis_values = 95\n", "d_x"),
+        ("simulate", "d_x = 10\nd_y = inf\naxis_values = 95\n", "d_y"),
+        ("pde", "d_x = 10\ngamma_t_db = 1e308\n", "gamma_t_db"),
+        ("outage", "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90,4000\n",
+         "gamma_t_db"),
+        ("pde", "d_x = 10\nsweep_axis = alpha\naxis_values = 0.05,inf\n", "alpha"),
+        ("outage", "d_x = 10\nsweep_axis = d_x\naxis_values = 10,inf\n", "d_x"),
+    ],
+    ids=[
+        "threshold_minus_inf", "threshold_underflows", "d_x_inf", "d_y_inf",
+        "gamma_t_overflows", "gamma_t_axis_overflows", "alpha_axis_inf", "d_x_axis_inf",
+    ],
+)
+def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, field):
+    # Infinite fields, and dB values whose linear ratio is 0 or overflows,
+    # are rejected when read (or when the axis sets them), by name.
+    cfg = _write_cfg(tmp_path, text + "m_values = 2\n")
+    out = tmp_path / "o"
+    code = main([command, "--config", cfg, "--out-dir", str(out), "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"pinchpas: {field} must" in err
+    assert "Traceback" not in err
+
+
 def test_cli_simulate_seed_and_samples_flags(tmp_path):
     cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 2\naxis_values = 95:95:1\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

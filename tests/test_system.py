@@ -18,7 +18,7 @@ from pinchpas import (
     select_pa,
     snr_matrix,
 )
-from pinchpas.system import SPEED_OF_LIGHT, _window_snr
+from pinchpas.system import SPEED_OF_LIGHT, _window_gain
 
 
 def test_db_round_trip():
@@ -53,6 +53,14 @@ def test_config_validation():
         SystemConfig(d_x=10.0, h=-0.1)
     # h = 0 is allowed at construction; only the rate closed form needs h > 0
     SystemConfig(d_x=10.0, h=0.0)
+    with pytest.raises(ValueError, match="noise_dbm must be finite"):
+        SystemConfig(d_x=10.0, noise_dbm=math.nan)
+    with pytest.raises(ValueError, match="gamma_t_db must lie in"):
+        SystemConfig(d_x=10.0, gamma_t_db=3083.0)
+    # The edges of the dB range still give normal, finite big_c and threshold.
+    edge = SystemConfig(d_x=10.0, gamma_t_db=3082.0, gamma_thr_db=-3076.0)
+    assert math.isfinite(derive_rf(edge).big_c)
+    assert db_to_linear(edge.gamma_thr_db) >= 2.2250738585072014e-308
 
 
 def test_layout_geometry():
@@ -128,6 +136,7 @@ def test_attenuation_shifts_selection_toward_feed():
 def test_best_snr_equals_full_max_on_grid(alpha, d_x, m):
     cfg = SystemConfig(d_x=d_x, alpha=alpha)
     lay = make_layout(cfg, m)
+    big_c = derive_rf(cfg).big_c
     x_k = np.asarray(lay.x_k)
     xs = np.concatenate(
         (
@@ -140,7 +149,7 @@ def test_best_snr_equals_full_max_on_grid(alpha, d_x, m):
     for y_m in (0.0, 1.3, cfg.d_y / 2.0, -cfg.d_y / 2.0):
         y = np.full_like(xs, y_m)
         full = snr_matrix(cfg, lay, xs, y).max(axis=0)
-        assert np.array_equal(_window_snr(cfg, lay, xs, y), full)
+        assert np.array_equal(big_c * _window_gain(cfg, lay, xs, y), full)
         assert np.array_equal(best_snr(cfg, lay, xs, y), full)
 
 
@@ -192,7 +201,7 @@ def test_best_snr_equals_full_max_property(
     y[len(x_frac):] = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         full = snr_matrix(cfg, lay, x, y).max(axis=0)
-        window = _window_snr(cfg, lay, x, y)
+        window = derive_rf(cfg).big_c * _window_gain(cfg, lay, x, y)
         best = best_snr(cfg, lay, x, y)
     assert np.array_equal(window, full, equal_nan=True)
     assert np.array_equal(best, full, equal_nan=True)
