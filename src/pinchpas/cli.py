@@ -15,6 +15,7 @@ import argparse
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,28 @@ def _selftest() -> int:
         "batched rate table matches pointwise rates",
         worst <= 1e-13,
         f"worst rel={worst:.3e}",
+    )
+
+    # A simulate run along alpha at two antenna counts draws its users once;
+    # each point still equals its own simulation exactly.
+    spec = SweepSpec(
+        metric="simulate",
+        sweep_axis="alpha",
+        axis_values=(0.02, 0.05, 0.1),
+        fixed_params=room,
+        m_values=(1, 10),
+    )
+    small = SimulationSpec(n_samples=20_000, seed=7)
+    differ = 0
+    for table, m in zip(run_sweep(spec, small), spec.m_values):
+        for alpha, mean, std_error in table.rows:
+            point = replace(room, alpha=alpha)
+            single = simulate_outage(point, make_layout(point, m), small)
+            differ += (mean, std_error) != (single.mean, single.std_error)
+    all_ok &= _check(
+        "shared-draw simulate run matches pointwise simulation",
+        differ == 0,
+        f"{differ} of 6 points differ",
     )
 
     efficiency = pde(config, layout, partition).value

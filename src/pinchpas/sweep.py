@@ -3,9 +3,9 @@
 A sweep evaluates one metric along one axis, producing one table per
 requested antenna count (or a single table when the antenna count itself
 is the axis). The metric is evaluated once per run, for the points of
-every table together: one partition per geometry and m, one simulator
-draw and one continuous baseline per transmit-SNR curve, and one
-discrete-rate pass.
+every table together: one partition per geometry and m, one continuous
+baseline per transmit-SNR curve, one discrete-rate pass, and one
+simulator call whose users are drawn once per room for every curve.
 
 Tables are two or three numeric columns behind a '#' header that echoes
 every effective parameter; stripping the single-hash prefix recovers a
@@ -32,7 +32,7 @@ from .metrics import (
     _settled_rate,
     outage_probability,
 )
-from .montecarlo import SimEstimate, SimulationSpec, simulate_outage_curve
+from .montecarlo import SimEstimate, SimulationSpec, _simulate_outage_curves
 from .regions import RegionPartition, optimize_partition
 from .system import PaLayout, SystemConfig, make_layout
 
@@ -157,14 +157,21 @@ def _evaluate(
 
     A point whose numerical self-check failed gets that error instead. The
     whole run is evaluated at once: the simulator draws its users once per
-    curve, and a `rate` or `pde` run is one `_ergodic_rates` pass.
+    room for every curve, and a `rate` or `pde` run is one `_ergodic_rates`
+    pass.
     """
     if metric == "simulate":
+        curves = _curves(points)
+        found = _simulate_outage_curves(
+            [
+                (curve[0], make_layout(curve[0], m), tuple(c.gamma_t_db for c in curve))
+                for m, curve in curves
+            ],
+            sim,
+        )
         estimates: dict[tuple[SystemConfig, int], SimEstimate] = {}
-        for m, curve in _curves(points):
-            gammas = [config.gamma_t_db for config in curve]
-            found = simulate_outage_curve(curve[0], make_layout(curve[0], m), sim, gammas)
-            estimates.update(zip([(config, m) for config in curve], found))
+        for (m, curve), curve_estimates in zip(curves, found):
+            estimates.update(zip([(config, m) for config in curve], curve_estimates))
         return [((e.mean, e.std_error), ()) for e in map(estimates.get, points)]
     if metric == "outage":
         results = [outage_probability(*point) for point in _partitioned(points)]

@@ -22,6 +22,7 @@ configuration fields and are converted once at construction time.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -45,6 +46,8 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 # The dB values whose linear ratio 10^(v/10) neither overflows nor falls
 # below the smallest normal float, 2.2e-308.
 _DB_RANGE = (-3076.0, 3082.0)
+# The positive normal floats.
+_NORMAL_RANGE = (sys.float_info.min, sys.float_info.max)
 
 
 def db_to_linear(value_db: float) -> float:
@@ -106,6 +109,18 @@ class SystemConfig:
             raise ValueError(f"f_c must be > 0, got {self.f_c!r}")
         if not self.n_eff >= 1:
             raise ValueError(f"n_eff must be >= 1, got {self.n_eff!r}")
+        # f_c sets the wavelength and eta; gamma_t_db only scales eta to big_c.
+        wavelength, eta, big_c = _rf_values(self.f_c, self.gamma_t_db)
+        for field, name, value in (
+            ("f_c", "wavelength", wavelength),
+            ("f_c", "eta", eta),
+            ("gamma_t_db", "big_c", big_c),
+        ):
+            if not _NORMAL_RANGE[0] <= value <= _NORMAL_RANGE[1]:
+                raise ValueError(
+                    f"{field} must leave {name} a positive normal float, "
+                    f"got {name} = {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -117,16 +132,15 @@ class DerivedRf:
     eta: free-space path gain at 1 m reference distance, dimensionless.
     big_c: eta times the linear transmit SNR; the SNR a user would see at
         1 m slant distance from an unattenuated radiator.
+
+    `SystemConfig` rejects an f_c or gamma_t_db that would leave the
+    wavelength, eta or big_c outside the positive normal floats.
     """
 
     wavelength: float
     wavelength_g: float
     eta: float
     big_c: float
-
-    def __post_init__(self):
-        if not (self.eta > 0 and self.big_c > 0):
-            raise ValueError("eta and big_c must be positive")
 
 
 @dataclass(frozen=True)
@@ -160,15 +174,21 @@ class UserPosition:
     y_m: float
 
 
+def _rf_values(f_c: float, gamma_t_db: float) -> tuple[float, float, float]:
+    """Wavelength, eta and big_c at a carrier frequency and transmit SNR."""
+    wavelength = SPEED_OF_LIGHT / f_c
+    eta = wavelength * wavelength / (16.0 * math.pi * math.pi)
+    return wavelength, eta, eta * db_to_linear(gamma_t_db)
+
+
 def derive_rf(config: SystemConfig) -> DerivedRf:
     """Compute wavelength, reference path gain, and the linear SNR scale."""
-    wavelength = SPEED_OF_LIGHT / config.f_c
-    eta = wavelength * wavelength / (16.0 * math.pi * math.pi)
+    wavelength, eta, big_c = _rf_values(config.f_c, config.gamma_t_db)
     return DerivedRf(
         wavelength=wavelength,
         wavelength_g=wavelength / config.n_eff,
         eta=eta,
-        big_c=eta * db_to_linear(config.gamma_t_db),
+        big_c=big_c,
     )
 
 
@@ -338,11 +358,6 @@ def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:
 # window at any m, and 0.14 / 0.21 / 0.31 s through the full matrix at
 # m = 1 / 10 / 20.
 _FULL_MATRIX_MAX_M = 12
-# Users evaluated at once by `_best_gain`. Small blocks keep the window's
-# temporaries in cache and in the allocator's free lists; unblocked, page
-# faults on fresh 2 MB temporaries made a 250,000-user chunk take about
-# 1.6x as long at m = 100.
-_BLOCK_USERS = 16384
 
 
 def best_snr(
@@ -382,14 +397,9 @@ def _best_gain(
     centimetre room: there two antennas can tie to within rounding, and
     the window may keep the one that rounds one ulp lower.
     """
-    best = np.empty(x.shape)
-    for start in range(0, x.size, _BLOCK_USERS):
-        block = slice(start, start + _BLOCK_USERS)
-        if layout.m <= _FULL_MATRIX_MAX_M:
-            best[block] = _gain_matrix(config, layout, x[block], y[block]).max(axis=0)
-        else:
-            best[block] = _window_gain(config, layout, x[block], y[block])
-    return best
+    if layout.m <= _FULL_MATRIX_MAX_M:
+        return _gain_matrix(config, layout, x, y).max(axis=0)
+    return _window_gain(config, layout, x, y)
 
 
 def _window_gain(

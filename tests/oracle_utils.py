@@ -169,6 +169,24 @@ def ti2_mpmath(z: float) -> float:
         return float(mpmath.im(mpmath.polylog(2, 1j * mpmath.mpf(z))))
 
 
+def simulation_users(
+    seed: int, n_samples: int, chunk_size: int, d_x: float, d_y: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every user of a simulation run, each chunk drawn in one piece.
+
+    Chunk i's generator is Philox keyed by the seed and jumped i times; it
+    draws all of the chunk's x in [0, d_x), then all of its y in
+    [-d_y/2, d_y/2). The chunks are concatenated in order.
+    """
+    xs, ys = [], []
+    for index, start in enumerate(range(0, n_samples, chunk_size)):
+        take = min(chunk_size, n_samples - start)
+        rng = np.random.Generator(np.random.Philox(key=seed).jumped(index))
+        xs.append(rng.uniform(0.0, d_x, size=take))
+        ys.append(rng.uniform(-d_y / 2.0, d_y / 2.0, size=take))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 def brute_force_best_x(config: SystemConfig, user: UserPosition) -> float:
     """Maximize the movable-radiator SNR along [0, d_x] by grid refinement.
 

@@ -23,7 +23,9 @@ from pinchpas import (
     simulate_rate,
 )
 from pinchpas import montecarlo
-from pinchpas.montecarlo import _chunk_rng, _chunk_sizes, _draw_users
+from pinchpas.montecarlo import _BLOCK_USERS, _chunk_rng, _chunk_sizes, _chunk_users
+
+import oracle_utils as oracle
 
 
 def test_spec_validation():
@@ -142,11 +144,10 @@ _CURVE_GAMMAS = (88.0, 93.5, 97.0, 100.25, 106.0, 112.0)
 def _direct_outage_hits(config, layout, spec):
     """Users at or below the threshold, each best SNR computed at `config`."""
     threshold = db_to_linear(config.gamma_thr_db)
-    hits = 0
-    for index, take in _chunk_sizes(spec):
-        x, y = _draw_users(_chunk_rng(spec, index), config, take)
-        hits += int(np.count_nonzero(best_snr(config, layout, x, y) <= threshold))
-    return hits
+    x, y = oracle.simulation_users(
+        spec.seed, spec.n_samples, spec.chunk_size, config.d_x, config.d_y
+    )
+    return int(np.count_nonzero(best_snr(config, layout, x, y) <= threshold))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 8191])
@@ -180,3 +181,67 @@ def test_gain_limit_is_the_last_gain_in_outage(threshold_exp, big_c_exp):
     threshold, big_c = 10.0**threshold_exp, 10.0**big_c_exp
     limit = montecarlo._gain_limit(threshold, big_c)
     assert big_c * limit <= threshold < big_c * math.nextafter(limit, math.inf)
+
+
+# ------------------------------------------------------- user stream --
+
+
+@pytest.mark.parametrize(
+    "n_samples, chunk_size",
+    [
+        (1_001, 1_001),  # one chunk, smaller than a block, 1 past a multiple of 4
+        (1_003, 1_000),  # a 3-user last chunk: no whole Philox step to skip
+        (50_003, 20_001),  # chunks of 5 blocks and 1 user; a shorter last chunk
+        (40_000, 16_386),  # 2 past a multiple of 4 and of the block size
+        (33_000, 2 * _BLOCK_USERS),  # whole blocks, then a 232-user chunk
+    ],
+)
+def test_user_stream_equals_whole_chunk_draws(n_samples, chunk_size):
+    spec = SimulationSpec(n_samples=n_samples, seed=11, chunk_size=chunk_size)
+    xs, ys = [], []
+    for index, take in _chunk_sizes(spec):
+        blocks = list(_chunk_users(spec, index, take, 30.0, 7.5))
+        assert all(0 < x.size <= _BLOCK_USERS and y.size == x.size for x, y in blocks)
+        assert sum(x.size for x, _ in blocks) == take
+        xs += [x for x, _ in blocks]
+        ys += [y for _, y in blocks]
+    x_ref, y_ref = oracle.simulation_users(11, n_samples, chunk_size, 30.0, 7.5)
+    assert np.array_equal(np.concatenate(xs), x_ref)
+    assert np.array_equal(np.concatenate(ys), y_ref)
+
+
+def test_mixed_run_equals_pointwise_simulation(monkeypatch):
+    # Two antenna counts, an alpha axis, an h axis and a second room: the
+    # d_x = 30 curves share one stream of users and d_x = 12 reads its own.
+    streams = []
+    chunk_users = montecarlo._chunk_users
+
+    def counting_chunk_users(spec, index, take, d_x, d_y):
+        streams.append((d_x, d_y, index))
+        return chunk_users(spec, index, take, d_x, d_y)
+
+    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
+    base = SystemConfig(d_x=30.0, gamma_t_db=97.0)
+    configs = [
+        (base, 1),
+        (base, 10),
+        (replace(base, alpha=0.02), 10),
+        (replace(base, alpha=0.1), 10),
+        (replace(base, h=1.5), 40),
+        (replace(base, h=6.0), 1),
+        (replace(base, d_x=12.0), 10),
+        (replace(base, d_x=12.0, alpha=0.2), 40),
+    ]
+    curves = [(config, make_layout(config, m), _CURVE_GAMMAS) for config, m in configs]
+    spec = SimulationSpec(n_samples=30_001, seed=3, chunk_size=7_000)
+    found = montecarlo._simulate_outage_curves(curves, spec)
+    assert streams == [(30.0, 10.0, i) for i in range(5)] + [(12.0, 10.0, i) for i in range(5)]
+    assert len(found) == len(curves)
+    for (config, layout, gammas), estimates in zip(curves, found):
+        assert len(estimates) == len(gammas)
+        for gamma_t_db, estimate in zip(gammas, estimates):
+            point = replace(config, gamma_t_db=gamma_t_db)
+            assert estimate == simulate_outage(point, layout, spec)
+            assert estimate.mean == _direct_outage_hits(point, layout, spec) / spec.n_samples
+    means = [estimate.mean for estimates in found for estimate in estimates]
+    assert any(0.0 < mean < 1.0 for mean in means)

@@ -105,25 +105,25 @@ def test_sweep_simulate_carries_stderr_column():
 
 def _count_user_draws(monkeypatch):
     calls = []
-    draw = montecarlo._draw_users
+    chunk_users = montecarlo._chunk_users
 
-    def counting_draw(rng, config, n):
-        calls.append(n)
-        return draw(rng, config, n)
+    def counting_chunk_users(spec, index, take, d_x, d_y):
+        calls.append(take)
+        return chunk_users(spec, index, take, d_x, d_y)
 
-    monkeypatch.setattr(montecarlo, "_draw_users", counting_draw)
+    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
     return calls
 
 
-def test_sweep_simulate_gamma_draws_users_once_per_table(monkeypatch):
+def test_sweep_simulate_gamma_draws_users_once_per_run(monkeypatch):
     calls = _count_user_draws(monkeypatch)
     spec = _spec(
         "d_x = 30\nmetric = simulate\naxis_values = 90:110:5\nm_values = 1,20\n"
     )
     sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
     tables = run_sweep(spec, sim)
-    # 4 chunks per table, not 4 per point.
-    assert len(calls) == 2 * 4
+    # 4 chunk streams for the run, not 4 per table or per point.
+    assert calls == [6_000, 6_000, 6_000, 2_000]
     for table, m in zip(tables, (1, 20)):
         for gamma_t_db, mean, std_error in table.rows:
             point = replace(spec.fixed_params, gamma_t_db=gamma_t_db)
@@ -131,7 +131,7 @@ def test_sweep_simulate_gamma_draws_users_once_per_table(monkeypatch):
             assert (mean, std_error) == (expected.mean, expected.std_error)
 
 
-def test_sweep_simulate_alpha_table_is_pointwise(monkeypatch):
+def test_sweep_simulate_alpha_draws_users_once_per_run(monkeypatch):
     calls = _count_user_draws(monkeypatch)
     spec = _spec(
         "d_x = 30\nmetric = simulate\nsweep_axis = alpha\n"
@@ -139,7 +139,8 @@ def test_sweep_simulate_alpha_table_is_pointwise(monkeypatch):
     )
     sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
     (table,) = run_sweep(spec, sim)
-    assert len(calls) == 3 * 4
+    # One stream shared by the three alpha values, not one each.
+    assert calls == [6_000, 6_000, 6_000, 2_000]
     expected = []
     for alpha in (0.02, 0.05, 0.1):
         point = replace(spec.fixed_params, alpha=alpha)
@@ -377,15 +378,20 @@ def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
          "gamma_t_db"),
         ("pde", "d_x = 10\nsweep_axis = alpha\naxis_values = 0.05,inf\n", "alpha"),
         ("outage", "d_x = 10\nsweep_axis = d_x\naxis_values = 10,inf\n", "d_x"),
+        ("rate", "d_x = 10\nf_c = 1e-300\n", "f_c"),
+        ("pde", "d_x = 10\nf_c = 1e300\n", "f_c"),
+        ("simulate", "d_x = 10\ngamma_t_db = -3076\naxis_values = -3076\n", "gamma_t_db"),
     ],
     ids=[
         "threshold_minus_inf", "threshold_underflows", "d_x_inf", "d_y_inf",
         "gamma_t_overflows", "gamma_t_axis_overflows", "alpha_axis_inf", "d_x_axis_inf",
+        "wavelength_overflows", "eta_underflows", "big_c_subnormal",
     ],
 )
 def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, field):
-    # Infinite fields, and dB values whose linear ratio is 0 or overflows,
-    # are rejected when read (or when the axis sets them), by name.
+    # Infinite fields, dB values whose linear ratio is 0 or overflows, and
+    # an f_c or gamma_t_db whose wavelength, eta or big_c leaves the normal
+    # floats are rejected when read (or when the axis sets them), by name.
     cfg = _write_cfg(tmp_path, text + "m_values = 2\n")
     out = tmp_path / "o"
     code = main([command, "--config", cfg, "--out-dir", str(out), "--samples", "1000"])
