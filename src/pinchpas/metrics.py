@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import leggauss_cached
+from .numerics import _float_or_array, leggauss_cached
 from .regions import RegionPartition
 from .specfun import _dilog, ti2
 from .system import (
@@ -213,11 +213,6 @@ def outage_probability(
 def _arrays(*values) -> list[np.ndarray]:
     """The arguments as float arrays broadcast to one shape."""
     return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
-
-
-def _float_or_array(value):
-    """A kernel's result: a Python float when every argument was a scalar."""
-    return float(value) if np.ndim(value) == 0 else value
 
 
 def _require_positive(name: str, value) -> None:

@@ -6,8 +6,9 @@ typical geometries, each antenna's serving region is approximated by an
 asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width.
 On the uniform grid the crossing of antennas k and k+1 in row y lies at
 x_k plus an offset that does not depend on k, so every cut sits at x_k
-plus one shared offset, chosen by a single one-dimensional search that
-minimizes the misassigned area against the exact arcs.
+plus one shared offset, chosen by a one-dimensional search that
+minimizes the misassigned area against the exact arcs. A run finds all
+its partitions in one lockstep search, each bit for bit its own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import gauss_legendre, golden_section
+import numpy as np
+
+from .numerics import _float_or_array, gauss_legendre, golden_section
 from .system import PaLayout, SystemConfig
 
 __all__ = ["RegionPartition", "optimize_partition"]
@@ -57,23 +60,56 @@ class RegionPartition:
             )
 
 
-def _boundary_offset(config: SystemConfig, delta: float, y: float) -> float:
+def _boundary_offset(config: SystemConfig, delta: float, y):
     """Offset from x_k of the equal-SNR crossing of antennas k and k+1 in row y.
 
     The same for every k of a grid with spacing delta. It is inf where the
-    equal-SNR circle misses row y: antenna k wins the whole row there.
+    equal-SNR circle misses row y: antenna k wins the whole row there. y
+    may be an array of rows; a float y gives a Python float.
     """
     dist_sq = y * y + config.h * config.h
     # In q = e^(-alpha delta) and w = 1 - q, not e^(alpha delta), which
     # overflows once alpha * delta passes about 709; q only underflows
-    # towards 0, where no circle is left.
+    # towards 0, where no circle is left. math: np.exp may differ by an ulp.
     q = math.exp(-config.alpha * delta)
     w = -math.expm1(-config.alpha * delta)
     disc = q * delta * delta - w * w * dist_sq
-    if disc <= 0.0:
-        # Equivalent to |y| >= circle radius.
-        return math.inf
-    return (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
+    # Equivalent to |y| >= circle radius; the root is not taken there.
+    misses = disc <= 0.0
+    offset = (delta * delta + w * dist_sq) / (delta + np.sqrt(np.where(misses, 0.0, disc)))
+    return _float_or_array(np.where(misses, math.inf, offset))
+
+
+def _optimize_partitions(pairs: list[tuple[SystemConfig, PaLayout]]) -> list[RegionPartition]:
+    """The partition of each (config, layout) pair, from one lockstep search.
+
+    Each searched pair is one column of the mismatch samples and weights and
+    one bracket of `golden_section`: its offset is bit for bit its own search's.
+    """
+    searched = [i for i, (c, lay) in enumerate(pairs) if lay.m > 1 and c.alpha != 0.0]
+    samples, weights = np.empty((2, _MISMATCH_QUAD_POINTS, len(searched)))
+    for column, (config, layout) in enumerate(pairs[i] for i in searched):
+        half = config.d_y / 2.0
+        y_nodes, weights[:, column] = gauss_legendre(_MISMATCH_QUAD_POINTS, -half, half)
+        samples[:, column] = _boundary_offset(config, layout.delta, y_nodes)
+    deltas = np.array([pairs[i][1].delta for i in searched])
+    samples = np.where(np.isinf(samples), deltas, samples)
+
+    def mismatch(b: np.ndarray) -> np.ndarray:
+        # accumulate adds each column top to bottom, as one running sum
+        # would; sum() and dot() add pairwise and could move the offset.
+        return np.add.accumulate(weights * np.abs(samples - b), axis=0)[-1]
+
+    offsets = np.array([layout.delta / 2.0 for _, layout in pairs])
+    offsets[searched] = golden_section(mismatch, 0.0, deltas, tol=_PARTITION_TOL_M)
+    return [
+        RegionPartition(
+            boundaries_b=(0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x),
+            left_limits=(layout.x_k[0],) + (layout.delta - offset,) * (layout.m - 1),
+            right_limits=(offset,) * (layout.m - 1) + (config.d_x - layout.x_k[-1],),
+        )
+        for (config, layout), offset in zip(pairs, offsets.tolist())
+    ]
 
 
 def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:
@@ -83,8 +119,8 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
     offset minimizes the y-integrated horizontal deviation between a
     vertical cut and the exact equal-SNR arc (the misassigned area),
     evaluated with a fixed 64-point Gauss-Legendre rule so results are
-    deterministic. The objective is convex in the offset, so one
-    golden-section search over (0, delta) finds the minimum to 1e-6 m.
+    deterministic. The objective is convex in the offset, so a golden-section
+    search over (0, delta), one lockstep search per run, finds it to 1e-6 m.
     In a row the equal-SNR circle misses, antenna k wins the whole row,
     so that row's sample is the strip end delta; any sample at or beyond
     the strip end gives the same minimizer. With one antenna or no
@@ -97,31 +133,4 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
     Returns:
         RegionPartition with cuts pinned to the room edges.
     """
-    m = layout.m
-    delta = layout.delta
-    if m == 1 or config.alpha == 0.0:
-        offset = delta / 2.0
-    else:
-        y_nodes, y_weights = gauss_legendre(
-            _MISMATCH_QUAD_POINTS, -config.d_y / 2.0, config.d_y / 2.0
-        )
-        # Python floats: numpy scalars make each of the objective's 64
-        # terms several times slower, for the same result. The loop adds
-        # left to right; sum() of Python floats compensates from Python
-        # 3.12 on, which could move the offset.
-        weights = y_weights.tolist()
-        samples = [_boundary_offset(config, delta, y) for y in y_nodes.tolist()]
-        samples = [delta if math.isinf(s) else s for s in samples]
-
-        def mismatch(b: float) -> float:
-            total = 0.0
-            for w, s in zip(weights, samples):
-                total += w * abs(s - b)
-            return total
-
-        offset = golden_section(mismatch, 0.0, delta, tol=_PARTITION_TOL_M)
-    return RegionPartition(
-        boundaries_b=(0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x),
-        left_limits=(layout.x_k[0],) + (delta - offset,) * (m - 1),
-        right_limits=(offset,) * (m - 1) + (config.d_x - layout.x_k[-1],),
-    )
+    return _optimize_partitions([(config, layout)])[0]

@@ -3,9 +3,10 @@
 A sweep evaluates one metric along one axis, producing one table per
 requested antenna count (or a single table when the antenna count itself
 is the axis). The metric is evaluated once per run, for the points of
-every table together: one partition per geometry and m, one continuous
-baseline per transmit-SNR curve, one discrete-rate pass, and one
-simulator call whose users are drawn once per room for every curve.
+every table together: one partition per geometry and m, all found in one
+lockstep search, one continuous baseline per transmit-SNR curve, one
+discrete-rate pass, and one simulator call whose users are drawn once
+per room for every curve.
 
 Tables are two or three numeric columns behind a '#' header that echoes
 every effective parameter; stripping the single-hash prefix recovers a
@@ -33,7 +34,7 @@ from .metrics import (
     outage_probability,
 )
 from .montecarlo import SimEstimate, SimulationSpec, _simulate_outage_curves
-from .regions import RegionPartition, optimize_partition
+from .regions import RegionPartition, _optimize_partitions
 from .system import PaLayout, SystemConfig, make_layout
 
 __all__ = ["OutputTable", "run_sweep", "emit_table", "header_config_text"]
@@ -107,18 +108,16 @@ def _partitioned(
     """Each (config, m) point with its layout and optimized partition.
 
     The partition depends only on the geometry and the attenuation, not on
-    transmit power or threshold, so one search serves every point that
-    shares them and m.
+    transmit power or threshold, so one partition serves every point that
+    shares them and m; the run's distinct partitions are one search.
     """
-    searched: dict[tuple, tuple[PaLayout, RegionPartition]] = {}
-    partitioned = []
-    for config, m in points:
-        key = (config.d_x, config.d_y, config.h, config.alpha, m)
-        if key not in searched:
-            layout = make_layout(config, m)
-            searched[key] = (layout, optimize_partition(config, layout))
-        partitioned.append((config, *searched[key]))
-    return partitioned
+    keys = [(config.d_x, config.d_y, config.h, config.alpha, m) for config, m in points]
+    pairs: dict[tuple, tuple[SystemConfig, PaLayout]] = {}
+    for key, (config, m) in zip(keys, points):
+        if key not in pairs:
+            pairs[key] = (config, make_layout(config, m))
+    partitions = dict(zip(pairs, _optimize_partitions(list(pairs.values()))))
+    return [(config, pairs[key][1], partitions[key]) for key, (config, _) in zip(keys, points)]
 
 
 def _curves(
@@ -130,9 +129,9 @@ def _curves(
     gamma_t_db are one curve, whose geometry is worked out once at its
     first config. Curves and configs come in the order first met.
     """
-    curves: dict[tuple[SystemConfig, int], dict[SystemConfig, None]] = {}
+    curves: dict[tuple, dict[SystemConfig, None]] = {}
     for config, m in points:
-        unscaled = dataclasses.replace(config, gamma_t_db=0.0)
+        unscaled = tuple(v for name, v in vars(config).items() if name != "gamma_t_db")
         curves.setdefault((unscaled, m), {})[config] = None
     return [(m, list(configs)) for (_, m), configs in curves.items()]
 

@@ -324,3 +324,73 @@ def _row_kinks(config: SystemConfig) -> list:
         if signs[i] != signs[i + 1]:
             kinks.append(optimize.brentq(gain, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15))
     return sorted(kinks)
+
+
+def golden_section_scalar(f, a: float, b: float, tol: float) -> float:
+    """Golden-section search of one bracket, one scalar evaluation per step.
+
+    Runs the fixed number of iterations needed to shrink the bracket below
+    tol and returns the bracket midpoint.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    if b <= a:
+        raise ValueError(f"need a < b, got [{a}, {b}]")
+    span = b - a
+    if span <= tol:
+        return 0.5 * (a + b)
+    n_iter = int(math.ceil(math.log(tol / span) / math.log(inv_phi)))
+    c = b - inv_phi * span
+    d = a + inv_phi * span
+    fc = f(c)
+    fd = f(d)
+    for _ in range(n_iter):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def boundary_offset_scalar(config: SystemConfig, delta: float, y: float) -> float:
+    """Offset from x_k of the equal-SNR crossing in row y, one row in Python floats.
+
+    inf where the equal-SNR circle misses the row.
+    """
+    dist_sq = y * y + config.h * config.h
+    q = math.exp(-config.alpha * delta)
+    w = -math.expm1(-config.alpha * delta)
+    disc = q * delta * delta - w * w * dist_sq
+    if disc <= 0.0:
+        return math.inf
+    return (delta * delta + w * dist_sq) / (delta + math.sqrt(disc))
+
+
+def partition_offset_scalar(config: SystemConfig, layout) -> float:
+    """The partition's shared cut offset, one partition at a time.
+
+    64 Gauss-Legendre rows in y, each sample a Python float (the strip end
+    delta where the circle misses the row), the misassigned area summed by
+    a left-to-right loop, and a scalar golden-section search to 1e-6 m.
+    One antenna or no attenuation gives the midpoint delta / 2.
+    """
+    delta = layout.delta
+    if layout.m == 1 or config.alpha == 0.0:
+        return delta / 2.0
+    nodes, base_weights = np.polynomial.legendre.leggauss(64)
+    lo, hi = -config.d_y / 2.0, config.d_y / 2.0
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    weights = (half * base_weights).tolist()
+    samples = [boundary_offset_scalar(config, delta, y) for y in (mid + half * nodes).tolist()]
+    samples = [delta if math.isinf(s) else s for s in samples]
+
+    def mismatch(b: float) -> float:
+        total = 0.0
+        for w, s in zip(weights, samples):
+            total += w * abs(s - b)
+        return total
+
+    return golden_section_scalar(mismatch, 0.0, delta, tol=1e-6)

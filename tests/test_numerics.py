@@ -47,3 +47,33 @@ def test_golden_section_boundary_minimum():
     # Monotone function: the minimizer sits at the bracket edge.
     x = golden_section(lambda t: t, 0.0, 1.0, tol=1e-10)
     assert x < 1e-9
+
+
+def test_golden_section_batch_is_each_bracket_alone():
+    # Spans from below tol to 1e6 give iteration counts from 0 to 58; the
+    # lockstep search keeps each bracket's own count and midpoint, and one
+    # call of f serves a step of every bracket.
+    lo = np.array([-1.0, 0.0, 2.5, -40.0, 1e3, 0.25])
+    hi = lo + np.array([5e-7, 1e-3, 1.0, 1e3, 1e6, 3.0])
+    centre = lo + np.array([0.3, 0.7, 0.1, 0.5, 0.9, 1.0]) * (hi - lo)
+
+    def f(x):
+        return np.abs(x - centre) + 0.25 * (x - centre) * (x - centre)
+
+    calls = []
+    found = golden_section(lambda x: calls.append(1) or f(x), lo, hi, tol=1e-6)
+    assert isinstance(found, np.ndarray) and found.shape == lo.shape
+    for i in range(lo.size):
+        c = float(centre[i])
+        alone = golden_section(
+            lambda x: abs(x - c) + 0.25 * (x - c) * (x - c), float(lo[i]), float(hi[i]), tol=1e-6
+        )
+        assert type(alone) is float
+        assert found[i] == alone, i
+    longest = math.ceil(math.log(1e-6 / 1e6) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+    assert len(calls) == longest + 2
+
+
+def test_golden_section_rejects_an_empty_bracket():
+    with pytest.raises(ValueError):
+        golden_section(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]))

@@ -1,9 +1,12 @@
 """Equal-SNR boundary geometry and the rectangular partition optimizer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pinchpas import (
     RegionPartition,
@@ -15,7 +18,9 @@ from pinchpas import (
     snr_matrix,
 )
 from pinchpas.numerics import gauss_legendre, golden_section
-from pinchpas.regions import _boundary_offset
+from pinchpas.regions import _boundary_offset, _optimize_partitions
+
+import oracle_utils as oracle
 
 
 def _crossing(cfg, lay, k, y):
@@ -135,6 +140,27 @@ def test_boundary_row_without_crossing_is_inf():
     xb = _crossing(cfg, lay, 1, radius - 0.05)
     assert xb > lay.x_k[1]
     assert _snr_residual(cfg, lay, 1, radius - 0.05) < 1e-9
+
+
+def test_boundary_offset_of_row_array_is_rowwise():
+    # Rows on both sides of the circle's radius, and a room whose circle
+    # misses every row: each element is the scalar crossing, inf where the
+    # circle misses, and no square root of a negative is taken.
+    for cfg, m in (
+        (SystemConfig(d_x=10.0, d_y=50.0, alpha=0.05, h=3.0), 10),
+        (SystemConfig(d_x=1.0, d_y=4.0, alpha=0.5, h=3.0), 10),
+    ):
+        lay = make_layout(cfg, m)
+        ys = np.linspace(-cfg.d_y / 2.0, cfg.d_y / 2.0, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            offsets = _boundary_offset(cfg, lay.delta, ys)
+        assert isinstance(offsets, np.ndarray) and offsets.shape == ys.shape
+        expected = [oracle.boundary_offset_scalar(cfg, lay.delta, y) for y in ys.tolist()]
+        assert offsets.tolist() == expected
+        assert offsets.tolist() == [_boundary_offset(cfg, lay.delta, y) for y in ys.tolist()]
+        assert np.isinf(offsets).any()
+    assert type(_boundary_offset(cfg, lay.delta, 0.0)) is float
 
 
 def test_boundary_bow_matches_circle_geometry():
@@ -328,3 +354,48 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         RegionPartition(boundaries_b=(0.0, 2.0), left_limits=(1.5,),
                         right_limits=(1.5,))
+
+
+# Fixed partitions that share a lockstep search with the drawn one: other
+# widths, heights and attenuations, one whose circle misses the rows near
+# the walls, one with a single antenna and one without attenuation.
+_BATCH_NEIGHBOURS = (
+    (SystemConfig(d_x=30.0, d_y=10.0, h=3.0, alpha=0.05), 10),
+    (SystemConfig(d_x=30.0, d_y=10.0, h=3.0, alpha=0.2), 10),
+    (SystemConfig(d_x=0.5, d_y=0.2, h=0.05, alpha=2.0), 3),
+    (SystemConfig(d_x=2000.0, d_y=300.0, h=1.0, alpha=0.001), 150),
+    (SystemConfig(d_x=12.0, d_y=4.0, h=2.0, alpha=0.3), 1),
+    (SystemConfig(d_x=12.0, d_y=4.0, h=2.0, alpha=0.0), 4),
+)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d_x=_log_uniform(-2.0, 4.0),
+    d_y=_log_uniform(-2.0, 4.0),
+    h=_log_uniform(-2.0, 1.0),
+    alpha=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    m=st.integers(1, 200),
+    slot=st.integers(0, len(_BATCH_NEIGHBOURS)),
+)
+@example(d_x=30.0, d_y=10.0, h=3.0, alpha=0.2, m=100, slot=0)
+@example(d_x=0.01, d_y=1e4, h=0.01, alpha=10.0, m=200, slot=6)
+@example(d_x=1e4, d_y=0.01, h=10.0, alpha=1e-9, m=2, slot=3)
+def test_lockstep_search_equals_per_partition_search(d_x, d_y, h, alpha, m, slot):
+    # The run's search finds each partition's offset bit for bit as a
+    # search of that partition alone would, wherever the partition sits in
+    # the batch and whatever else the batch holds.
+    cfg = SystemConfig(d_x=d_x, d_y=d_y, h=h, alpha=alpha)
+    pairs = [(c, make_layout(c, k)) for c, k in _BATCH_NEIGHBOURS]
+    pairs.insert(slot, (cfg, make_layout(cfg, m)))
+    parts = _optimize_partitions(pairs)
+    for (c, lay), part in zip(pairs, parts):
+        offset = oracle.partition_offset_scalar(c, lay)
+        assert part.boundaries_b == (0.0, *(x + offset for x in lay.x_k[:-1]), c.d_x)
+        assert part.left_limits == (lay.x_k[0],) + (lay.delta - offset,) * (lay.m - 1)
+        assert part.right_limits == (offset,) * (lay.m - 1) + (c.d_x - lay.x_k[-1],)
+    assert optimize_partition(*pairs[slot]) == parts[slot]

@@ -476,6 +476,40 @@ def test_cli_pde_along_alpha_writes_every_row(tmp_path):
         assert all(0.0 < float(row[1]) <= 1.0 for row in data)
 
 
+def test_cli_one_search_per_run_writes_the_single_m_tables(tmp_path):
+    # A run searches all its partitions together; its tables must be the
+    # bytes that one run per antenna count writes, apart from the echoed
+    # m_values and axis_values. At alpha = 0.2 the circle misses the rows
+    # near the walls for m = 10.
+    def tables(name, command, text):
+        out = tmp_path / name
+        cfg = _write_cfg(tmp_path, text)
+        assert main([command, "--config", cfg, "--out-dir", str(out)]) == 0
+        return {p.name: p.read_bytes().splitlines() for p in out.iterdir()}
+
+    def without_echo(lines):
+        echo = (b"# m_values", b"# axis_values")
+        return [line for line in lines if not line.startswith(echo)]
+
+    room = "d_x = 30\nalpha = 0.2\n"
+    ms = (2, 10, 100)
+    together = tables("regions", "regions", room + "m_values = 2,10,100\n")
+    assert sorted(together) == sorted(f"regions_m{m}.dat" for m in ms)
+    for m in ms:
+        alone = tables(f"regions{m}", "regions", room + f"m_values = {m}\n")
+        name = f"regions_m{m}.dat"
+        assert without_echo(alone[name]) == without_echo(together[name])
+    along_m = room + "sweep_axis = m\nm_values = 1\n"
+    together = tables("pde", "pde", along_m + "axis_values = 1,2,10,100\n")["pde.dat"]
+    together = without_echo(together)
+    header = [line for line in together if line.startswith(b"#")]
+    rows = [line for line in together if not line.startswith(b"#")]
+    assert len(rows) == 4
+    for m, row in zip((1, 2, 10, 100), rows):
+        alone = tables(f"pde{m}", "pde", along_m + f"axis_values = {m}\n")["pde.dat"]
+        assert without_echo(alone) == header + [row]
+
+
 def test_cli_pde_along_d_x_in_long_rooms(tmp_path):
     # In rooms of a few hundred metres the feed end serves the far end of
     # every row again; the continuous baseline must still settle there.
