@@ -27,7 +27,6 @@ from .montecarlo import (
     SimulationSpec,
     simulate_continuous_rate,
     simulate_outage,
-    simulate_outage_curve,
     simulate_rate,
 )
 from .regions import RegionPartition, optimize_partition
@@ -86,7 +85,6 @@ __all__ = [
     "select_pa",
     "simulate_continuous_rate",
     "simulate_outage",
-    "simulate_outage_curve",
     "simulate_rate",
     "snr_matrix",
     "ti2",

@@ -170,22 +170,32 @@ def _selftest() -> int:
         f"{differ} of 4000 users differ",
     )
 
-    # A rate sweep along m, one kernel pass, keeps each point's rate its own.
+    # Rate and pde sweeps along m, one batch each, keep each point's value
+    # its own.
     room = SystemConfig(d_x=30.0)
     counts = tuple(float(m) for m in range(1, 21))
     spec = SweepSpec(
         metric="rate", sweep_axis="m", axis_values=counts, fixed_params=room, m_values=(1,)
     )
-    (table,) = run_sweep(spec)
-    worst = 0.0
-    for m, rate in table.rows:
+    (rate_table,) = run_sweep(spec)
+    (pde_table,) = run_sweep(replace(spec, metric="pde"))
+    worst_rate = worst_pde = 0.0
+    for (m, rate), (_, efficiency) in zip(rate_table.rows, pde_table.rows):
         grid = make_layout(room, int(m))
-        single = ergodic_rate(room, grid, optimize_partition(room, grid)).value
-        worst = max(worst, abs(rate - single) / single)
+        cuts = optimize_partition(room, grid)
+        single = ergodic_rate(room, grid, cuts).value
+        worst_rate = max(worst_rate, abs(rate - single) / single)
+        single = pde(room, grid, cuts).value
+        worst_pde = max(worst_pde, abs(efficiency - single) / single)
     all_ok &= _check(
         "batched rate table matches pointwise rates",
-        worst <= 1e-13,
-        f"worst rel={worst:.3e}",
+        worst_rate <= 1e-13,
+        f"worst rel={worst_rate:.3e}",
+    )
+    all_ok &= _check(
+        "batched pde table matches pointwise pde",
+        len(pde_table.rows) == len(counts) and worst_pde <= 1e-13,
+        f"worst rel={worst_pde:.3e}",
     )
 
     # A simulate run along alpha at two antenna counts draws its users once;

@@ -9,6 +9,7 @@ keys are rejected with their line number.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -137,9 +138,9 @@ def _parse_m_values(value: str, lineno: int) -> tuple[int, ...]:
     values = []
     if ":" in value:
         for v in _parse_axis_values(value, lineno):
-            if abs(v - round(v)) > 1e-9:
+            if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
                 raise ConfigError(
-                    f"line {lineno}: m_values range produced non-integer {v!r}"
+                    f"line {lineno}: m_values range produced {v!r}, not an integer"
                 )
             values.append(int(round(v)))
     else:
@@ -236,16 +237,15 @@ def parse_config_text(
                     f"got {value!r}"
                 )
             axis = value
-        if "axis_values" in sweep_raw:
-            lineno, value = sweep_raw["axis_values"]
-            axis_values = _parse_axis_values(value, lineno)
-        else:
-            axis_values = _parse_axis_values(_DEFAULT_AXIS_VALUES[axis], 0)
+        # The defaults are valid, so a bad value always has a line.
+        lineno, value = sweep_raw.get("axis_values", (0, _DEFAULT_AXIS_VALUES[axis]))
+        axis_values = _parse_axis_values(value, lineno)
         if axis == "m":
             for v in axis_values:
-                if v != int(v) or v < 1:
+                if not math.isfinite(v) or v != int(v) or v < 1:
                     raise ConfigError(
-                        f"axis_values along m must be positive integers, got {v!r}"
+                        f"line {lineno}: axis_values along m must be positive "
+                        f"integers, got {v!r}"
                     )
 
     spec = SweepSpec(

@@ -5,7 +5,10 @@ assembled per antenna from conditional expressions over the left and right
 sub-rectangles of its serving region. The continuous baseline places a
 radiating point at the per-user optimal waveguide position and integrates
 the resulting rate over the uniform user distribution; the discretization
-efficiency is the ratio of the two rates.
+efficiency is the ratio of the two rates. The rate, the baseline and the
+efficiency each take a batch of points in one call (`_ergodic_rates`,
+`_continuous_rates`, `_pdes`) that finds the work its points share, and
+the public one-point functions are their one-point cases.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .system import (
     _continuous_kinks,
     _feedward_offset,
     _station_log_ratio,
+    _unscaled,
     db_to_linear,
     derive_rf,
 )
@@ -86,11 +90,10 @@ class NumericalDiagnosticError(RuntimeError):
 
 @dataclass(frozen=True)
 class MetricResult:
-    """A computed scalar metric tagged with the parameter point it belongs to."""
+    """A computed scalar metric, with the numerical flags raised computing it."""
 
     kind: str
     value: float
-    params: dict
     flags: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -105,11 +108,6 @@ class MetricResult:
             self.value == 0.0 and self.flags
         ):
             raise ValueError(f"pde {self.value!r} is not in (0, 1] nor a flagged 0")
-
-
-def _params_snapshot(config: SystemConfig, **extra) -> dict:
-    # The fields are flat floats, so a shallow copy is `asdict`'s dict.
-    return {**vars(config), **extra}
 
 
 def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
@@ -205,7 +203,6 @@ def outage_probability(
     return MetricResult(
         kind="outage",
         value=value,
-        params=_params_snapshot(config, m=layout.m),
         flags=(_UNDERFLOW_FLAG,) if clamped else (),
     )
 
@@ -420,7 +417,7 @@ def _ergodic_rates(
             np.concatenate(v) for v in (widths, scales, h_sq, d_y)
         )
         weighted = widths * _conditional_rates(widths, scales, h_sq, d_y)
-        for (config, layout, _), terms, clamped in zip(
+        for (config, _, _), terms, clamped in zip(
             block, np.split(weighted, ends), clamps
         ):
             # cumsum adds left to right, as a loop over the antennas would.
@@ -428,7 +425,6 @@ def _ergodic_rates(
                 MetricResult(
                     kind="ergodic_rate",
                     value=float(np.cumsum(terms)[-1]) / config.d_x,
-                    params=_params_snapshot(config, m=layout.m),
                     flags=(_UNDERFLOW_FLAG,) if clamped else (),
                 )
             )
@@ -619,44 +615,48 @@ def _outer_rule(
     return dist * dist, (half * weights).ravel() * dist
 
 
-def _continuous_rate_curve(
-    config: SystemConfig, gamma_t_dbs: tuple[float, ...]
-) -> list[tuple[float, float]]:
-    """(base, refined) continuous rates at each transmit SNR, from one geometry.
+def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, float]]:
+    """(base, refined) continuous rates at each config, one geometry per curve.
 
     The rate is the mean over the room of log2(1 + SNR) of a radiator
     placed optimally for each user: the integral over half the room width
     (it is even in y) of closed-form rows (`_row_integrals`). The y rule
     (`_outer_rule`) has _RATE_QUAD_ORDER nodes per piece at the base order
-    and twice as many refined, for `_settled_rate` to compare. The rows'
-    kinks do not depend on the transmit SNR, so both rules' rows are laid
-    out, and their kinks found, once for the whole curve.
+    and twice as many refined, for `_settled_rate` to compare. Transmit
+    SNR only scales big_c, so the configs that differ only in gamma_t_db
+    are one curve (`system._unscaled`): both rules' rows are laid out, and
+    their kinks found, once at the curve's first config, and each config
+    scales them by its own big_c.
     """
-    if not config.h > 0:
-        raise ValueError(
-            f"h must be > 0 for the continuous baseline, got {config.h!r}"
+    curves: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        curves.setdefault(_unscaled(config), []).append(i)
+    rates: list[tuple[float, float]] = [(0.0, 0.0)] * len(configs)
+    for members in curves.values():
+        config = configs[members[0]]
+        if not config.h > 0:
+            raise ValueError(
+                f"h must be > 0 for the continuous baseline, got {config.h!r}"
+            )
+        edges = _outer_edges(config)
+        base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
+        refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
+        big_c = np.array([derive_rf(configs[i]).big_c for i in members])
+        rows = _row_integrals(
+            config, np.concatenate((base_sq, refined_sq)), big_c[:, None]
         )
-    edges = _outer_edges(config)
-    base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
-    refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
-    # `derive_rf`'s big_c at each gamma_t: eta times the linear transmit SNR.
-    big_c = derive_rf(config).eta * np.array([db_to_linear(g) for g in gamma_t_dbs])
-    rows = _row_integrals(
-        config, np.concatenate((base_sq, refined_sq)), big_c[:, None]
-    )
-    norm = 2.0 / (config.d_x * config.d_y * math.log(2.0))
-    split = base_sq.size
-    return [
-        (
-            norm * float(np.dot(row[:split], base_weights)),
-            norm * float(np.dot(row[split:], refined_weights)),
-        )
-        for row in rows
-    ]
+        norm = 2.0 / (config.d_x * config.d_y * math.log(2.0))
+        split = base_sq.size
+        for i, row in zip(members, rows):
+            rates[i] = (
+                norm * float(np.dot(row[:split], base_weights)),
+                norm * float(np.dot(row[split:], refined_weights)),
+            )
+    return rates
 
 
-def _settled_rate(config: SystemConfig, rates: tuple[float, float]) -> MetricResult:
-    """The refined continuous rate at `config`, if the base order agrees with it.
+def _settled_rate(rates: tuple[float, float]) -> MetricResult:
+    """The refined continuous rate, if the base order agrees with it.
 
     Disagreement beyond the relative tolerance raises, since it would mean
     the quadrature cannot be trusted at this parameter point.
@@ -667,21 +667,16 @@ def _settled_rate(config: SystemConfig, rates: tuple[float, float]) -> MetricRes
             f"continuous-rate quadrature did not settle: {base!r} vs {refined!r} "
             f"at {_RATE_QUAD_ORDER}/{2 * _RATE_QUAD_ORDER} nodes per piece in y"
         )
-    return MetricResult(
-        kind="continuous_rate",
-        value=refined,
-        params=_params_snapshot(config),
-    )
+    return MetricResult(kind="continuous_rate", value=refined)
 
 
 def continuous_rate(config: SystemConfig) -> MetricResult:
     """Ergodic rate of the ideal continuously placed radiator, bits/s/Hz.
 
-    The one-point curve: evaluated at the base quadrature order and at
-    double the order, and checked by `_settled_rate`.
+    The one-config case of `_continuous_rates`: evaluated at the base
+    quadrature order and at double the order, and checked by `_settled_rate`.
     """
-    (rates,) = _continuous_rate_curve(config, (config.gamma_t_db,))
-    return _settled_rate(config, rates)
+    return _settled_rate(_continuous_rates([config])[0])
 
 
 def _efficiency_ratio(discrete: MetricResult, baseline: MetricResult) -> float:
@@ -703,14 +698,34 @@ def _efficiency_ratio(discrete: MetricResult, baseline: MetricResult) -> float:
     return min(ratio, 1.0)
 
 
+def _pdes(
+    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]],
+) -> list[MetricResult | NumericalDiagnosticError]:
+    """`pde` at each (config, layout, partition), or the error its self-check raised.
+
+    One `_ergodic_rates` pass for every point, then one continuous
+    baseline per distinct config (it does not depend on m), then each
+    point's checked ratio. A failed check costs only its own point.
+    """
+    rates = _ergodic_rates(points)
+    configs = list(dict.fromkeys(config for config, _, _ in points))
+    baselines = dict(zip(configs, _continuous_rates(configs)))
+    results: list[MetricResult | NumericalDiagnosticError] = []
+    for (config, _, _), discrete in zip(points, rates):
+        try:
+            ratio = _efficiency_ratio(discrete, _settled_rate(baselines[config]))
+        except NumericalDiagnosticError as exc:
+            results.append(exc)
+            continue
+        results.append(MetricResult(kind="pde", value=ratio, flags=discrete.flags))
+    return results
+
+
 def pde(
     config: SystemConfig, layout: PaLayout, partition: RegionPartition
 ) -> MetricResult:
     """Discretization efficiency: discrete ergodic rate over the continuous one."""
-    discrete = ergodic_rate(config, layout, partition)
-    return MetricResult(
-        kind="pde",
-        value=_efficiency_ratio(discrete, continuous_rate(config)),
-        params=_params_snapshot(config, m=layout.m),
-        flags=discrete.flags,
-    )
+    (result,) = _pdes([(config, layout, partition)])
+    if isinstance(result, NumericalDiagnosticError):
+        raise result
+    return result

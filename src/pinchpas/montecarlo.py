@@ -7,18 +7,19 @@ samples needs only memory for `_BLOCK_USERS` users. Each user's
 best SNR comes from `system.best_snr`, big_c times the best gain, which
 past a dozen antennas is evaluated on three candidate antennas per user
 that provably hold the best, so the cost per sample does not grow with
-the antenna count. Users depend only on the room (d_x, d_y), so a run of
-outage curves draws each chunk once per room for all its curves (every
-antenna count, and every value of an axis such as alpha or h), and each
-curve computes its best gains once for all its transmit-SNR points and
-counts each point exactly. Streams are counter-based: a given (seed,
-chunk size) pair reproduces the same users regardless of platform.
+the antenna count. Users depend only on the room (d_x, d_y), so a batch
+of outage points draws each chunk once per room for all its points (every
+antenna count, and every value of an axis such as alpha or h), and the
+points that differ only in transmit SNR compute their best gains once
+and each count their own users exactly. Streams are counter-based: a
+given (seed, chunk size) pair reproduces the same users regardless of
+platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .system import (
     SystemConfig,
     _best_gain,
     _continuous_snr,
+    _unscaled,
     best_snr,
     db_to_linear,
     derive_rf,
@@ -36,7 +38,6 @@ __all__ = [
     "SimulationSpec",
     "SimEstimate",
     "simulate_outage",
-    "simulate_outage_curve",
     "simulate_rate",
     "simulate_continuous_rate",
 ]
@@ -115,7 +116,7 @@ def simulate_outage(
     config: SystemConfig, layout: PaLayout, spec: SimulationSpec
 ) -> SimEstimate:
     """Fraction of users whose best-antenna SNR is at or below the threshold."""
-    return simulate_outage_curve(config, layout, spec, (config.gamma_t_db,))[0]
+    return _simulate_outages([(config, layout)], spec)[0]
 
 
 def _gain_limit(threshold: float, big_c: float) -> float:
@@ -132,51 +133,39 @@ def _gain_limit(threshold: float, big_c: float) -> float:
     return limit
 
 
-def simulate_outage_curve(
-    config: SystemConfig,
-    layout: PaLayout,
-    spec: SimulationSpec,
-    gamma_t_dbs: tuple[float, ...],
-) -> tuple[SimEstimate, ...]:
-    """`simulate_outage` at each transmit SNR in `gamma_t_dbs`, from one draw."""
-    return _simulate_outage_curves([(config, layout, gamma_t_dbs)], spec)[0]
-
-
-def _simulate_outage_curves(
-    curves: list[tuple[SystemConfig, PaLayout, tuple[float, ...]]],
-    spec: SimulationSpec,
-) -> list[tuple[SimEstimate, ...]]:
-    """`simulate_outage_curve` for each (config, layout, gamma_t_dbs) curve.
+def _simulate_outages(
+    points: list[tuple[SystemConfig, PaLayout]], spec: SimulationSpec
+) -> list[SimEstimate]:
+    """`simulate_outage` at each (config, layout) point, from one draw per room.
 
     A user's best SNR is big_c times its best gain (`system.best_snr`),
-    and only big_c depends on the transmit SNR. So each block of users
-    gets each curve's best gains once, and gamma_t point i counts the
-    gains at or below `_gain_limit` of the threshold and its big_c:
-    exactly the users whose best SNR at gamma_i is at or below the
-    threshold. Users depend only on the room (d_x, d_y), so every curve in
-    a room reads one stream of its chunks' users. Each estimate equals
-    `simulate_outage` at its curve's config with gamma_t_db = gamma_i, bit
+    and only big_c depends on the transmit SNR. So the points that share
+    the layout (its m and delta) and every other field (`system._unscaled`)
+    are one curve: each block of users gets each curve's best gains once,
+    at its first point, and each point counts the gains at or below
+    `_gain_limit` of its threshold and its big_c: exactly the users whose
+    best SNR is at or below the threshold. Users depend only on the room
+    (d_x, d_y), so every curve in a room reads one stream of its chunks'
+    users. Each estimate equals `simulate_outage` at its own point, bit
     for bit, by construction.
     """
-    limits = []
-    rooms: dict[tuple[float, float], list[int]] = {}
-    for i, (config, _, gamma_t_dbs) in enumerate(curves):
-        threshold = db_to_linear(config.gamma_thr_db)
-        limits.append([
-            _gain_limit(threshold, derive_rf(replace(config, gamma_t_db=g)).big_c)
-            for g in gamma_t_dbs
-        ])
-        rooms.setdefault((config.d_x, config.d_y), []).append(i)
-    hits = [[0] * len(curve_limits) for curve_limits in limits]
-    for (d_x, d_y), members in rooms.items():
+    rooms: dict[tuple[float, float], dict[tuple, list[int]]] = {}
+    for i, (config, layout) in enumerate(points):
+        curves = rooms.setdefault((config.d_x, config.d_y), {})
+        curves.setdefault((_unscaled(config), layout.m, layout.delta), []).append(i)
+    limits = [
+        _gain_limit(db_to_linear(config.gamma_thr_db), derive_rf(config).big_c)
+        for config, _ in points
+    ]
+    hits = [0] * len(points)
+    for (d_x, d_y), curves in rooms.items():
         for index, take in _chunk_sizes(spec):
             for x, y in _chunk_users(spec, index, take, d_x, d_y):
-                for i in members:
-                    config, layout, _ = curves[i]
-                    gain = _best_gain(config, layout, x, y)
-                    for j, limit in enumerate(limits[i]):
-                        hits[i][j] += int(np.count_nonzero(gain <= limit))
-    return [tuple(_share(count, spec.n_samples) for count in counts) for counts in hits]
+                for members in curves.values():
+                    gain = _best_gain(*points[members[0]], x, y)
+                    for i in members:
+                        hits[i] += int(np.count_nonzero(gain <= limits[i]))
+    return [_share(count, spec.n_samples) for count in hits]
 
 
 def _share(count: int, n: int) -> SimEstimate:

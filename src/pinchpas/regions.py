@@ -7,8 +7,9 @@ asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width.
 On the uniform grid the crossing of antennas k and k+1 in row y lies at
 x_k plus an offset that does not depend on k, so every cut sits at x_k
 plus one shared offset, chosen by a one-dimensional search that
-minimizes the misassigned area against the exact arcs. A run finds all
-its partitions in one lockstep search, each bit for bit its own.
+minimizes the misassigned area against the exact arcs. A batch of
+(config, layout) pairs finds each distinct partition once, all in one
+lockstep search, each bit for bit its own.
 """
 
 from __future__ import annotations
@@ -83,16 +84,22 @@ def _boundary_offset(config: SystemConfig, delta: float, y):
 def _optimize_partitions(pairs: list[tuple[SystemConfig, PaLayout]]) -> list[RegionPartition]:
     """The partition of each (config, layout) pair, from one lockstep search.
 
-    Each searched pair is one column of the mismatch samples and weights and
-    one bracket of `golden_section`: its offset is bit for bit its own search's.
+    The partition depends only on (d_x, d_y, h, alpha) and the layout,
+    which m and delta fix, so pairs that share them share one partition.
+    Each distinct searched pair is one column of the mismatch samples and
+    weights and one bracket of `golden_section`: its offset is bit for bit
+    its own search's.
     """
-    searched = [i for i, (c, lay) in enumerate(pairs) if lay.m > 1 and c.alpha != 0.0]
+    keys = [(c.d_x, c.d_y, c.h, c.alpha, lay.m, lay.delta) for c, lay in pairs]
+    distinct = dict(zip(keys, pairs))
+    unique = list(distinct.values())
+    searched = [i for i, (c, lay) in enumerate(unique) if lay.m > 1 and c.alpha != 0.0]
     samples, weights = np.empty((2, _MISMATCH_QUAD_POINTS, len(searched)))
-    for column, (config, layout) in enumerate(pairs[i] for i in searched):
+    for column, (config, layout) in enumerate(unique[i] for i in searched):
         half = config.d_y / 2.0
         y_nodes, weights[:, column] = gauss_legendre(_MISMATCH_QUAD_POINTS, -half, half)
         samples[:, column] = _boundary_offset(config, layout.delta, y_nodes)
-    deltas = np.array([pairs[i][1].delta for i in searched])
+    deltas = np.array([unique[i][1].delta for i in searched])
     samples = np.where(np.isinf(samples), deltas, samples)
 
     def mismatch(b: np.ndarray) -> np.ndarray:
@@ -100,16 +107,17 @@ def _optimize_partitions(pairs: list[tuple[SystemConfig, PaLayout]]) -> list[Reg
         # would; sum() and dot() add pairwise and could move the offset.
         return np.add.accumulate(weights * np.abs(samples - b), axis=0)[-1]
 
-    offsets = np.array([layout.delta / 2.0 for _, layout in pairs])
+    offsets = np.array([layout.delta / 2.0 for _, layout in unique])
     offsets[searched] = golden_section(mismatch, 0.0, deltas, tol=_PARTITION_TOL_M)
-    return [
-        RegionPartition(
+    found = {
+        key: RegionPartition(
             boundaries_b=(0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x),
             left_limits=(layout.x_k[0],) + (layout.delta - offset,) * (layout.m - 1),
             right_limits=(offset,) * (layout.m - 1) + (config.d_x - layout.x_k[-1],),
         )
-        for (config, layout), offset in zip(pairs, offsets.tolist())
-    ]
+        for key, (config, layout), offset in zip(distinct, unique, offsets.tolist())
+    }
+    return [found[key] for key in keys]
 
 
 def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartition:
@@ -120,7 +128,9 @@ def optimize_partition(config: SystemConfig, layout: PaLayout) -> RegionPartitio
     vertical cut and the exact equal-SNR arc (the misassigned area),
     evaluated with a fixed 64-point Gauss-Legendre rule so results are
     deterministic. The objective is convex in the offset, so a golden-section
-    search over (0, delta), one lockstep search per run, finds it to 1e-6 m.
+    search over (0, delta) finds it to 1e-6 m. This is the one-pair case of
+    `_optimize_partitions`, which searches each distinct geometry and
+    layout of a batch once, all in lockstep.
     In a row the equal-SNR circle misses, antenna k wins the whole row,
     so that row's sample is the strip end delta; any sample at or beyond
     the strip end gives the same minimizer. With one antenna or no

@@ -3,10 +3,11 @@
 A sweep evaluates one metric along one axis, producing one table per
 requested antenna count (or a single table when the antenna count itself
 is the axis). The metric is evaluated once per run, for the points of
-every table together: one partition per geometry and m, all found in one
-lockstep search, one continuous baseline per transmit-SNR curve, one
-discrete-rate pass, and one simulator call whose users are drawn once
-per room for every curve.
+every table together: the sweep hands every point to one batch call per
+metric (`regions._optimize_partitions`, then `outage_probability` per
+point, `metrics._ergodic_rates` or `metrics._pdes`; or
+`montecarlo._simulate_outages`), and each batch call finds the work its
+points share.
 
 Tables are two or three numeric columns behind a '#' header that echoes
 every effective parameter; stripping the single-hash prefix recovers a
@@ -25,15 +26,8 @@ from dataclasses import dataclass
 
 from ._version import __version__
 from .config import SweepSpec, parse_config_text
-from .metrics import (
-    NumericalDiagnosticError,
-    _continuous_rate_curve,
-    _efficiency_ratio,
-    _ergodic_rates,
-    _settled_rate,
-    outage_probability,
-)
-from .montecarlo import SimEstimate, SimulationSpec, _simulate_outage_curves
+from .metrics import NumericalDiagnosticError, _ergodic_rates, _pdes, outage_probability
+from .montecarlo import SimulationSpec, _simulate_outages
 from .regions import RegionPartition, _optimize_partitions
 from .system import PaLayout, SystemConfig, make_layout
 
@@ -105,48 +99,9 @@ def _table_header(
 def _partitioned(
     points: list[tuple[SystemConfig, int]],
 ) -> list[tuple[SystemConfig, PaLayout, RegionPartition]]:
-    """Each (config, m) point with its layout and optimized partition.
-
-    The partition depends only on the geometry and the attenuation, not on
-    transmit power or threshold, so one partition serves every point that
-    shares them and m; the run's distinct partitions are one search.
-    """
-    keys = [(config.d_x, config.d_y, config.h, config.alpha, m) for config, m in points]
-    pairs: dict[tuple, tuple[SystemConfig, PaLayout]] = {}
-    for key, (config, m) in zip(keys, points):
-        if key not in pairs:
-            pairs[key] = (config, make_layout(config, m))
-    partitions = dict(zip(pairs, _optimize_partitions(list(pairs.values()))))
-    return [(config, pairs[key][1], partitions[key]) for key, (config, _) in zip(keys, points)]
-
-
-def _curves(
-    points: list[tuple[SystemConfig, int]],
-) -> list[tuple[int, list[SystemConfig]]]:
-    """The points as transmit-SNR curves: each curve's m and its distinct configs.
-
-    Transmit SNR only scales every SNR, so the points that differ only in
-    gamma_t_db are one curve, whose geometry is worked out once at its
-    first config. Curves and configs come in the order first met.
-    """
-    curves: dict[tuple, dict[SystemConfig, None]] = {}
-    for config, m in points:
-        unscaled = tuple(v for name, v in vars(config).items() if name != "gamma_t_db")
-        curves.setdefault((unscaled, m), {})[config] = None
-    return [(m, list(configs)) for (_, m), configs in curves.items()]
-
-
-def _baselines(configs: list[SystemConfig]) -> dict[SystemConfig, tuple[float, float]]:
-    """The continuous baseline's (base, refined) rates at each config.
-
-    The baseline does not depend on m, so one `_continuous_rate_curve`
-    call serves each curve of the distinct configs.
-    """
-    rates: dict[SystemConfig, tuple[float, float]] = {}
-    for _, curve in _curves([(config, 0) for config in configs]):
-        gammas = [config.gamma_t_db for config in curve]
-        rates.update(zip(curve, _continuous_rate_curve(curve[0], gammas)))
-    return rates
+    """Each (config, m) point with its layout and optimized partition."""
+    pairs = [(config, make_layout(config, m)) for config, m in points]
+    return [pair + (part,) for pair, part in zip(pairs, _optimize_partitions(pairs))]
 
 
 def _evaluate(
@@ -155,40 +110,24 @@ def _evaluate(
     """Per (config, m) point, its row's trailing columns and numerical flags.
 
     A point whose numerical self-check failed gets that error instead. The
-    whole run is evaluated at once: the simulator draws its users once per
-    room for every curve, and a `rate` or `pde` run is one `_ergodic_rates`
-    pass.
+    whole run is one batch call of the metric.
     """
     if metric == "simulate":
-        curves = _curves(points)
-        found = _simulate_outage_curves(
-            [
-                (curve[0], make_layout(curve[0], m), tuple(c.gamma_t_db for c in curve))
-                for m, curve in curves
-            ],
-            sim,
+        estimates = _simulate_outages(
+            [(config, make_layout(config, m)) for config, m in points], sim
         )
-        estimates: dict[tuple[SystemConfig, int], SimEstimate] = {}
-        for (m, curve), curve_estimates in zip(curves, found):
-            estimates.update(zip([(config, m) for config in curve], curve_estimates))
-        return [((e.mean, e.std_error), ()) for e in map(estimates.get, points)]
+        return [((e.mean, e.std_error), ()) for e in estimates]
+    partitioned = _partitioned(points)
     if metric == "outage":
-        results = [outage_probability(*point) for point in _partitioned(points)]
-        return [((result.value,), result.flags) for result in results]
-    rates = _ergodic_rates(_partitioned(points))
-    if metric == "rate":
-        return [((discrete.value,), discrete.flags) for discrete in rates]
-    baselines = _baselines([config for config, _ in points])
-    results = []
-    for (config, _), discrete in zip(points, rates):
-        try:
-            baseline = _settled_rate(config, baselines[config])
-            ratio = _efficiency_ratio(discrete, baseline)
-        except NumericalDiagnosticError as exc:
-            results.append(exc)
-            continue
-        results.append(((ratio,), discrete.flags))
-    return results
+        results = [outage_probability(*point) for point in partitioned]
+    elif metric == "rate":
+        results = _ergodic_rates(partitioned)
+    else:
+        results = _pdes(partitioned)
+    return [
+        r if isinstance(r, NumericalDiagnosticError) else ((r.value,), r.flags)
+        for r in results
+    ]
 
 
 def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[OutputTable]:

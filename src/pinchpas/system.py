@@ -192,6 +192,15 @@ def derive_rf(config: SystemConfig) -> DerivedRf:
     )
 
 
+def _unscaled(config: SystemConfig) -> tuple:
+    """Every field but gamma_t_db: the key of a transmit-SNR curve.
+
+    Transmit SNR only scales big_c, so configs with equal keys share every
+    gain and differ only in the factor applied last.
+    """
+    return tuple(v for name, v in vars(config).items() if name != "gamma_t_db")
+
+
 def make_layout(config: SystemConfig, m: int) -> PaLayout:
     """Build the m-antenna grid for the given room length."""
     if m < 1:

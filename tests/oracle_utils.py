@@ -6,6 +6,7 @@ mpmath. Slow but trustworthy, and sharing no code with the package.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -394,3 +395,26 @@ def partition_offset_scalar(config: SystemConfig, layout) -> float:
         return total
 
     return golden_section_scalar(mismatch, 0.0, delta, tol=1e-6)
+
+
+def mixed_batch(seed: int) -> list:
+    """A shuffled batch of (config, m) points, as a sweep run never makes one.
+
+    Two rooms (d_x = 30 and a 12 x 6 m room), several m (1 up to 40, past
+    the simulator's candidate-window switch), a gamma_t axis in each room,
+    an alpha axis (alpha = 0 among it, where no partition is searched) and
+    one point given twice. The order comes from `seed`.
+    """
+    rooms = (
+        (SystemConfig(d_x=30.0), (1, 2, 10, 40)),
+        (SystemConfig(d_x=12.0, d_y=6.0, gamma_thr_db=15.0), (1, 3)),
+    )
+    points = []
+    for room, counts in rooms:
+        points += [
+            (replace(room, gamma_t_db=g), m) for g in (92.0, 97.0, 103.5) for m in counts
+        ]
+        points += [(replace(room, alpha=a), counts[-1]) for a in (0.0, 0.02, 0.2)]
+    points.append(points[4])
+    order = np.random.default_rng(seed).permutation(len(points))
+    return [points[i] for i in order]

@@ -124,8 +124,19 @@ def test_pde_defaults_sweep_antenna_count():
 
 
 def test_m_axis_requires_integer_values():
-    with pytest.raises(ConfigError):
-        parse_config_text("d_x = 10\nmetric = pde\naxis_values = 1.5, 2.5\n")
+    # Non-finite counts are named errors, not an OverflowError or int()'s
+    # unnamed ValueError. 1:inf:2's first value is 1 + 0 * inf = nan.
+    for text, key in (
+        ("metric = pde\naxis_values = 1.5, 2.5\n", "axis_values"),
+        ("m_values = inf:inf:1\n", "m_values"),
+        ("m_values = 1:inf:2\n", "m_values"),
+        ("sweep_axis = m\naxis_values = inf\n", "axis_values"),
+        ("sweep_axis = m\naxis_values = -inf\n", "axis_values"),
+        ("sweep_axis = m\naxis_values = nan\n", "axis_values"),
+        ("sweep_axis = m\naxis_values = 1:1e400:3\n", "axis_values"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^line \d+: {key} "):
+            parse_config_text("d_x = 10\n" + text)
 
 
 def test_regions_grammar():

@@ -26,6 +26,7 @@ from pinchpas import (
     pde,
 )
 from pinchpas import metrics
+from pinchpas.system import _unscaled
 
 import oracle_utils as oracle
 
@@ -118,7 +119,6 @@ def test_outage_probability_matches_composed_oracle():
         ref = oracle.outage_prob_quad(cfg, lay, part)
         assert res.value == pytest.approx(ref, abs=1e-9)
         assert res.kind == "outage"
-        assert res.params["m"] == m
         assert res.flags == ()
 
 
@@ -348,9 +348,7 @@ def test_batched_rates_match_pointwise_rates():
         for result, point in zip(batched, table):
             single = ergodic_rate(*point)
             assert result.value == pytest.approx(single.value, rel=1e-14, abs=0.0)
-            assert (result.kind, result.params, result.flags) == (
-                single.kind, single.params, single.flags
-            )
+            assert (result.kind, result.flags) == (single.kind, single.flags)
     assert reached == {"exact 0", "slope", "i_j series", "i_j closed"}
 
 
@@ -519,14 +517,14 @@ def test_continuous_rate_curve_matches_pointwise(alpha, d_x):
     from pinchpas import metrics
 
     cfg = SystemConfig(d_x=d_x, alpha=alpha, gamma_t_db=_CURVE_GAMMAS[0])
-    curve = metrics._continuous_rate_curve(cfg, _CURVE_GAMMAS)
-    for gamma_t_db, rates in zip(_CURVE_GAMMAS, curve):
-        point = replace(cfg, gamma_t_db=gamma_t_db)
-        value = metrics._settled_rate(point, rates).value
+    points = [replace(cfg, gamma_t_db=gamma_t_db) for gamma_t_db in _CURVE_GAMMAS]
+    curve = metrics._continuous_rates(points)
+    for point, rates in zip(points, curve):
+        value = metrics._settled_rate(rates).value
         expected = continuous_rate(point).value
         assert value == pytest.approx(expected, rel=1e-14, abs=0.0)
         assert "%.12g" % value == "%.12g" % expected
-    assert metrics._settled_rate(cfg, curve[0]).value == continuous_rate(cfg).value
+    assert metrics._settled_rate(curve[0]).value == continuous_rate(cfg).value
 
 
 def test_continuous_rate_exceeds_discrete():
@@ -560,26 +558,41 @@ def test_pde_increases_with_antenna_count():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def test_pde_batch_gives_each_point_its_own_pde():
+    # One rate pass and one baseline per transmit-SNR curve, worked out at
+    # the curve's first config: a point at that config is its own pde
+    # exactly, and every other point within a few roundings of it.
+    runs = []
+    for seed in (0, 1):
+        batch, firsts = [], {}
+        for config, m in oracle.mixed_batch(seed):
+            layout = make_layout(config, m)
+            batch.append((config, layout, optimize_partition(config, layout)))
+            firsts.setdefault(_unscaled(config), config)
+        results = metrics._pdes(batch)
+        assert len(results) == len(batch)
+        for point, result in zip(batch, results):
+            expected = pde(*point)
+            assert (result.kind, result.flags) == (expected.kind, expected.flags)
+            if point[0] == firsts[_unscaled(point[0])]:
+                assert result.value == expected.value
+            assert result.value == pytest.approx(expected.value, rel=1e-14, abs=0.0)
+        runs.append({(c, lay.m): r.value for (c, lay, _), r in zip(batch, results)})
+    assert runs[0] == pytest.approx(runs[1], rel=1e-14, abs=0.0)
+
+
 # --------------------------------------------------------------- plumbing --
-
-def test_params_snapshot_matches_asdict():
-    from dataclasses import asdict
-
-    cfg = SystemConfig(d_x=12.0, alpha=0.07, gamma_t_db=97.5)
-    assert metrics._params_snapshot(cfg) == asdict(cfg)
-    assert metrics._params_snapshot(cfg, m=4) == {**asdict(cfg), "m": 4}
-    assert "m" not in vars(cfg)  # the snapshot is a copy
-
 
 def test_metric_result_validation():
     with pytest.raises(ValueError):
-        MetricResult(kind="outage", value=1.5, params={})
+        MetricResult(kind="outage", value=1.5)
     with pytest.raises(ValueError):
-        MetricResult(kind="pde", value=0.0, params={})
+        MetricResult(kind="pde", value=0.0)
     with pytest.raises(ValueError):
-        MetricResult(kind="ergodic_rate", value=-0.1, params={})
+        MetricResult(kind="ergodic_rate", value=-0.1)
     with pytest.raises(ValueError):
-        MetricResult(kind="bogus", value=0.5, params={})
+        MetricResult(kind="bogus", value=0.5)
+    assert not hasattr(MetricResult(kind="outage", value=0.5), "params")
 
 
 def test_underflow_clamp_raises_flag():

@@ -19,7 +19,6 @@ from pinchpas import (
     outage_probability,
     simulate_continuous_rate,
     simulate_outage,
-    simulate_outage_curve,
     simulate_rate,
 )
 from pinchpas import montecarlo
@@ -157,10 +156,10 @@ def test_outage_curve_equals_pointwise_simulation(seed, m):
     cfg = SystemConfig(d_x=30.0, gamma_t_db=97.0)
     lay = make_layout(cfg, m)
     spec = SimulationSpec(n_samples=30_000, seed=seed, chunk_size=7_000)
-    curve = simulate_outage_curve(cfg, lay, spec, _CURVE_GAMMAS)
-    assert len(curve) == len(_CURVE_GAMMAS)
-    for gamma_t_db, estimate in zip(_CURVE_GAMMAS, curve):
-        point = replace(cfg, gamma_t_db=gamma_t_db)
+    points = [replace(cfg, gamma_t_db=gamma_t_db) for gamma_t_db in _CURVE_GAMMAS]
+    curve = montecarlo._simulate_outages([(point, lay) for point in points], spec)
+    assert len(curve) == len(points)
+    for point, estimate in zip(points, curve):
         assert estimate == simulate_outage(point, lay, spec)
         assert estimate.mean == _direct_outage_hits(point, lay, spec) / spec.n_samples
     assert any(0.0 < estimate.mean < 1.0 for estimate in curve)
@@ -232,16 +231,39 @@ def test_mixed_run_equals_pointwise_simulation(monkeypatch):
         (replace(base, d_x=12.0), 10),
         (replace(base, d_x=12.0, alpha=0.2), 40),
     ]
-    curves = [(config, make_layout(config, m), _CURVE_GAMMAS) for config, m in configs]
+    points = [
+        (replace(config, gamma_t_db=gamma_t_db), make_layout(config, m))
+        for config, m in configs
+        for gamma_t_db in _CURVE_GAMMAS
+    ]
     spec = SimulationSpec(n_samples=30_001, seed=3, chunk_size=7_000)
-    found = montecarlo._simulate_outage_curves(curves, spec)
+    found = montecarlo._simulate_outages(points, spec)
     assert streams == [(30.0, 10.0, i) for i in range(5)] + [(12.0, 10.0, i) for i in range(5)]
-    assert len(found) == len(curves)
-    for (config, layout, gammas), estimates in zip(curves, found):
-        assert len(estimates) == len(gammas)
-        for gamma_t_db, estimate in zip(gammas, estimates):
-            point = replace(config, gamma_t_db=gamma_t_db)
-            assert estimate == simulate_outage(point, layout, spec)
-            assert estimate.mean == _direct_outage_hits(point, layout, spec) / spec.n_samples
-    means = [estimate.mean for estimates in found for estimate in estimates]
-    assert any(0.0 < mean < 1.0 for mean in means)
+    assert len(found) == len(points)
+    for (point, layout), estimate in zip(points, found):
+        assert estimate == simulate_outage(point, layout, spec)
+        assert estimate.mean == _direct_outage_hits(point, layout, spec) / spec.n_samples
+    assert any(0.0 < estimate.mean < 1.0 for estimate in found)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shuffled_batch_equals_pointwise_simulation(monkeypatch, seed):
+    # Whatever the batch order and whatever it holds, each point is its own
+    # simulation exactly, and each room's chunks are still read once.
+    streams = []
+    chunk_users = montecarlo._chunk_users
+
+    def counting_chunk_users(spec, index, take, d_x, d_y):
+        streams.append((d_x, d_y, index))
+        return chunk_users(spec, index, take, d_x, d_y)
+
+    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
+    points = [(config, make_layout(config, m)) for config, m in oracle.mixed_batch(seed)]
+    spec = SimulationSpec(n_samples=20_001, seed=9, chunk_size=7_000)
+    found = montecarlo._simulate_outages(points, spec)
+    assert sorted(streams) == [(12.0, 6.0, i) for i in range(3)] + [
+        (30.0, 10.0, i) for i in range(3)
+    ]
+    monkeypatch.undo()
+    assert found == [simulate_outage(config, layout, spec) for config, layout in points]
+    assert any(0.0 < estimate.mean < 1.0 for estimate in found)

@@ -27,6 +27,12 @@ REMOVED = (
     "exact_boundary_x",
     "snr_linear",
     "linear_to_db",
+    "simulate_outage_curve",
+    "_simulate_outage_curves",
+    "_continuous_rate_curve",
+    "_params_snapshot",
+    "_curves",
+    "_baselines",
 )
 
 

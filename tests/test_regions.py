@@ -399,3 +399,31 @@ def test_lockstep_search_equals_per_partition_search(d_x, d_y, h, alpha, m, slot
         assert part.left_limits == (lay.x_k[0],) + (lay.delta - offset,) * (lay.m - 1)
         assert part.right_limits == (offset,) * (lay.m - 1) + (c.d_x - lay.x_k[-1],)
     assert optimize_partition(*pairs[slot]) == parts[slot]
+
+
+def test_partition_batch_gives_each_point_its_own_partition(monkeypatch):
+    # Whatever a batch holds and in whatever order, every pair gets exactly
+    # its one-pair partition, and each distinct (d_x, d_y, h, alpha, m)
+    # that needs a search is one bracket of the one search.
+    from pinchpas import regions
+
+    brackets = []
+    search = regions.golden_section
+
+    def counting_search(f, a, b, tol):
+        brackets.append(np.size(b))
+        return search(f, a, b, tol)
+
+    monkeypatch.setattr(regions, "golden_section", counting_search)
+    runs = []
+    for seed in (0, 1):
+        pairs = [(c, make_layout(c, m)) for c, m in oracle.mixed_batch(seed)]
+        parts = _optimize_partitions(pairs)
+        runs.append({(c, lay.m): part for (c, lay), part in zip(pairs, parts)})
+    searched = {
+        (c.d_x, c.d_y, c.h, c.alpha, m) for c, m in runs[0] if m > 1 and c.alpha != 0.0
+    }
+    assert brackets == [len(searched)] * 2
+    assert runs[0] == runs[1]
+    for (c, m), part in runs[0].items():
+        assert part == optimize_partition(c, make_layout(c, m))

@@ -202,14 +202,16 @@ def test_sweep_pde_alpha_builds_baseline_geometry_per_point(monkeypatch):
 
 
 def _count_rate_passes(monkeypatch):
+    # A rate run looks the pass up in `sweep`, and `metrics._pdes` in `metrics`.
     calls = []
-    rates = sweep._ergodic_rates
+    rates = metrics._ergodic_rates
 
     def counting_rates(points):
         calls.append(len(points))
         return rates(points)
 
     monkeypatch.setattr(sweep, "_ergodic_rates", counting_rates)
+    monkeypatch.setattr(metrics, "_ergodic_rates", counting_rates)
     return calls
 
 
@@ -401,6 +403,24 @@ def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("m_values = inf:inf:1\n", "line 2: m_values"),
+        ("sweep_axis = m\naxis_values = nan\n", "line 3: axis_values"),
+    ],
+    ids=["m_values_inf", "m_axis_nan"],
+)
+def test_cli_non_finite_antenna_count_is_config_error(tmp_path, capsys, text, where):
+    cfg = _write_cfg(tmp_path, "d_x = 10\n" + text)
+    out = tmp_path / "o"
+    assert main(["outage", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pinchpas: {where} ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_simulate_seed_and_samples_flags(tmp_path):
     cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 2\naxis_values = 95:95:1\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -552,15 +572,17 @@ def test_cli_unsettled_baseline_point_costs_one_row(tmp_path, monkeypatch, caplo
     # every other row is still written.
     gammas = (90.0, 95.0, 100.0, 105.0, 110.0)
     worst = 2
-    curve = sweep._continuous_rate_curve
+    continuous_rates = metrics._continuous_rates
 
-    def perturbed_curve(config, gamma_t_dbs):
-        rates = curve(config, gamma_t_dbs)
-        base, refined = rates[worst]
-        rates[worst] = (base * (1.0 + 1e-5), refined)
+    def perturbed_rates(configs):
+        rates = continuous_rates(configs)
+        for i, config in enumerate(configs):
+            if config.gamma_t_db == gammas[worst]:
+                base, refined = rates[i]
+                rates[i] = (base * (1.0 + 1e-5), refined)
         return rates
 
-    monkeypatch.setattr(sweep, "_continuous_rate_curve", perturbed_curve)
+    monkeypatch.setattr(metrics, "_continuous_rates", perturbed_rates)
     cfg = _write_cfg(
         tmp_path,
         "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90:110:5\nm_values = 1,2\n",
