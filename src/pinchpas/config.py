@@ -38,6 +38,14 @@ _DEFAULT_AXIS_VALUES = {
 }
 
 
+# The most antennas a config may ask for, on m_values or along the m axis.
+# A point's layout holds m Python floats and its partition three tuples of
+# m more, about 130 MB at 10**6 antennas, and a sweep builds them before
+# any metric could refuse the point; a larger count is a typo or an
+# overflowing range, not a room.
+_MAX_ANTENNAS = 10**6
+
+
 class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
@@ -156,6 +164,11 @@ def _parse_m_values(value: str, lineno: int) -> tuple[int, ...]:
                 ) from None
         if not values:
             raise ConfigError(f"line {lineno}: m_values is empty")
+    if any(m > _MAX_ANTENNAS for m in values):
+        raise ConfigError(
+            f"line {lineno}: m_values must be at most {_MAX_ANTENNAS} antennas, "
+            f"got {value!r}"
+        )
     if len(set(values)) < len(values):
         raise ConfigError(f"line {lineno}: m_values must not repeat, got {value!r}")
     return tuple(values)
@@ -246,6 +259,11 @@ def parse_config_text(
                     raise ConfigError(
                         f"line {lineno}: axis_values along m must be positive "
                         f"integers, got {v!r}"
+                    )
+                if v > _MAX_ANTENNAS:
+                    raise ConfigError(
+                        f"line {lineno}: axis_values along m must be at most "
+                        f"{_MAX_ANTENNAS} antennas, got {v!r}"
                     )
 
     spec = SweepSpec(

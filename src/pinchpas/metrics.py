@@ -8,7 +8,10 @@ the resulting rate over the uniform user distribution; the discretization
 efficiency is the ratio of the two rates. The rate, the baseline and the
 efficiency each take a batch of points in one call (`_ergodic_rates`,
 `_continuous_rates`, `_pdes`) that finds the work its points share, and
-the public one-point functions are their one-point cases.
+the public one-point functions are their one-point cases. The rate pass
+builds each run of points' arrays whole, with no numpy call per point,
+and sums each point's terms left to right, so a batched rate is bit for
+bit its point's own.
 """
 
 from __future__ import annotations
@@ -17,10 +20,11 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .numerics import _float_or_array, leggauss_cached
+from .numerics import _float_or_array, _piecewise, leggauss_cached
 from .regions import RegionPartition
 from .specfun import _dilog, ti2
 from .system import (
@@ -72,11 +76,14 @@ _IJ_SERIES_TERMS = 6
 # relative error of 1e-5 at 1e-8 * h^2 with width 100.
 _C_L_SLOPE_RATIO = 1e-4
 
-# Sub-rectangles per kernel call of the rate assembler, which takes whole
-# points. Along m = 1..100 at d_x = 30, laying the whole table out at once
-# (10,100 sub-rectangles) left the heap 0.7 MB larger, against 0.1 MB for
-# runs of 512; runs of 2,048 were about 40% faster but took 0.8 MB.
-_RATE_BLOCK = 512
+# Cells per run of the rate pass: points times the largest point's 2m
+# sub-rectangles, the zero-padded grid that bounds the run's kernel arrays
+# too. The pass along m = 1..100 at d_x = 30 (10,100 sub-rectangles) took
+# 12-17 ms in runs of 512 cells, 7.7-8.5 ms in runs of 2,048 and 5.7-6.2
+# ms as one run, with heap peaks of 0.17, 0.57 and 2.6 MB (tracemalloc).
+# A CLI process of the three antenna_scaling ops then peaked at 32.3,
+# 32.4 and 34.1 MB resident: the one run costs 5% more memory to save 2 ms.
+_RATE_BLOCK = 2048
 
 # Gauss-Legendre nodes per piece of the continuous baseline's y rule at the
 # base order; the self-check compares it with twice as many.
@@ -169,12 +176,23 @@ def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
     return min(1.0, max(0.0, value))
 
 
+def _c0k_scales(alpha, big_c, positions) -> tuple[np.ndarray, np.ndarray]:
+    """Attenuated SNR scale big_c e^(-alpha x_k) per antenna, and where it was clamped.
+
+    alpha and big_c broadcast against positions, so one run of points
+    takes each antenna's own. Exponents beyond _UNDERFLOW_EXPONENT give the
+    smallest normal float, marked in the second array.
+    """
+    clamped = alpha * positions > _UNDERFLOW_EXPONENT
+    scale = big_c * np.exp(-alpha * positions)
+    return np.where(clamped, sys.float_info.min, scale), clamped
+
+
 def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[np.ndarray, bool]:
-    """Attenuated SNR scale per antenna, clamped against exp underflow."""
-    positions = np.asarray(layout.x_k)
-    clamped = config.alpha * positions > _UNDERFLOW_EXPONENT
-    scale = derive_rf(config).big_c * np.exp(-config.alpha * positions)
-    values = np.where(clamped, sys.float_info.min, scale)
+    """Attenuated SNR scale per antenna of one point, and whether any was clamped."""
+    values, clamped = _c0k_scales(
+        config.alpha, derive_rf(config).big_c, np.asarray(layout.x_k)
+    )
     return values, bool(clamped.any())
 
 
@@ -220,21 +238,6 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be > 0, got {float(array[bad][0])!r}")
 
 
-def _piecewise(
-    mask: np.ndarray, when_true, when_false, *args: np.ndarray
-) -> np.ndarray:
-    """when_true(*args) where mask holds and when_false(*args) elsewhere.
-
-    Each branch sees only its own elements of the arguments, which share
-    mask's shape; a branch with no elements is not called.
-    """
-    value = np.empty(mask.shape)
-    for branch, where in ((when_true, mask), (when_false, ~mask)):
-        if where.any():
-            value[where] = branch(*(arg[where] for arg in args))
-    return value
-
-
 def i_i(x, delta_width, d_y):
     """Log-kernel building block of the conditional rate.
 
@@ -256,13 +259,16 @@ def _arctan_kernel(x, delta_width, d_y):
     # i_j without its argument check. `_conditional_rates`, which checks its
     # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
     # `metrics.i_j` and labels each call by its arguments taken as scalars.
+    # The slope comes first, so that none of the terms below is held
+    # through it: its series is where a rate pass's heap peaks.
+    slope = _kernel_slope(x, delta_width, d_y)
     corner = np.sqrt(x + d_y * d_y / 4.0)
     root = np.sqrt(x + delta_width * delta_width)
     edge = 0.5 * delta_width * d_y - delta_width * root * np.arctan(
         d_y / (2.0 * root)
     )
     core = 0.5 * d_y * corner * np.arctan(delta_width / corner)
-    return core + edge + x * _kernel_slope(x, delta_width, d_y)
+    return core + edge + x * slope
 
 
 def i_j(x, delta_width, d_y):
@@ -354,8 +360,10 @@ def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
         # Both ends in one call: row 0 at c_0k + h^2, row 1 at h^2.
         x = np.stack((shifted[difference], h_sq[difference]))
         w, y = delta_width[difference], d_y[difference]
-        log_part = i_i(x, w, y)
+        # The arctangent kernel first, so that i_i's rows are not held
+        # through its slope.
         arctan_part = _arctan_kernel(x, w, y)
+        log_part = i_i(x, w, y)
         total[difference] = log_part[0] + arctan_part[0] - log_part[1] - arctan_part[1]
     return np.maximum(0.0, 2.0 * total / (delta_width * d_y * math.log(2.0)))
 
@@ -373,18 +381,20 @@ def c_l(delta_width, c_0k, config: SystemConfig):
 
 
 def _point_blocks(points: Sequence) -> Iterator[list]:
-    """Runs of consecutive points holding at most _RATE_BLOCK sub-rectangles.
+    """Runs of consecutive points whose padded grid holds at most _RATE_BLOCK cells.
 
-    A point with more sub-rectangles than that is a run of its own.
+    A run's grid has a row per point and a column per sub-rectangle of its
+    largest point (2m), so it bounds the run's kernel arrays too. A point
+    with more than _RATE_BLOCK sub-rectangles is a run of its own.
     """
-    block, size = [], 0
+    block, widest = [], 0
     for point in points:
         count = 2 * point[1].m
-        if block and size + count > _RATE_BLOCK:
+        if block and (len(block) + 1) * max(widest, count) > _RATE_BLOCK:
             yield block
-            block, size = [], 0
+            block, widest = [], 0
         block.append(point)
-        size += count
+        widest = max(widest, count)
     if block:
         yield block
 
@@ -394,40 +404,50 @@ def _ergodic_rates(
 ) -> list[MetricResult]:
     """Spatially averaged rate at each (config, layout, partition), in few kernel calls.
 
-    The points are taken in runs (`_point_blocks`). A run's sub-rectangles,
-    left and right of each antenna in antenna order, are laid end to end
-    and `_conditional_rates` evaluates them in one call. Each point's rate
-    is the width-weighted sum over its own sub-rectangles, added in that
-    order, over d_x, and carries that point's own underflow flag.
+    The points are taken in runs (`_point_blocks`), and each run's arrays
+    are built whole, with no numpy call per point: its antennas' positions
+    with their points' alpha and big_c give the c_0k scales
+    (`_c0k_scales`), and its sub-rectangles, left and right of each antenna
+    in antenna order, are laid end to end for one `_conditional_rates`
+    call. Each point's width-weighted terms then fill one row of a
+    zero-padded grid, whose cumulative sum along the row adds them left to
+    right, as a loop over the antennas would; the row's last term over d_x
+    is the point's rate, with its own underflow flag.
     """
     results = []
     for block in _point_blocks(points):
-        widths, scales, h_sq, d_y, clamps = [], [], [], [], []
-        for config, layout, partition in block:
-            c0k, clamped = _c0k_values(config, layout)
-            widths.append(
-                np.column_stack((partition.left_limits, partition.right_limits)).ravel()
-            )
-            scales.append(np.repeat(c0k, 2))
-            h_sq.append(np.full(2 * layout.m, config.h * config.h))
-            d_y.append(np.full(2 * layout.m, config.d_y))
-            clamps.append(clamped)
-        ends = np.cumsum([w.size for w in widths[:-1]])
-        widths, scales, h_sq, d_y = (
-            np.concatenate(v) for v in (widths, scales, h_sq, d_y)
+        configs, layouts, partitions = zip(*block)
+        alpha, big_c, h_sq, d_y, d_x = np.array(
+            [(c.alpha, derive_rf(c).big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
+        ).T
+        counts = np.array([lay.m for lay in layouts])
+        positions = np.fromiter(chain.from_iterable(lay.x_k for lay in layouts), float)
+        c0k, clamped = _c0k_scales(
+            np.repeat(alpha, counts), np.repeat(big_c, counts), positions
         )
-        weighted = widths * _conditional_rates(widths, scales, h_sq, d_y)
-        for (config, _, _), terms, clamped in zip(
-            block, np.split(weighted, ends), clamps
-        ):
-            # cumsum adds left to right, as a loop over the antennas would.
-            results.append(
-                MetricResult(
-                    kind="ergodic_rate",
-                    value=float(np.cumsum(terms)[-1]) / config.d_x,
-                    flags=(_UNDERFLOW_FLAG,) if clamped else (),
-                )
+        widths = np.empty(2 * positions.size)
+        widths[0::2] = np.fromiter(
+            chain.from_iterable(p.left_limits for p in partitions), float
+        )
+        widths[1::2] = np.fromiter(
+            chain.from_iterable(p.right_limits for p in partitions), float
+        )
+        sizes = 2 * counts
+        weighted = widths * _conditional_rates(
+            widths, np.repeat(c0k, 2), np.repeat(h_sq, sizes), np.repeat(d_y, sizes)
+        )
+        grid = np.zeros((len(block), sizes.max()))
+        grid[np.arange(grid.shape[1]) < sizes[:, None]] = weighted
+        totals = np.cumsum(grid, axis=1)[np.arange(len(block)), sizes - 1]
+        flagged = np.logical_or.reduceat(clamped, np.cumsum(counts) - counts)
+        results.extend(
+            MetricResult(
+                kind="ergodic_rate",
+                value=value,
+                flags=(_UNDERFLOW_FLAG,) if flag else (),
             )
+            for value, flag in zip((totals / d_x).tolist(), flagged.tolist())
+        )
     return results
 
 

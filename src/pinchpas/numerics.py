@@ -18,6 +18,21 @@ def _float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _piecewise(
+    mask: np.ndarray, when_true, when_false, *args: np.ndarray
+) -> np.ndarray:
+    """when_true(*args) where mask holds and when_false(*args) elsewhere.
+
+    Each branch sees only its own elements of the arguments, which share
+    mask's shape; a branch with no elements is not called.
+    """
+    value = np.empty(mask.shape)
+    for branch, where in ((when_true, mask), (when_false, ~mask)):
+        if where.any():
+            value[where] = branch(*(arg[where] for arg in args))
+    return value
+
+
 @lru_cache(maxsize=None)
 def leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from .numerics import _piecewise
+
 __all__ = ["CATALAN", "ti2"]
 
 # Catalan's constant, G = sum (-1)^n / (2n+1)^2.
@@ -79,6 +81,14 @@ def _horner(coefficients: tuple[float, ...], x):
     return total
 
 
+def _ti2_series(z):
+    return z * _horner(_TI2_SERIES, z * z)
+
+
+def _ti2_near_one(z):
+    return _horner(_TI2_NEAR_ONE, z - 1.0)
+
+
 def ti2(z):
     """Inverse-tangent integral Ti2(z) = integral of arctan(t)/t from 0 to z.
 
@@ -86,7 +96,8 @@ def ti2(z):
     are folded back with Ti2(z) = Ti2(1/z) + (pi/2) ln z; arguments near
     1 use a Taylor expansion so the value at z = 1 is Catalan's constant
     to full precision. A float gives a float; an array gives an array of
-    its shape, each element taking its own branch.
+    its shape, each element taking its own branch: each of the two
+    polynomials is summed only over its own elements.
     """
     z = np.asarray(z, dtype=float)
     finite = np.isfinite(z)
@@ -95,11 +106,7 @@ def ti2(z):
     size = np.abs(z)
     inverted = size > _TI2_INVERSION_EDGE
     folded = np.where(inverted, 1.0 / np.maximum(size, _TI2_INVERSION_EDGE), size)
-    value = np.where(
-        folded <= _TI2_SERIES_EDGE,
-        folded * _horner(_TI2_SERIES, folded * folded),
-        _horner(_TI2_NEAR_ONE, folded - 1.0),
-    )
+    value = _piecewise(folded <= _TI2_SERIES_EDGE, _ti2_series, _ti2_near_one, folded)
     value = np.where(
         inverted, value + 0.5 * math.pi * np.log(np.maximum(size, 1.0)), value
     )

@@ -96,11 +96,25 @@ def _table_header(
     return tuple(lines)
 
 
+def _laid_out(
+    points: list[tuple[SystemConfig, int]],
+) -> list[tuple[SystemConfig, PaLayout]]:
+    """Each (config, m) point with its layout, built once per distinct (d_x, m)."""
+    layouts: dict[tuple[float, int], PaLayout] = {}
+    pairs = []
+    for config, m in points:
+        key = (config.d_x, m)
+        if key not in layouts:
+            layouts[key] = make_layout(config, m)
+        pairs.append((config, layouts[key]))
+    return pairs
+
+
 def _partitioned(
     points: list[tuple[SystemConfig, int]],
 ) -> list[tuple[SystemConfig, PaLayout, RegionPartition]]:
     """Each (config, m) point with its layout and optimized partition."""
-    pairs = [(config, make_layout(config, m)) for config, m in points]
+    pairs = _laid_out(points)
     return [pair + (part,) for pair, part in zip(pairs, _optimize_partitions(pairs))]
 
 
@@ -113,9 +127,7 @@ def _evaluate(
     whole run is one batch call of the metric.
     """
     if metric == "simulate":
-        estimates = _simulate_outages(
-            [(config, make_layout(config, m)) for config, m in points], sim
-        )
+        estimates = _simulate_outages(_laid_out(points), sim)
         return [((e.mean, e.std_error), ()) for e in estimates]
     partitioned = _partitioned(points)
     if metric == "outage":

@@ -2,7 +2,9 @@
 
 Everything here is deliberately dumb: adaptive quadrature of defining
 integrals, dense grid searches, high-precision special functions from
-mpmath. Slow but trustworthy, and sharing no code with the package.
+mpmath. Slow but trustworthy, and sharing no code with the package, except
+`per_point_rates`: it checks only how the rate pass assembles its points,
+so it calls the package's kernels one point at a time.
 """
 
 import math
@@ -12,7 +14,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, optimize
 
-from pinchpas import SystemConfig, UserPosition, derive_rf
+from pinchpas import SystemConfig, UserPosition, derive_rf, metrics
 
 
 def outage_indicator_quad(delta_width: float, a_0k: float, d_y: float) -> float:
@@ -418,3 +420,24 @@ def mixed_batch(seed: int) -> list:
     points.append(points[4])
     order = np.random.default_rng(seed).permutation(len(points))
     return [points[i] for i in order]
+
+
+def per_point_rates(points) -> list:
+    """(value, flags) of the discrete rate at each (config, layout, partition), point by point.
+
+    The rate pass as it was assembled before a run's arrays were built
+    whole: per point its c_0k scales (`_c0k_values`), its sub-rectangles
+    left and right of each antenna (`column_stack`), one
+    `_conditional_rates` call, and the width-weighted terms summed left to
+    right by np.cumsum, over d_x.
+    """
+    rates = []
+    for config, layout, partition in points:
+        c0k, clamped = metrics._c0k_values(config, layout)
+        widths = np.column_stack((partition.left_limits, partition.right_limits)).ravel()
+        terms = widths * metrics._conditional_rates(
+            widths, np.repeat(c0k, 2), config.h * config.h, config.d_y
+        )
+        flags = ("c0k_underflow_clamp",) if clamped else ()
+        rates.append((float(np.cumsum(terms)[-1]) / config.d_x, flags))
+    return rates

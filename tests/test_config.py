@@ -2,6 +2,7 @@
 
 import pytest
 
+import pinchpas.config as config_module
 from pinchpas import ConfigError, SweepSpec, SystemConfig, load_config, parse_config_text
 
 
@@ -137,6 +138,25 @@ def test_m_axis_requires_integer_values():
     ):
         with pytest.raises(ConfigError, match=rf"^line \d+: {key} "):
             parse_config_text("d_x = 10\n" + text)
+
+
+def test_antenna_count_is_capped():
+    # Parsed only: a sweep would build a layout of that many antennas.
+    cap = config_module._MAX_ANTENNAS
+    assert cap == 10**6
+    for text, key in (
+        ("m_values = 1e300:1e300:1\n", "m_values"),
+        (f"m_values = 1, {cap + 1}\n", "m_values"),
+        (f"m_values = {cap + 1}:{cap + 1}:1\n", "m_values"),
+        ("sweep_axis = m\naxis_values = 1e300\n", "axis_values"),
+        (f"sweep_axis = m\naxis_values = 1, {cap + 1}\n", "axis_values"),
+    ):
+        with pytest.raises(ConfigError, match=rf"^line \d+: {key} .* at most {cap} "):
+            parse_config_text("d_x = 10\n" + text)
+    _, spec = parse_config_text(f"d_x = 10\nm_values = {cap}\n")
+    assert spec.m_values == (cap,)
+    _, spec = parse_config_text(f"d_x = 10\nsweep_axis = m\naxis_values = {cap}\n")
+    assert spec.axis_values == (float(cap),)
 
 
 def test_regions_grammar():

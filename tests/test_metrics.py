@@ -347,12 +347,12 @@ def test_batched_rates_match_pointwise_rates():
         assert len(batched) == len(table)
         for result, point in zip(batched, table):
             single = ergodic_rate(*point)
-            assert result.value == pytest.approx(single.value, rel=1e-14, abs=0.0)
+            assert result.value == single.value
             assert (result.kind, result.flags) == (single.kind, single.flags)
     assert reached == {"exact 0", "slope", "i_j series", "i_j closed"}
 
 
-def test_batched_rates_flag_only_the_clamped_points():
+def _clamped_room_points():
     # m = 2 in a 200 m room puts the antennas at 50 and 150 m, so alpha * x_k
     # passes the clamp's 700 at alpha = 6 (the far antenna) and 20 (both).
     points = []
@@ -360,11 +360,54 @@ def test_batched_rates_flag_only_the_clamped_points():
         cfg = SystemConfig(d_x=200.0, alpha=alpha)
         lay = make_layout(cfg, 2)
         points.append((cfg, lay, optimize_partition(cfg, lay)))
+    return points
+
+
+def test_batched_rates_flag_only_the_clamped_points():
+    points = _clamped_room_points()
     results = metrics._ergodic_rates(points)
     flag = ("c0k_underflow_clamp",)
     assert [r.flags for r in results] == [(), (), flag, flag, ()]
     assert [r.value for r in results] == [ergodic_rate(*p).value for p in points]
     assert results[0].value > 0.0 and results[4].value > 0.0
+
+
+def _partitioned(points):
+    pairs = [(config, make_layout(config, m)) for config, m in points]
+    return [pair + (optimize_partition(*pair),) for pair in pairs]
+
+
+@pytest.mark.parametrize("block", [None, 2, 10**6], ids=["default", "2", "1e6"])
+def test_batched_rates_equal_the_per_point_assembly(monkeypatch, block):
+    # Runs of whole points, of a single point each, and one run for all:
+    # every value and flag is the one-point-at-a-time assembly's, bit for bit.
+    if block is not None:
+        monkeypatch.setattr(metrics, "_RATE_BLOCK", block)
+    cases = {f"mixed_batch({seed})": oracle.mixed_batch(seed) for seed in (0, 1)}
+    for alpha in (0.05, 0.2):
+        cfg = SystemConfig(d_x=30.0, alpha=alpha)
+        cases[f"m = 1..100, alpha {alpha}"] = [(cfg, m) for m in range(1, 101)]
+    cases = {name: _partitioned(points) for name, points in cases.items()}
+    cases["clamped 200 m room"] = _clamped_room_points()
+    for name, points in cases.items():
+        results = metrics._ergodic_rates(points)
+        assert [(r.value, r.flags) for r in results] == oracle.per_point_rates(
+            points
+        ), name
+
+
+def test_point_blocks_bound_the_padded_grid(monkeypatch):
+    # A run's rows times its widest point's 2m stays within the cap, unless
+    # a point is wider than the cap alone; the points keep their order.
+    monkeypatch.setattr(metrics, "_RATE_BLOCK", 40)
+    cfg = SystemConfig(d_x=30.0)
+    points = [(cfg, make_layout(cfg, m), None) for m in (1, 1, 1, 5, 30, 2, 2, 9, 1)]
+    runs = list(metrics._point_blocks(points))
+    assert [p for run in runs for p in run] == points
+    assert [[p[1].m for p in run] for run in runs] == [[1, 1, 1, 5], [30], [2, 2], [9, 1]]
+    for run in runs:
+        widest = max(2 * p[1].m for p in run)
+        assert len(run) == 1 or len(run) * widest <= 40
 
 
 # ------------------------------------------------- continuous benchmark --

@@ -97,6 +97,20 @@ def test_ti2_array_elements_equal_scalar_calls():
     assert ti2(zs).tolist() == [ti2(float(z)) for z in zs]
 
 
+def test_ti2_branches_keep_each_element_in_place():
+    # Each polynomial is summed only over its own branch's elements: a
+    # shuffled 2-D array straddling both seams, of both signs, is still
+    # elementwise its scalar calls, bit for bit.
+    seams = [np.nextafter(edge, side) for edge in (0.6, 1.5) for side in (0.0, 2.0)]
+    sizes = np.concatenate(([0.0, 0.6, 1.5, *seams], np.linspace(0.01, 3.0, 89)))
+    zs = np.random.default_rng(23).permutation(
+        sizes * np.resize([1.0, -1.0, -1.0], sizes.size)
+    ).reshape(8, 12)
+    values = ti2(zs)
+    assert values.shape == zs.shape
+    assert values.ravel().tolist() == [ti2(z) for z in zs.ravel().tolist()]
+
+
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_ti2_array_rejects_any_non_finite_element(bad):
     with pytest.raises(ValueError, match="finite"):

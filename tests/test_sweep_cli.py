@@ -247,6 +247,36 @@ def test_sweep_rate_gamma_is_one_rate_pass_per_run(monkeypatch):
             assert rate == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("metric", ["rate", "simulate"])
+def test_sweep_builds_one_layout_per_room_length_and_count(monkeypatch, metric):
+    built = []
+    make_layout_once = sweep.make_layout
+
+    def counting_make_layout(config, m):
+        built.append((config.d_x, m))
+        return make_layout_once(config, m)
+
+    monkeypatch.setattr(sweep, "make_layout", counting_make_layout)
+    sim = SimulationSpec(n_samples=2000, seed=3)
+    run_sweep(
+        _spec(
+            f"d_x = 30\nmetric = {metric}\nsweep_axis = gamma_t_db\n"
+            "axis_values = 90:110:5\nm_values = 1,10\n"
+        ),
+        sim,
+    )
+    assert built == [(30.0, 1), (30.0, 10)]
+    built.clear()
+    run_sweep(
+        _spec(
+            f"d_x = 10\nmetric = {metric}\nsweep_axis = d_x\n"
+            "axis_values = 10,20\nm_values = 2,3\n"
+        ),
+        sim,
+    )
+    assert built == [(10.0, 2), (20.0, 2), (10.0, 3), (20.0, 3)]
+
+
 def test_sweep_d_x_axis():
     spec = _spec("d_x = 10\nmetric = rate\nsweep_axis = d_x\nm_values = 2\n")
     tables = run_sweep(spec)
@@ -417,6 +447,25 @@ def test_cli_non_finite_antenna_count_is_config_error(tmp_path, capsys, text, wh
     assert main(["outage", "--config", cfg, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"pinchpas: {where} ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("m_values = 1e300:1e300:1\n", "line 2: m_values"),
+        ("sweep_axis = m\naxis_values = 1e300\n", "line 3: axis_values"),
+    ],
+    ids=["m_values", "m_axis"],
+)
+def test_cli_huge_antenna_count_is_config_error(tmp_path, capsys, text, where):
+    cfg = _write_cfg(tmp_path, "d_x = 10\n" + text)
+    out = tmp_path / "o"
+    assert main(["rate", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pinchpas: {where} ")
+    assert "must be at most 1000000 antennas" in err
     assert "Traceback" not in err
     assert not out.exists()
 
