@@ -108,11 +108,9 @@ def _selftest() -> int:
 
     # Conditional outage is continuous across its regime boundaries.
     delta, d_y = 2.0, 10.0
-    worst = 0.0
-    for a_edge in (delta**2, d_y**2 / 4.0, delta**2 + d_y**2 / 4.0):
-        lo = p_l(delta, a_edge * (1.0 - 1e-9), d_y)
-        hi = p_l(delta, a_edge * (1.0 + 1e-9), d_y)
-        worst = max(worst, abs(hi - lo))
+    edges = np.array([delta**2, d_y**2 / 4.0, delta**2 + d_y**2 / 4.0])
+    jumps = p_l(delta, edges * (1.0 + 1e-9), d_y) - p_l(delta, edges * (1.0 - 1e-9), d_y)
+    worst = float(np.abs(jumps).max())
     all_ok &= _check("outage regime continuity", worst <= 1e-6, f"worst jump={worst:.3e}")
 
     # Rate building blocks against direct quadrature of their integrands.
@@ -170,26 +168,35 @@ def _selftest() -> int:
         f"{differ} of 4000 users differ",
     )
 
-    # Rate and pde sweeps along m, one batch each, keep each point's value
-    # its own: each rate bit for bit.
+    # Outage, rate and pde sweeps along m, one batch each, keep each
+    # point's value its own: each outage and rate bit for bit.
     room = SystemConfig(d_x=30.0)
     counts = tuple(float(m) for m in range(1, 21))
     spec = SweepSpec(
         metric="rate", sweep_axis="m", axis_values=counts, fixed_params=room, m_values=(1,)
     )
+    (outage_table,) = run_sweep(replace(spec, metric="outage"))
     (rate_table,) = run_sweep(spec)
     (pde_table,) = run_sweep(replace(spec, metric="pde"))
-    differ, worst_pde = 0, 0.0
-    for (m, rate), (_, efficiency) in zip(rate_table.rows, pde_table.rows):
+    outages_differ, rates_differ, worst_pde = 0, 0, 0.0
+    for (m, outage), (_, rate), (_, efficiency) in zip(
+        outage_table.rows, rate_table.rows, pde_table.rows
+    ):
         grid = make_layout(room, int(m))
         cuts = optimize_partition(room, grid)
-        differ += rate != ergodic_rate(room, grid, cuts).value
+        outages_differ += outage != outage_probability(room, grid, cuts).value
+        rates_differ += rate != ergodic_rate(room, grid, cuts).value
         single = pde(room, grid, cuts).value
         worst_pde = max(worst_pde, abs(efficiency - single) / single)
     all_ok &= _check(
+        "batched outage table matches pointwise outage",
+        len(outage_table.rows) == len(counts) and outages_differ == 0,
+        f"{outages_differ} of {len(counts)} outages differ",
+    )
+    all_ok &= _check(
         "batched rate table matches pointwise rates",
-        len(rate_table.rows) == len(counts) and differ == 0,
-        f"{differ} of {len(counts)} rates differ",
+        len(rate_table.rows) == len(counts) and rates_differ == 0,
+        f"{rates_differ} of {len(counts)} rates differ",
     )
     all_ok &= _check(
         "batched pde table matches pointwise pde",

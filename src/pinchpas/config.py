@@ -50,6 +50,18 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
+def _check_m_axis(values, at: str = "") -> None:
+    """Raise a ConfigError, led by `at`, unless each value is a count in [1, cap]."""
+    for v in values:
+        if not math.isfinite(v) or v != int(v) or v < 1:
+            raise ConfigError(f"{at}axis_values along m must be positive integers, got {v!r}")
+        if v > _MAX_ANTENNAS:
+            raise ConfigError(
+                f"{at}axis_values along m must be at most {_MAX_ANTENNAS} antennas, "
+                f"got {v!r}"
+            )
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to compute: a metric swept along one axis for several antenna counts."""
@@ -75,10 +87,12 @@ class SweepSpec:
             )
         if not self.m_values:
             raise ConfigError("m_values must be nonempty")
-        if any(m < 1 for m in self.m_values):
-            raise ConfigError(f"m_values must all be >= 1, got {self.m_values}")
+        if not all(1 <= m <= _MAX_ANTENNAS for m in self.m_values):
+            raise ConfigError(f"m_values must all lie in [1, {_MAX_ANTENNAS}] antennas")
         if len(set(self.m_values)) < len(self.m_values):
             raise ConfigError(f"m_values must not repeat, got {self.m_values}")
+        if self.sweep_axis == "m":
+            _check_m_axis(self.axis_values)
 
 
 def _split_lines(text: str) -> list[tuple[int, str, str]]:
@@ -254,17 +268,7 @@ def parse_config_text(
         lineno, value = sweep_raw.get("axis_values", (0, _DEFAULT_AXIS_VALUES[axis]))
         axis_values = _parse_axis_values(value, lineno)
         if axis == "m":
-            for v in axis_values:
-                if not math.isfinite(v) or v != int(v) or v < 1:
-                    raise ConfigError(
-                        f"line {lineno}: axis_values along m must be positive "
-                        f"integers, got {v!r}"
-                    )
-                if v > _MAX_ANTENNAS:
-                    raise ConfigError(
-                        f"line {lineno}: axis_values along m must be at most "
-                        f"{_MAX_ANTENNAS} antennas, got {v!r}"
-                    )
+            _check_m_axis(axis_values, f"line {lineno}: ")
 
     spec = SweepSpec(
         metric=metric,

@@ -5,13 +5,13 @@ assembled per antenna from conditional expressions over the left and right
 sub-rectangles of its serving region. The continuous baseline places a
 radiating point at the per-user optimal waveguide position and integrates
 the resulting rate over the uniform user distribution; the discretization
-efficiency is the ratio of the two rates. The rate, the baseline and the
-efficiency each take a batch of points in one call (`_ergodic_rates`,
-`_continuous_rates`, `_pdes`) that finds the work its points share, and
-the public one-point functions are their one-point cases. The rate pass
-builds each run of points' arrays whole, with no numpy call per point,
-and sums each point's terms left to right, so a batched rate is bit for
-bit its point's own.
+efficiency is the ratio of the two rates. Each metric takes a batch of
+points in one call (`_outages`, `_ergodic_rates`, `_continuous_rates`,
+`_pdes`) that finds the work its points share, and the public one-point
+functions are their one-point cases. Outage and rate share one assembly,
+`_sub_rectangle_means`: it builds each run of points' sub-rectangles as
+whole arrays, with no numpy call per point, and sums each point's terms
+left to right, so a batched outage or rate is bit for bit its point's own.
 """
 
 from __future__ import annotations
@@ -76,13 +76,13 @@ _IJ_SERIES_TERMS = 6
 # relative error of 1e-5 at 1e-8 * h^2 with width 100.
 _C_L_SLOPE_RATIO = 1e-4
 
-# Cells per run of the rate pass: points times the largest point's 2m
-# sub-rectangles, the zero-padded grid that bounds the run's kernel arrays
-# too. The pass along m = 1..100 at d_x = 30 (10,100 sub-rectangles) took
-# 12-17 ms in runs of 512 cells, 7.7-8.5 ms in runs of 2,048 and 5.7-6.2
-# ms as one run, with heap peaks of 0.17, 0.57 and 2.6 MB (tracemalloc).
-# A CLI process of the three antenna_scaling ops then peaked at 32.3,
-# 32.4 and 34.1 MB resident: the one run costs 5% more memory to save 2 ms.
+# Sub-rectangles per run of the outage and rate passes, which bounds the
+# run's kernel arrays. The rate pass along m = 1..100 at d_x = 30 (10,100
+# sub-rectangles) took 13-21 ms in runs of 512, 6-10.5 ms in runs of 2,048
+# and 5.6-8.9 ms as one run (quartiles over repeats on a shared 2-vCPU
+# machine), with heap peaks of 0.22, 0.73 and 2.8 MB (tracemalloc). A CLI
+# process of the three antenna_scaling ops then peaked at 32.5, 32.5 and
+# 34.5 MB resident: the one run costs 6% more memory to save about 1 ms.
 _RATE_BLOCK = 2048
 
 # Gauss-Legendre nodes per piece of the continuous baseline's y rule at the
@@ -117,7 +117,36 @@ class MetricResult:
             raise ValueError(f"pde {self.value!r} is not in (0, 1] nor a flagged 0")
 
 
-def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
+def _outage_past_width(a_0k, width, d_y):
+    root = np.sqrt(np.maximum(a_0k - d_y * d_y / 4.0, 0.0))
+    arc = np.arcsin(np.minimum(d_y / (2.0 * np.sqrt(a_0k)), 1.0))
+    return 1.0 - (a_0k / (d_y * width)) * arc - root / (2.0 * width)
+
+
+def _outage_past_depth(a_0k, width, d_y):
+    # Also the depth-side-only regime's form: there 4 a_0k <= d_y^2, so the
+    # width side's terms are exact zeros and the value is bit for bit the
+    # depth-only expression.
+    sqrt_a = np.sqrt(a_0k)
+    root_w = np.sqrt(np.maximum(4.0 * a_0k - d_y * d_y, 0.0))
+    root_d = np.sqrt(np.maximum(a_0k - width * width, 0.0))
+    arc = np.arcsin(np.minimum(width / sqrt_a, 1.0))
+    arc = arc - np.arcsin(np.minimum(root_w / (2.0 * sqrt_a), 1.0))
+    return 1.0 - (a_0k / (d_y * width)) * arc - root_w / (4.0 * width) - root_d / d_y
+
+
+# `p_l`'s regimes, by where the threshold circle lies against the sub-rectangle.
+_OUTAGE_REGIMES = (
+    lambda *_: 1.0,  # no reach: all of it in outage
+    lambda a_0k, width, d_y: 1.0 - math.pi * a_0k / (2.0 * (d_y * width)),  # inside it
+    _outage_past_depth,  # out through its far (depth) side only
+    _outage_past_width,  # out through its width side only
+    _outage_past_depth,  # out through both sides, short of the far corner
+    lambda *_: 0.0,  # covering all of it
+)
+
+
+def p_l(delta_width, a_0k, d_y):
     """Conditional outage probability over one sub-rectangle.
 
     The user's offset along the waveguide is uniform on [0, delta_width]
@@ -126,54 +155,18 @@ def p_l(delta_width: float, a_0k: float, d_y: float) -> float:
     six-regime piecewise form depending on how the threshold circle of
     radius sqrt(a_0k) intersects the sub-rectangle; ties between regimes
     are routed to the lower-indexed branch (they agree by continuity).
+    Floats give a float; arrays broadcast, and each element is evaluated
+    by its own regime only.
     """
-    if not delta_width > 0:
-        raise ValueError(f"delta_width must be > 0, got {delta_width!r}")
-    if not d_y > 0:
-        raise ValueError(f"d_y must be > 0, got {d_y!r}")
-    if a_0k <= 0.0:
-        return 1.0
+    _require_positive("delta_width", delta_width)
+    _require_positive("d_y", d_y)
+    delta_width, a_0k, d_y = _arrays(delta_width, a_0k, d_y)
     half_w_sq = d_y * d_y / 4.0
     depth_sq = delta_width * delta_width
-    area = d_y * delta_width
-    if a_0k <= min(half_w_sq, depth_sq):
-        # Quarter circle fully inside the sub-rectangle.
-        value = 1.0 - math.pi * a_0k / (2.0 * area)
-    elif a_0k <= half_w_sq:
-        # Circle pokes out through the far (depth) side only.
-        root = math.sqrt(max(a_0k - depth_sq, 0.0))
-        value = (
-            1.0
-            - (a_0k / area) * math.asin(min(delta_width / math.sqrt(a_0k), 1.0))
-            - root / d_y
-        )
-    elif a_0k <= depth_sq:
-        # Circle pokes out through the width side only.
-        root = math.sqrt(max(a_0k - half_w_sq, 0.0))
-        value = (
-            1.0
-            - (a_0k / area) * math.asin(min(d_y / (2.0 * math.sqrt(a_0k)), 1.0))
-            - root / (2.0 * delta_width)
-        )
-    elif a_0k <= depth_sq + half_w_sq:
-        # Circle pokes out through both sides but misses the far corner.
-        sqrt_a = math.sqrt(a_0k)
-        root_w = math.sqrt(max(4.0 * a_0k - d_y * d_y, 0.0))
-        root_d = math.sqrt(max(a_0k - depth_sq, 0.0))
-        value = (
-            1.0
-            - (a_0k / area)
-            * (
-                math.asin(min(delta_width / sqrt_a, 1.0))
-                - math.asin(min(root_w / (2.0 * sqrt_a), 1.0))
-            )
-            - root_w / (4.0 * delta_width)
-            - root_d / d_y
-        )
-    else:
-        # Threshold circle covers the whole sub-rectangle.
-        return 0.0
-    return min(1.0, max(0.0, value))
+    edges = (0.0, np.minimum(half_w_sq, depth_sq), half_w_sq, depth_sq, depth_sq + half_w_sq)
+    regime = np.select([a_0k <= edge for edge in edges], range(5), 5)
+    value = _piecewise(regime, _OUTAGE_REGIMES, a_0k, delta_width, d_y)
+    return _float_or_array(np.minimum(1.0, np.maximum(0.0, value)))
 
 
 def _c0k_scales(alpha, big_c, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -186,43 +179,6 @@ def _c0k_scales(alpha, big_c, positions) -> tuple[np.ndarray, np.ndarray]:
     clamped = alpha * positions > _UNDERFLOW_EXPONENT
     scale = big_c * np.exp(-alpha * positions)
     return np.where(clamped, sys.float_info.min, scale), clamped
-
-
-def _c0k_values(config: SystemConfig, layout: PaLayout) -> tuple[np.ndarray, bool]:
-    """Attenuated SNR scale per antenna of one point, and whether any was clamped."""
-    values, clamped = _c0k_scales(
-        config.alpha, derive_rf(config).big_c, np.asarray(layout.x_k)
-    )
-    return values, bool(clamped.any())
-
-
-def outage_probability(
-    config: SystemConfig, layout: PaLayout, partition: RegionPartition
-) -> MetricResult:
-    """Probability that the best antenna's SNR falls below the threshold.
-
-    Weighted sum of the conditional outage over each antenna's left and
-    right sub-rectangles, the weights being the sub-rectangle widths as a
-    fraction of the room length.
-    """
-    gamma_thr = db_to_linear(config.gamma_thr_db)
-    c0k, clamped = _c0k_values(config, layout)
-    h_sq = config.h * config.h
-    total = 0.0
-    for k, scale in enumerate(c0k.tolist()):
-        # Squared horizontal reach at the threshold; negative means even a
-        # user directly under antenna k is in outage.
-        a_0k = scale / gamma_thr - h_sq
-        left = partition.left_limits[k]
-        right = partition.right_limits[k]
-        total += left * p_l(left, a_0k, config.d_y)
-        total += right * p_l(right, a_0k, config.d_y)
-    value = min(1.0, max(0.0, total / config.d_x))
-    return MetricResult(
-        kind="outage",
-        value=value,
-        flags=(_UNDERFLOW_FLAG,) if clamped else (),
-    )
 
 
 def _arrays(*values) -> list[np.ndarray]:
@@ -327,8 +283,7 @@ def _kernel_slope(x, delta_width, d_y):
     return _float_or_array(
         _piecewise(
             x > _IJ_DIRECT_RATIO * delta_width * delta_width,
-            _kernel_slope_series,
-            _kernel_slope_closed,
+            (_kernel_slope_closed, _kernel_slope_series),
             x,
             delta_width,
             d_y,
@@ -381,50 +336,46 @@ def c_l(delta_width, c_0k, config: SystemConfig):
 
 
 def _point_blocks(points: Sequence) -> Iterator[list]:
-    """Runs of consecutive points whose padded grid holds at most _RATE_BLOCK cells.
+    """Runs of consecutive points with at most _RATE_BLOCK sub-rectangles in all.
 
-    A run's grid has a row per point and a column per sub-rectangle of its
-    largest point (2m), so it bounds the run's kernel arrays too. A point
-    with more than _RATE_BLOCK sub-rectangles is a run of its own.
+    A point has 2m sub-rectangles, so this bounds a run's kernel arrays.
+    A point with more than _RATE_BLOCK of them is a run of its own.
     """
-    block, widest = [], 0
+    block, size = [], 0
     for point in points:
         count = 2 * point[1].m
-        if block and (len(block) + 1) * max(widest, count) > _RATE_BLOCK:
+        if block and size + count > _RATE_BLOCK:
             yield block
-            block, widest = [], 0
+            block, size = [], 0
         block.append(point)
-        widest = max(widest, count)
+        size += count
     if block:
         yield block
 
 
-def _ergodic_rates(
-    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]],
-) -> list[MetricResult]:
-    """Spatially averaged rate at each (config, layout, partition), in few kernel calls.
+def _sub_rectangle_means(
+    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]], term
+) -> Iterator[tuple[float, tuple[str, ...]]]:
+    """Per (config, layout, partition), term's width-weighted sum over d_x, and flags.
 
-    The points are taken in runs (`_point_blocks`), and each run's arrays
-    are built whole, with no numpy call per point: its antennas' positions
-    with their points' alpha and big_c give the c_0k scales
-    (`_c0k_scales`), and its sub-rectangles, left and right of each antenna
-    in antenna order, are laid end to end for one `_conditional_rates`
-    call. Each point's width-weighted terms then fill one row of a
-    zero-padded grid, whose cumulative sum along the row adds them left to
-    right, as a loop over the antennas would; the row's last term over d_x
-    is the point's rate, with its own underflow flag.
+    The one place that turns points into sub-rectangles. The points are
+    taken in runs (`_point_blocks`), and each run's arrays are built whole,
+    with no numpy call per point: c_0k per antenna (`_c0k_scales`), then
+    per sub-rectangle, left and right of each antenna in antenna order,
+    its width, c_0k and its point's h^2, d_y and linear threshold, for one
+    call term(widths, c_0k, h_sq, d_y, gamma_thr). np.bincount adds each
+    point's width-weighted terms left to right, as a loop over its antennas
+    would; a point any of whose scales was clamped is flagged.
     """
-    results = []
     for block in _point_blocks(points):
         configs, layouts, partitions = zip(*block)
-        alpha, big_c, h_sq, d_y, d_x = np.array(
-            [(c.alpha, derive_rf(c).big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
-        ).T
-        counts = np.array([lay.m for lay in layouts])
+        fields = [(c.alpha, derive_rf(c).big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
+        alpha, big_c, h_sq, d_y, d_x = np.array(fields).T
+        gamma_thr = np.array([db_to_linear(c.gamma_thr_db) for c in configs])
+        counts = [lay.m for lay in layouts]
+        antenna_owner = np.repeat(np.arange(len(block)), counts)
         positions = np.fromiter(chain.from_iterable(lay.x_k for lay in layouts), float)
-        c0k, clamped = _c0k_scales(
-            np.repeat(alpha, counts), np.repeat(big_c, counts), positions
-        )
+        c0k, clamped = _c0k_scales(alpha[antenna_owner], big_c[antenna_owner], positions)
         widths = np.empty(2 * positions.size)
         widths[0::2] = np.fromiter(
             chain.from_iterable(p.left_limits for p in partitions), float
@@ -432,23 +383,67 @@ def _ergodic_rates(
         widths[1::2] = np.fromiter(
             chain.from_iterable(p.right_limits for p in partitions), float
         )
-        sizes = 2 * counts
-        weighted = widths * _conditional_rates(
-            widths, np.repeat(c0k, 2), np.repeat(h_sq, sizes), np.repeat(d_y, sizes)
+        owner = np.repeat(antenna_owner, 2)
+        weighted = widths * term(
+            widths, np.repeat(c0k, 2), h_sq[owner], d_y[owner], gamma_thr[owner]
         )
-        grid = np.zeros((len(block), sizes.max()))
-        grid[np.arange(grid.shape[1]) < sizes[:, None]] = weighted
-        totals = np.cumsum(grid, axis=1)[np.arange(len(block)), sizes - 1]
-        flagged = np.logical_or.reduceat(clamped, np.cumsum(counts) - counts)
-        results.extend(
-            MetricResult(
-                kind="ergodic_rate",
-                value=value,
-                flags=(_UNDERFLOW_FLAG,) if flag else (),
-            )
-            for value, flag in zip((totals / d_x).tolist(), flagged.tolist())
-        )
-    return results
+        totals = np.bincount(owner, weights=weighted) / d_x
+        clamps = np.bincount(antenna_owner, weights=clamped).tolist()
+        yield from zip(totals.tolist(), [(_UNDERFLOW_FLAG,) if n else () for n in clamps])
+
+
+def _outage_terms(widths, c_0k, h_sq, d_y, gamma_thr):
+    # Squared horizontal reach at the threshold; negative means even a user
+    # directly under the antenna is in outage. A reach that overflows to inf
+    # covers every sub-rectangle, so its outage is 0, and so is the NaN of
+    # inf - inf when h^2 has overflowed too: it is in no regime's range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_0k = c_0k / gamma_thr - h_sq
+    return p_l(widths, a_0k, d_y)
+
+
+def _rate_terms(widths, c_0k, h_sq, d_y, _gamma_thr):
+    return _conditional_rates(widths, c_0k, h_sq, d_y)
+
+
+def _outages(
+    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]],
+) -> list[MetricResult]:
+    """Outage probability at each (config, layout, partition), in few kernel calls.
+
+    Each point's conditional outages (`p_l`) over its sub-rectangles,
+    weighted by width over d_x (`_sub_rectangle_means`), clamped to [0, 1].
+    """
+    return [
+        MetricResult(kind="outage", value=min(1.0, max(0.0, value)), flags=flags)
+        for value, flags in _sub_rectangle_means(points, _outage_terms)
+    ]
+
+
+def outage_probability(
+    config: SystemConfig, layout: PaLayout, partition: RegionPartition
+) -> MetricResult:
+    """Probability that the best antenna's SNR falls below the threshold.
+
+    Weighted sum of the conditional outage over each antenna's left and
+    right sub-rectangles, the weights being the sub-rectangle widths as a
+    fraction of the room length.
+    """
+    return _outages([(config, layout, partition)])[0]
+
+
+def _ergodic_rates(
+    points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]],
+) -> list[MetricResult]:
+    """Spatially averaged rate at each (config, layout, partition), in few kernel calls.
+
+    Each point's conditional rates (`_conditional_rates`) over its
+    sub-rectangles, weighted by width over d_x (`_sub_rectangle_means`).
+    """
+    return [
+        MetricResult(kind="ergodic_rate", value=value, flags=flags)
+        for value, flags in _sub_rectangle_means(points, _rate_terms)
+    ]
 
 
 def ergodic_rate(
@@ -542,7 +537,7 @@ def _middle_integral(alpha: float, length, start_snr):
     """
     start_snr, decay = np.broadcast_arrays(start_snr, alpha * np.asarray(length))
     mean = _piecewise(
-        decay <= _MIDDLE_SERIES_SPAN, _middle_series, _middle_dilog, start_snr, decay
+        decay <= _MIDDLE_SERIES_SPAN, (_middle_dilog, _middle_series), start_snr, decay
     )
     return length * mean
 

@@ -18,16 +18,15 @@ def _float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _piecewise(
-    mask: np.ndarray, when_true, when_false, *args: np.ndarray
-) -> np.ndarray:
-    """when_true(*args) where mask holds and when_false(*args) elsewhere.
+def _piecewise(choice: np.ndarray, branches, *args: np.ndarray) -> np.ndarray:
+    """branches[i](*args) where choice is i; a boolean choice picks branches[1] where it holds.
 
     Each branch sees only its own elements of the arguments, which share
-    mask's shape; a branch with no elements is not called.
+    choice's shape; a branch with no elements is not called.
     """
-    value = np.empty(mask.shape)
-    for branch, where in ((when_true, mask), (when_false, ~mask)):
+    value = np.empty(choice.shape)
+    for i, branch in enumerate(branches):
+        where = choice == i
         if where.any():
             value[where] = branch(*(arg[where] for arg in args))
     return value

@@ -106,7 +106,7 @@ def ti2(z):
     size = np.abs(z)
     inverted = size > _TI2_INVERSION_EDGE
     folded = np.where(inverted, 1.0 / np.maximum(size, _TI2_INVERSION_EDGE), size)
-    value = _piecewise(folded <= _TI2_SERIES_EDGE, _ti2_series, _ti2_near_one, folded)
+    value = _piecewise(folded <= _TI2_SERIES_EDGE, (_ti2_near_one, _ti2_series), folded)
     value = np.where(
         inverted, value + 0.5 * math.pi * np.log(np.maximum(size, 1.0)), value
     )

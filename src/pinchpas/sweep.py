@@ -4,8 +4,8 @@ A sweep evaluates one metric along one axis, producing one table per
 requested antenna count (or a single table when the antenna count itself
 is the axis). The metric is evaluated once per run, for the points of
 every table together: the sweep hands every point to one batch call per
-metric (`regions._optimize_partitions`, then `outage_probability` per
-point, `metrics._ergodic_rates` or `metrics._pdes`; or
+metric (`regions._optimize_partitions`, then `metrics._outages`,
+`metrics._ergodic_rates` or `metrics._pdes`; or
 `montecarlo._simulate_outages`), and each batch call finds the work its
 points share.
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ._version import __version__
 from .config import SweepSpec, parse_config_text
-from .metrics import NumericalDiagnosticError, _ergodic_rates, _pdes, outage_probability
+from .metrics import NumericalDiagnosticError, _ergodic_rates, _outages, _pdes
 from .montecarlo import SimulationSpec, _simulate_outages
 from .regions import RegionPartition, _optimize_partitions
 from .system import PaLayout, SystemConfig, make_layout
@@ -129,16 +129,10 @@ def _evaluate(
     if metric == "simulate":
         estimates = _simulate_outages(_laid_out(points), sim)
         return [((e.mean, e.std_error), ()) for e in estimates]
-    partitioned = _partitioned(points)
-    if metric == "outage":
-        results = [outage_probability(*point) for point in partitioned]
-    elif metric == "rate":
-        results = _ergodic_rates(partitioned)
-    else:
-        results = _pdes(partitioned)
+    batch = {"outage": _outages, "rate": _ergodic_rates, "pde": _pdes}[metric]
     return [
         r if isinstance(r, NumericalDiagnosticError) else ((r.value,), r.flags)
-        for r in results
+        for r in batch(_partitioned(points))
     ]
 
 

@@ -50,6 +50,65 @@ def outage_indicator_quad(delta_width: float, a_0k: float, d_y: float) -> float:
     return 1.0 - val / (delta_width * d_y)
 
 
+def p_l_scalar(delta_width: float, a_0k: float, d_y: float) -> float:
+    """Conditional outage probability over one sub-rectangle, one float at a time.
+
+    The user's offset along the waveguide is uniform on [0, delta_width]
+    and the cross offset uniform on [-d_y/2, d_y/2]; outage occurs when
+    the squared horizontal distance exceeds a_0k. The expression is a
+    six-regime piecewise form depending on how the threshold circle of
+    radius sqrt(a_0k) intersects the sub-rectangle; ties between regimes
+    are routed to the lower-indexed branch (they agree by continuity).
+    """
+    if not delta_width > 0:
+        raise ValueError(f"delta_width must be > 0, got {delta_width!r}")
+    if not d_y > 0:
+        raise ValueError(f"d_y must be > 0, got {d_y!r}")
+    if a_0k <= 0.0:
+        return 1.0
+    half_w_sq = d_y * d_y / 4.0
+    depth_sq = delta_width * delta_width
+    area = d_y * delta_width
+    if a_0k <= min(half_w_sq, depth_sq):
+        # Quarter circle fully inside the sub-rectangle.
+        value = 1.0 - math.pi * a_0k / (2.0 * area)
+    elif a_0k <= half_w_sq:
+        # Circle pokes out through the far (depth) side only.
+        root = math.sqrt(max(a_0k - depth_sq, 0.0))
+        value = (
+            1.0
+            - (a_0k / area) * math.asin(min(delta_width / math.sqrt(a_0k), 1.0))
+            - root / d_y
+        )
+    elif a_0k <= depth_sq:
+        # Circle pokes out through the width side only.
+        root = math.sqrt(max(a_0k - half_w_sq, 0.0))
+        value = (
+            1.0
+            - (a_0k / area) * math.asin(min(d_y / (2.0 * math.sqrt(a_0k)), 1.0))
+            - root / (2.0 * delta_width)
+        )
+    elif a_0k <= depth_sq + half_w_sq:
+        # Circle pokes out through both sides but misses the far corner.
+        sqrt_a = math.sqrt(a_0k)
+        root_w = math.sqrt(max(4.0 * a_0k - d_y * d_y, 0.0))
+        root_d = math.sqrt(max(a_0k - depth_sq, 0.0))
+        value = (
+            1.0
+            - (a_0k / area)
+            * (
+                math.asin(min(delta_width / sqrt_a, 1.0))
+                - math.asin(min(root_w / (2.0 * sqrt_a), 1.0))
+            )
+            - root_w / (4.0 * delta_width)
+            - root_d / d_y
+        )
+    else:
+        # Threshold circle covers the whole sub-rectangle.
+        return 0.0
+    return min(1.0, max(0.0, value))
+
+
 def ii_defining_quad(x: float, delta_width: float, d_y: float) -> float:
     # integral over y in [0, d_y/2] of delta * ln(delta^2 + x + y^2)
     val, _ = integrate.quad(
@@ -426,18 +485,20 @@ def per_point_rates(points) -> list:
     """(value, flags) of the discrete rate at each (config, layout, partition), point by point.
 
     The rate pass as it was assembled before a run's arrays were built
-    whole: per point its c_0k scales (`_c0k_values`), its sub-rectangles
+    whole: per point its c_0k scales (`_c0k_scales`), its sub-rectangles
     left and right of each antenna (`column_stack`), one
     `_conditional_rates` call, and the width-weighted terms summed left to
     right by np.cumsum, over d_x.
     """
     rates = []
     for config, layout, partition in points:
-        c0k, clamped = metrics._c0k_values(config, layout)
+        c0k, clamped = metrics._c0k_scales(
+            config.alpha, derive_rf(config).big_c, np.asarray(layout.x_k)
+        )
         widths = np.column_stack((partition.left_limits, partition.right_limits)).ravel()
         terms = widths * metrics._conditional_rates(
             widths, np.repeat(c0k, 2), config.h * config.h, config.d_y
         )
-        flags = ("c0k_underflow_clamp",) if clamped else ()
+        flags = ("c0k_underflow_clamp",) if clamped.any() else ()
         rates.append((float(np.cumsum(terms)[-1]) / config.d_x, flags))
     return rates

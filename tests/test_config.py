@@ -1,5 +1,7 @@
 """Configuration grammar: defaults, shorthand, and rejection paths."""
 
+import math
+
 import pytest
 
 import pinchpas.config as config_module
@@ -214,6 +216,29 @@ def test_sweep_spec_direct_validation():
     with pytest.raises(ConfigError, match="must not repeat"):
         SweepSpec(metric="outage", sweep_axis="gamma_t_db", axis_values=(90.0,),
                   fixed_params=base, m_values=(2, 1, 2))
+
+
+def test_sweep_spec_caps_antenna_counts():
+    # Constructed only: a spec that passed would build a layout per count.
+    base = SystemConfig(d_x=10.0)
+    cap = config_module._MAX_ANTENNAS
+    with pytest.raises(ConfigError, match=rf"m_values must all lie in \[1, {cap}\] "):
+        SweepSpec(metric="rate", sweep_axis="gamma_t_db", axis_values=(90.0,),
+                  fixed_params=base, m_values=(10**300,))
+    for value, reason in (
+        (2.5, "positive integers"),
+        (0.5, "positive integers"),
+        (math.nan, "positive integers"),
+        (math.inf, "positive integers"),
+        (1e300, f"at most {cap} "),
+        (float(cap + 1), f"at most {cap} "),
+    ):
+        with pytest.raises(ConfigError, match=f"^axis_values along m must be {reason}"):
+            SweepSpec(metric="pde", sweep_axis="m", axis_values=(value,),
+                      fixed_params=base, m_values=(1,))
+    spec = SweepSpec(metric="pde", sweep_axis="m", axis_values=(1.0, float(cap)),
+                     fixed_params=base, m_values=(cap,))
+    assert spec.axis_values == (1.0, float(cap))
 
 
 def test_load_config_reads_utf8(tmp_path):

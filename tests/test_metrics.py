@@ -16,6 +16,7 @@ from pinchpas import (
     c_l,
     continuous_optimal_position,
     continuous_rate,
+    derive_rf,
     ergodic_rate,
     i_i,
     i_j,
@@ -108,6 +109,24 @@ def test_outage_kernel_validation():
         p_l(0.0, 1.0, 5.0)
     with pytest.raises(ValueError):
         p_l(1.0, 1.0, -5.0)
+
+
+def test_outage_kernel_array_call_matches_scalar_reference():
+    # One call across all six regimes and the ties between them; numpy's
+    # arcsin may differ from math.asin by an ulp.
+    rng = np.random.default_rng(38)
+    triples = [t[1:] for t in _regime_triples(rng, 240)]
+    for _, delta, _, d_y in _regime_triples(rng, 60):
+        w, d = d_y * d_y / 4.0, delta * delta
+        triples += [(delta, a, d_y) for a in (0.0, min(w, d), w, d, w + d)]
+    delta, a, d_y = (np.array(column) for column in zip(*triples))
+    values = p_l(delta, a, d_y)
+    assert values.shape == a.shape
+    for value, args in zip(values.tolist(), triples):
+        assert abs(value - oracle.p_l_scalar(*args)) <= 1e-15, args
+    assert isinstance(p_l(2.0, 3.0, 6.0), float)
+    with pytest.raises(ValueError, match="delta_width must be > 0"):
+        p_l(np.array([1.0, 0.0]), 1.0, 5.0)
 
 
 def test_outage_probability_matches_composed_oracle():
@@ -219,7 +238,8 @@ def test_rate_kernel_matches_mpmath_in_the_benchmark_room(gamma_t_db):
     # The d_x = 30 room at the first and last of ten antennas, so c_0k / h^2
     # runs from about 19 to 7,500; widths span the partitions' 0.15 to 15 m.
     cfg = SystemConfig(d_x=30.0, gamma_t_db=gamma_t_db)
-    scales, _ = metrics._c0k_values(cfg, make_layout(cfg, 10))
+    positions = np.asarray(make_layout(cfg, 10).x_k)
+    scales, _ = metrics._c0k_scales(cfg.alpha, derive_rf(cfg).big_c, positions)
     for c0 in (float(scales[0]), float(scales[-1])):
         for delta in (0.15, 0.5, 1.5, 5.0, 15.0):
             ref = oracle.rate_kernel_mpmath(delta, c0, cfg.d_y, cfg.h)
@@ -302,7 +322,9 @@ def _kernel_cases(points):
     cases = set()
     for cfg, lay, part in points:
         h_sq = cfg.h * cfg.h
-        scales = np.repeat(metrics._c0k_values(cfg, lay)[0], 2)
+        positions = np.asarray(lay.x_k)
+        scales, _ = metrics._c0k_scales(cfg.alpha, derive_rf(cfg).big_c, positions)
+        scales = np.repeat(scales, 2)
         widths = np.column_stack((part.left_limits, part.right_limits)).ravel()
         lost = scales + h_sq == h_sq
         if lost.any():
@@ -396,18 +418,32 @@ def test_batched_rates_equal_the_per_point_assembly(monkeypatch, block):
         ), name
 
 
-def test_point_blocks_bound_the_padded_grid(monkeypatch):
-    # A run's rows times its widest point's 2m stays within the cap, unless
-    # a point is wider than the cap alone; the points keep their order.
+@pytest.mark.parametrize("block", [2, 2048, 10**6])
+def test_batched_outages_equal_pointwise_outages(monkeypatch, block):
+    # Runs of a single point each, of whole points, and one run for all:
+    # every value and flag is the one-point outage's, bit for bit.
+    monkeypatch.setattr(metrics, "_RATE_BLOCK", block)
+    room = SystemConfig(d_x=30.0)
+    cases = {f"mixed_batch({seed})": oracle.mixed_batch(seed) for seed in (0, 1)}
+    cases["m = 1..100"] = [(room, m) for m in range(1, 101)]
+    cases = {name: _partitioned(points) for name, points in cases.items()}
+    cases["clamped 200 m room"] = _clamped_room_points()
+    for name, points in cases.items():
+        results = metrics._outages(points)
+        assert results == [outage_probability(*point) for point in points], name
+
+
+def test_point_blocks_bound_the_sub_rectangles(monkeypatch):
+    # A run's points have at most the cap's sub-rectangles (2m each) in
+    # all, unless one point has more alone; the points keep their order.
     monkeypatch.setattr(metrics, "_RATE_BLOCK", 40)
     cfg = SystemConfig(d_x=30.0)
     points = [(cfg, make_layout(cfg, m), None) for m in (1, 1, 1, 5, 30, 2, 2, 9, 1)]
     runs = list(metrics._point_blocks(points))
     assert [p for run in runs for p in run] == points
-    assert [[p[1].m for p in run] for run in runs] == [[1, 1, 1, 5], [30], [2, 2], [9, 1]]
+    assert [[p[1].m for p in run] for run in runs] == [[1, 1, 1, 5], [30], [2, 2, 9, 1]]
     for run in runs:
-        widest = max(2 * p[1].m for p in run)
-        assert len(run) == 1 or len(run) * widest <= 40
+        assert len(run) == 1 or sum(2 * p[1].m for p in run) <= 40
 
 
 # ------------------------------------------------- continuous benchmark --
@@ -645,6 +681,19 @@ def test_underflow_clamp_raises_flag():
     res = outage_probability(cfg, lay, part)
     assert res.value == 1.0
     assert any("underflow" in f for f in res.flags)
+
+
+@pytest.mark.parametrize("h", [3.0, 1e200])
+def test_outage_of_an_overflowing_reach_is_zero(h):
+    # c_0k / gamma_thr overflows to inf: the threshold circle covers every
+    # sub-rectangle, so the outage is exactly 0, with no warning. With h^2
+    # overflowed too the reach is inf - inf, which no regime takes: 0 again.
+    cfg = SystemConfig(
+        d_x=10.0, h=h, gamma_t_db=3000.0, gamma_thr_db=-3000.0, f_c=1e6
+    )
+    lay = make_layout(cfg, 2)
+    result = outage_probability(cfg, lay, optimize_partition(cfg, lay))
+    assert (result.value, result.flags) == (0.0, ())
 
 
 def test_pde_of_a_rate_that_rounds_to_zero():
