@@ -152,6 +152,23 @@ def _selftest() -> int:
         f"analytic={analytic_rate:.6f} simulated={rate_est.mean:.6f} band={band:.2e}",
     )
 
+    # The layout and partition arrays equal their one-by-one formulas.
+    differ = 0
+    for m in (1, 2, 100):
+        grid = make_layout(config, m)
+        cuts = optimize_partition(config, grid)
+        b, half = cuts.offset, grid.delta / 2.0
+        x = [(2 * k - 1) * half for k in range(1, m + 1)]
+        differ += grid.x_k.tolist() != x
+        differ += cuts.boundaries_b.tolist() != [0.0, *(v + b for v in x[:-1]), config.d_x]
+        differ += cuts.left_limits.tolist() != [x[0]] + [grid.delta - b] * (m - 1)
+        differ += cuts.right_limits.tolist() != [b] * (m - 1) + [config.d_x - x[-1]]
+    all_ok &= _check(
+        "derived grid and partition match their formulas",
+        differ == 0,
+        f"{differ} of 12 arrays differ",
+    )
+
     # The simulator's candidate window holds every user's best antenna.
     users = np.random.default_rng(2000)
     differ = 0

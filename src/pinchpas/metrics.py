@@ -20,7 +20,6 @@ import math
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -374,15 +373,11 @@ def _sub_rectangle_means(
         gamma_thr = np.array([db_to_linear(c.gamma_thr_db) for c in configs])
         counts = [lay.m for lay in layouts]
         antenna_owner = np.repeat(np.arange(len(block)), counts)
-        positions = np.fromiter(chain.from_iterable(lay.x_k for lay in layouts), float)
+        positions = np.concatenate([lay.x_k for lay in layouts])
         c0k, clamped = _c0k_scales(alpha[antenna_owner], big_c[antenna_owner], positions)
         widths = np.empty(2 * positions.size)
-        widths[0::2] = np.fromiter(
-            chain.from_iterable(p.left_limits for p in partitions), float
-        )
-        widths[1::2] = np.fromiter(
-            chain.from_iterable(p.right_limits for p in partitions), float
-        )
+        widths[0::2] = np.concatenate([p.left_limits for p in partitions])
+        widths[1::2] = np.concatenate([p.right_limits for p in partitions])
         owner = np.repeat(antenna_owner, 2)
         weighted = widths * term(
             widths, np.repeat(c0k, 2), h_sq[owner], d_y[owner], gamma_thr[owner]
@@ -395,9 +390,9 @@ def _sub_rectangle_means(
 def _outage_terms(widths, c_0k, h_sq, d_y, gamma_thr):
     # Squared horizontal reach at the threshold; negative means even a user
     # directly under the antenna is in outage. A reach that overflows to inf
-    # covers every sub-rectangle, so its outage is 0, and so is the NaN of
-    # inf - inf when h^2 has overflowed too: it is in no regime's range.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # covers every sub-rectangle, so its outage is 0. h^2 is finite
+    # (`SystemConfig`), so the reach is never inf - inf.
+    with np.errstate(over="ignore"):
         a_0k = c_0k / gamma_thr - h_sq
     return p_l(widths, a_0k, d_y)
 

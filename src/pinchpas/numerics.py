@@ -18,6 +18,12 @@ def _float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only: callers share it and only read it."""
+    array.setflags(write=False)
+    return array
+
+
 def _piecewise(choice: np.ndarray, branches, *args: np.ndarray) -> np.ndarray:
     """branches[i](*args) where choice is i; a boolean choice picks branches[1] where it holds.
 
@@ -36,9 +42,7 @@ def _piecewise(choice: np.ndarray, branches, *args: np.ndarray) -> np.ndarray:
 def leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached per order."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return _read_only(nodes), _read_only(weights)
 
 
 def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:

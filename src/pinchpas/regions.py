@@ -7,19 +7,21 @@ asymmetric rectangle [x_k - L_k, x_k + R_k] spanning the room width.
 On the uniform grid the crossing of antennas k and k+1 in row y lies at
 x_k plus an offset that does not depend on k, so every cut sits at x_k
 plus one shared offset, chosen by a one-dimensional search that
-minimizes the misassigned area against the exact arcs. A batch of
-(config, layout) pairs finds each distinct partition once, all in one
-lockstep search, each bit for bit its own.
+minimizes the misassigned area against the exact arcs. A partition is
+that offset, its layout and d_x; its cuts are arrays derived from them.
+A batch of (config, layout) pairs finds each distinct partition once,
+all in one lockstep search, each bit for bit its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import _float_or_array, gauss_legendre, golden_section
+from .numerics import _float_or_array, _read_only, gauss_legendre, golden_section
 from .system import PaLayout, SystemConfig
 
 __all__ = ["RegionPartition", "optimize_partition"]
@@ -30,35 +32,38 @@ _MISMATCH_QUAD_POINTS = 64
 
 @dataclass(frozen=True)
 class RegionPartition:
-    """Rectangular serving limits for each antenna.
+    """Rectangular serving limits for each antenna: its layout, one offset, d_x.
 
-    boundaries_b holds the cut abscissae b_0 = 0 < b_1 < ... < b_M = d_x;
-    antenna k serves the strip [b_{k-1}, b_k], which is L_k to its left
-    and R_k to its right.
+    Every interior cut sits at x_k plus the offset. The read-only arrays
+    derived from the three are boundaries_b, the cuts b_0 = 0 < b_1 < ...
+    < b_M = d_x, and left_limits and right_limits: antenna k serves the
+    strip [b_{k-1}, b_k], which is L_k to its left and R_k to its right.
     """
 
-    boundaries_b: tuple[float, ...]
-    left_limits: tuple[float, ...]
-    right_limits: tuple[float, ...]
+    layout: PaLayout
+    offset: float
+    d_x: float
 
     def __post_init__(self):
-        b = self.boundaries_b
-        if len(b) != len(self.left_limits) + 1:
-            raise ValueError("boundaries_b must have one more entry than the limits")
-        if len(self.left_limits) != len(self.right_limits):
-            raise ValueError("left and right limit lists must have equal length")
-        if b[0] != 0.0:
-            raise ValueError(f"first boundary must be 0, got {b[0]!r}")
-        if any(hi <= lo for lo, hi in zip(b, b[1:])):
-            raise ValueError("boundaries must be strictly increasing")
-        if any(v <= 0 for v in self.left_limits + self.right_limits):
-            raise ValueError("all serving limits must be positive")
-        span = b[-1] - b[0]
-        total = sum(self.left_limits) + sum(self.right_limits)
-        if abs(total - span) > 1e-9 * max(1.0, span):
-            raise ValueError(
-                f"serving limits sum to {total!r}, expected the room length {span!r}"
-            )
+        m, delta = self.layout.m, self.layout.delta
+        if m > 1 and not 0.0 < self.offset < delta:
+            raise ValueError(f"offset must lie in (0, delta = {delta!r}), got {self.offset!r}")
+        if abs(self.d_x - m * delta) > 1e-9 * max(1.0, m * delta):
+            raise ValueError(f"d_x must be m * delta = {m * delta!r}, got {self.d_x!r}")
+
+    @cached_property
+    def boundaries_b(self) -> np.ndarray:
+        return _read_only(np.hstack((0.0, self.layout.x_k[:-1] + self.offset, self.d_x)))
+
+    @cached_property
+    def left_limits(self) -> np.ndarray:
+        inner = np.full(self.layout.m - 1, self.layout.delta - self.offset)
+        return _read_only(np.hstack((self.layout.x_k[0], inner)))
+
+    @cached_property
+    def right_limits(self) -> np.ndarray:
+        inner = np.full(self.layout.m - 1, self.offset)
+        return _read_only(np.hstack((inner, self.d_x - self.layout.x_k[-1])))
 
 
 def _boundary_offset(config: SystemConfig, delta: float, y):
@@ -110,11 +115,7 @@ def _optimize_partitions(pairs: list[tuple[SystemConfig, PaLayout]]) -> list[Reg
     offsets = np.array([layout.delta / 2.0 for _, layout in unique])
     offsets[searched] = golden_section(mismatch, 0.0, deltas, tol=_PARTITION_TOL_M)
     found = {
-        key: RegionPartition(
-            boundaries_b=(0.0, *(x_k + offset for x_k in layout.x_k[:-1]), config.d_x),
-            left_limits=(layout.x_k[0],) + (layout.delta - offset,) * (layout.m - 1),
-            right_limits=(offset,) * (layout.m - 1) + (config.d_x - layout.x_k[-1],),
-        )
+        key: RegionPartition(layout=layout, offset=offset, d_x=config.d_x)
         for key, (config, layout), offset in zip(distinct, unique, offsets.tolist())
     }
     return [found[key] for key in keys]

@@ -155,14 +155,13 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
         points = [(config, m) for m in spec.m_values]
         for m, (_, layout, partition) in zip(spec.m_values, _partitioned(points)):
             rows = tuple(
-                (
-                    float(k + 1),
-                    layout.x_k[k],
-                    partition.left_limits[k],
-                    partition.right_limits[k],
-                    partition.boundaries_b[k + 1],
+                zip(
+                    map(float, range(1, m + 1)),
+                    layout.x_k.tolist(),
+                    partition.left_limits.tolist(),
+                    partition.right_limits.tolist(),
+                    partition.boundaries_b[1:].tolist(),
                 )
-                for k in range(m)
             )
             header = _table_header(
                 config,

@@ -2,6 +2,8 @@
 
 A transmission point is created at one of M fixed positions along a lossy
 dielectric waveguide mounted at height h over a rectangular service area.
+The positions are a uniform grid, so a layout (`PaLayout`) is m and the
+spacing delta = d_x / m, and its x_k are an array derived from the two.
 Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
 The SNR law is big_c, the one factor that depends on the transmit SNR,
@@ -24,8 +26,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
+
+from .numerics import _read_only
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -103,6 +108,10 @@ class SystemConfig:
             raise ValueError(f"d_y must be > 0, got {self.d_y!r}")
         if not self.h >= 0:
             raise ValueError(f"h must be >= 0, got {self.h!r}")
+        for name in ("d_x", "d_y", "h"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name}^2 must be finite, got {name} = {value!r}")
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0 (range [0, inf)), got {self.alpha!r}")
         if not self.f_c > 0:
@@ -147,23 +156,24 @@ class DerivedRf:
 class PaLayout:
     """Antenna grid along the waveguide: m points spaced delta apart.
 
-    x_k holds the abscissae (2k-1)*delta/2 for k = 1..m, so the grid is
-    centered within the room: the first point sits delta/2 from the feed.
+    x_k is the read-only array of abscissae (2k-1)*delta/2 for k = 1..m,
+    so the grid is centered within the room: the first point sits
+    delta/2 from the feed.
     """
 
     m: int
     delta: float
-    x_k: tuple[float, ...]
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m!r}")
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta!r}")
-        # best_snr and the partition locate antennas by this formula.
-        half = self.delta / 2.0
-        if self.x_k != tuple((2 * k - 1) * half for k in range(1, self.m + 1)):
-            raise ValueError("x_k must be the grid (2k - 1) * delta / 2, k = 1..m")
+
+    @cached_property
+    def x_k(self) -> np.ndarray:
+        # (2k - 1) is exact as a float, so each x_k is one rounding, as in Python.
+        return _read_only((2 * np.arange(1, self.m + 1) - 1) * (self.delta / 2.0))
 
 
 @dataclass(frozen=True)
@@ -203,12 +213,9 @@ def _unscaled(config: SystemConfig) -> tuple:
 
 def make_layout(config: SystemConfig, m: int) -> PaLayout:
     """Build the m-antenna grid for the given room length."""
-    if m < 1:
+    if m < 1:  # before d_x / m, which would divide by zero at m = 0
         raise ValueError(f"m must be >= 1, got {m!r}")
-    delta = config.d_x / m
-    half = delta / 2.0
-    x_k = tuple((2 * k - 1) * half for k in range(1, m + 1))
-    return PaLayout(m=m, delta=delta, x_k=x_k)
+    return PaLayout(m=m, delta=config.d_x / m)
 
 
 def _feedward_offset(alpha: float, dist_sq):
@@ -252,7 +259,7 @@ def _gain_matrix(
     config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """`snr_matrix` over big_c."""
-    positions = np.asarray(layout.x_k)[:, None]
+    positions = layout.x_k[:, None]
     return _gain(config, positions, np.exp(-config.alpha * positions), x, y**2)
 
 
@@ -357,7 +364,7 @@ def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:
     index = np.ceil(v / layout.delta - (0.5 + 1e-6))
     np.clip(index, 0, layout.m - 1, out=index)
     index = index.astype(np.intp)
-    index += (index < layout.m - 1) & (np.asarray(layout.x_k)[index] < v)
+    index += (index < layout.m - 1) & (layout.x_k[index] < v)
     return index
 
 
@@ -415,7 +422,7 @@ def _window_gain(
     config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
     """`_best_gain` over its three candidate antennas per user, for any m."""
-    positions = np.asarray(layout.x_k)
+    positions = layout.x_k
     attenuation = np.exp(-config.alpha * positions)
     y_sq = y**2
     peak = x - _feedward_offset(config.alpha, y_sq + config.h * config.h)

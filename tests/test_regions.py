@@ -237,9 +237,9 @@ def test_partition_single_antenna_spans_room():
     cfg = SystemConfig(d_x=14.0, alpha=0.09)
     lay = make_layout(cfg, 1)
     part = optimize_partition(cfg, lay)
-    assert part.boundaries_b == (0.0, 14.0)
-    assert part.left_limits == (lay.x_k[0],)
-    assert part.right_limits == (14.0 - lay.x_k[0],)
+    assert part.boundaries_b.tolist() == [0.0, 14.0]
+    assert part.left_limits.tolist() == [lay.x_k[0]]
+    assert part.right_limits.tolist() == [14.0 - lay.x_k[0]]
 
 
 def test_partition_zero_attenuation_is_symmetric():
@@ -247,8 +247,8 @@ def test_partition_zero_attenuation_is_symmetric():
     lay = make_layout(cfg, 4)
     part = optimize_partition(cfg, lay)
     half = lay.delta / 2.0
-    assert part.left_limits == (half,) * 4
-    assert part.right_limits == (half,) * 4
+    assert part.left_limits.tolist() == [half] * 4
+    assert part.right_limits.tolist() == [half] * 4
 
 
 def _arc_samples(cfg, lay, k, y_nodes):
@@ -345,15 +345,21 @@ def test_partition_agrees_with_user_selection():
 
 
 def test_partition_validation():
+    # The offset lies strictly inside a strip, and the room is the layout's.
+    lay = make_layout(SystemConfig(d_x=4.0), 2)
+    for offset in (0.0, -0.5, 2.0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="offset must"):
+            RegionPartition(layout=lay, offset=offset, d_x=4.0)
+    for d_x in (3.9, 4.0 + 1e-8):
+        with pytest.raises(ValueError, match="d_x must"):
+            RegionPartition(layout=lay, offset=1.0, d_x=d_x)
+    part = RegionPartition(layout=lay, offset=1.0, d_x=4.0)
+    assert part.boundaries_b.tolist() == [0.0, 2.0, 4.0]
     with pytest.raises(ValueError):
-        RegionPartition(boundaries_b=(0.0, 1.0), left_limits=(0.5, 0.5),
-                        right_limits=(0.5, 0.5))
-    with pytest.raises(ValueError):
-        RegionPartition(boundaries_b=(0.5, 1.0), left_limits=(0.25,),
-                        right_limits=(0.25,))
-    with pytest.raises(ValueError):
-        RegionPartition(boundaries_b=(0.0, 2.0), left_limits=(1.5,),
-                        right_limits=(1.5,))
+        part.left_limits[0] = 2.0
+    # One antenna has no interior cut for the offset to place.
+    single = make_layout(SystemConfig(d_x=4.0), 1)
+    assert RegionPartition(layout=single, offset=0.0, d_x=4.0).right_limits.tolist() == [2.0]
 
 
 # Fixed partitions that share a lockstep search with the drawn one: other
@@ -395,9 +401,10 @@ def test_lockstep_search_equals_per_partition_search(d_x, d_y, h, alpha, m, slot
     parts = _optimize_partitions(pairs)
     for (c, lay), part in zip(pairs, parts):
         offset = oracle.partition_offset_scalar(c, lay)
-        assert part.boundaries_b == (0.0, *(x + offset for x in lay.x_k[:-1]), c.d_x)
-        assert part.left_limits == (lay.x_k[0],) + (lay.delta - offset,) * (lay.m - 1)
-        assert part.right_limits == (offset,) * (lay.m - 1) + (c.d_x - lay.x_k[-1],)
+        x_k = lay.x_k.tolist()
+        assert part.boundaries_b.tolist() == [0.0, *(x + offset for x in x_k[:-1]), c.d_x]
+        assert part.left_limits.tolist() == [x_k[0]] + [lay.delta - offset] * (lay.m - 1)
+        assert part.right_limits.tolist() == [offset] * (lay.m - 1) + [c.d_x - x_k[-1]]
     assert optimize_partition(*pairs[slot]) == parts[slot]
 
 

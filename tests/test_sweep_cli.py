@@ -398,6 +398,10 @@ def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# A reach c_0k / gamma_thr that overflows to inf: an overflowing h^2 made it inf - inf.
+_EXTREME_SNR = "gamma_t_db = 3000\ngamma_thr_db = -3000\nf_c = 1e6\n"
+
+
 @pytest.mark.parametrize(
     "command, text, field",
     [
@@ -413,17 +417,22 @@ def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
         ("rate", "d_x = 10\nf_c = 1e-300\n", "f_c"),
         ("pde", "d_x = 10\nf_c = 1e300\n", "f_c"),
         ("simulate", "d_x = 10\ngamma_t_db = -3076\naxis_values = -3076\n", "gamma_t_db"),
+        ("outage", _EXTREME_SNR + "d_x = 10\nh = 1e200\n", "h^2"),
+        ("outage", _EXTREME_SNR + "d_x = 10\nd_y = 1e200\n", "d_y^2"),
+        ("outage", _EXTREME_SNR + "d_x = 1e200\n", "d_x^2"),
     ],
     ids=[
         "threshold_minus_inf", "threshold_underflows", "d_x_inf", "d_y_inf",
         "gamma_t_overflows", "gamma_t_axis_overflows", "alpha_axis_inf", "d_x_axis_inf",
         "wavelength_overflows", "eta_underflows", "big_c_subnormal",
+        "h_squared_overflows", "d_y_squared_overflows", "d_x_squared_overflows",
     ],
 )
 def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, field):
-    # Infinite fields, dB values whose linear ratio is 0 or overflows, and
-    # an f_c or gamma_t_db whose wavelength, eta or big_c leaves the normal
-    # floats are rejected when read (or when the axis sets them), by name.
+    # Infinite fields, dB values whose linear ratio is 0 or overflows, an
+    # f_c or gamma_t_db whose wavelength, eta or big_c leaves the normal
+    # floats, and lengths whose square overflows are rejected when read
+    # (or when the axis sets them), by name.
     cfg = _write_cfg(tmp_path, text + "m_values = 2\n")
     out = tmp_path / "o"
     code = main([command, "--config", cfg, "--out-dir", str(out), "--samples", "1000"])

@@ -53,6 +53,11 @@ def test_config_validation():
         SystemConfig(d_x=10.0, h=-0.1)
     # h = 0 is allowed at construction; only the rate closed form needs h > 0
     SystemConfig(d_x=10.0, h=0.0)
+    # A length whose square overflows is rejected by name; 1e154 squares finitely.
+    for name in ("d_x", "d_y", "h"):
+        with pytest.raises(ValueError, match=rf"{name}\^2 must be finite"):
+            SystemConfig(**{"d_x": 10.0, name: 1e200})
+    SystemConfig(d_x=1e154, d_y=1e154, h=1e154)
     with pytest.raises(ValueError, match="noise_dbm must be finite"):
         SystemConfig(d_x=10.0, noise_dbm=math.nan)
     with pytest.raises(ValueError, match="gamma_t_db must lie in"):
@@ -74,11 +79,30 @@ def test_layout_geometry():
 
     with pytest.raises(ValueError):
         make_layout(cfg, 0)
+
+
+@pytest.mark.parametrize("d_x", [0.01, 30.0, 1e4])
+@pytest.mark.parametrize("m", [1, 2, 3, 100, 12345])
+def test_layout_grid_is_its_formula(m, d_x):
+    # Each abscissa is the one rounding of (2k - 1) * (delta / 2), as the
+    # Python formula gives it.
+    lay = make_layout(SystemConfig(d_x=d_x), m)
+    half = lay.delta / 2.0
+    assert lay.x_k.tolist() == [(2 * k - 1) * half for k in range(1, m + 1)]
+
+
+def test_layout_is_its_count_and_spacing():
+    lay = make_layout(SystemConfig(d_x=12.0), 4)
     with pytest.raises(ValueError):
-        PaLayout(m=2, delta=1.0, x_k=(2.0, 1.0))
-    # Increasing but off the grid: best_snr's window would miss antennas.
-    with pytest.raises(ValueError, match="grid"):
-        PaLayout(m=2, delta=1.0, x_k=(0.5, 1.6))
+        lay.x_k[0] = 0.0
+    twin = PaLayout(m=4, delta=3.0)
+    twin.x_k  # a computed grid is not part of the layout's identity
+    assert lay == twin and hash(lay) == hash(twin)
+    assert lay != PaLayout(m=4, delta=3.5) and lay != PaLayout(m=5, delta=3.0)
+    with pytest.raises(ValueError, match="m must"):
+        PaLayout(m=0, delta=1.0)
+    with pytest.raises(ValueError, match="delta must"):
+        PaLayout(m=2, delta=0.0)
 
 
 def _hand_snr(cfg, x_k, x, y):
