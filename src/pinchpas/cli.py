@@ -73,11 +73,13 @@ def _build_parser() -> _ArgumentParser:
             default=".",
             help="directory for the output tables (created if missing)",
         )
-        p.add_argument("--seed", type=int, default=0, help="simulation stream seed")
+        p.add_argument(
+            "--seed", type=int, default=SimulationSpec.seed, help="simulation stream seed"
+        )
         p.add_argument(
             "--samples",
             type=int,
-            default=1_000_000,
+            default=SimulationSpec.n_samples,
             help="simulation sample count per sweep point",
         )
     sub.add_parser("selftest", help="run the built-in numerical consistency checks")

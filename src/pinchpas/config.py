@@ -3,13 +3,14 @@
 Grammar (documented in full in the README): one ``key = value`` pair per
 line, ``#`` starts a comment, blank lines are ignored. System keys map
 straight onto SystemConfig fields; sweep keys pick the metric, the swept
-axis, its values, and the antenna counts to tabulate. Unknown or repeated
-keys are rejected with their line number.
+axis, its values, and the antenna counts to tabulate. The parser only
+reads the text: unknown or repeated keys and malformed numbers are
+rejected with their line number. Every sweep rule is checked once, by
+`SweepSpec`, whose errors the parser prefixes with the line of the key.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, fields
 
@@ -51,21 +52,24 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration input."""
 
 
-def _check_m_axis(values, at: str = "") -> None:
-    """Raise a ConfigError, led by `at`, unless each value is a count in [1, cap]."""
+def _check_counts(key: str, values) -> None:
+    """Raise a ConfigError, led by `key`, unless each value is a whole count in [1, cap]."""
     for v in values:
-        if not math.isfinite(v) or v != int(v) or v < 1:
-            raise ConfigError(f"{at}axis_values along m must be positive integers, got {v!r}")
+        # v - v is 0 for a finite int or float (an int may exceed any float)
+        # and nan for inf and nan.
+        if not (v - v == 0 and v == int(v) and v >= 1):
+            raise ConfigError(f"{key} must be positive integers, got {v!r}")
         if v > _MAX_ANTENNAS:
-            raise ConfigError(
-                f"{at}axis_values along m must be at most {_MAX_ANTENNAS} antennas, "
-                f"got {v!r}"
-            )
+            raise ConfigError(f"{key} must be at most {_MAX_ANTENNAS} antennas, got {v!r}")
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to compute: a metric swept along one axis for several antenna counts."""
+    """What to compute: a metric swept along one axis for several antenna counts.
+
+    Every sweep rule is checked here, once, and each error starts with the
+    key it is about. The antenna counts are stored as ints.
+    """
 
     metric: str
     sweep_axis: str
@@ -76,24 +80,32 @@ class SweepSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.metric in ("rate", "pde") and not self.fixed_params.h > 0:
+            raise ConfigError(
+                f"h must be > 0 for the {self.metric} metric (the rate closed form "
+                f"needs the waveguide above the user plane), got {self.fixed_params.h!r}"
+            )
+        # The counts come before the axis: a regions spec's axis is its counts.
+        if not self.m_values:
+            raise ConfigError("m_values must be nonempty")
+        _check_counts("m_values", self.m_values)
+        # Each m writes its own table, named by the int.
+        m_values = tuple(map(int, self.m_values))
+        if len(set(m_values)) < len(m_values):
+            raise ConfigError(f"m_values must not repeat, got {m_values}")
+        object.__setattr__(self, "m_values", m_values)
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(
                 f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}"
             )
         if not self.axis_values:
             raise ConfigError("axis_values must be nonempty")
+        if self.sweep_axis == "m":
+            _check_counts("axis_values along m", self.axis_values)
         if any(b <= a for a, b in zip(self.axis_values, self.axis_values[1:])):
             raise ConfigError(
                 f"axis_values must be strictly increasing, got {self.axis_values}"
             )
-        if not self.m_values:
-            raise ConfigError("m_values must be nonempty")
-        if not all(1 <= m <= _MAX_ANTENNAS for m in self.m_values):
-            raise ConfigError(f"m_values must all lie in [1, {_MAX_ANTENNAS}] antennas")
-        if len(set(self.m_values)) < len(self.m_values):
-            raise ConfigError(f"m_values must not repeat, got {self.m_values}")
-        if self.sweep_axis == "m":
-            _check_m_axis(self.axis_values)
 
 
 def _split_lines(text: str) -> list[tuple[int, str, str]]:
@@ -116,77 +128,32 @@ def _split_lines(text: str) -> list[tuple[int, str, str]]:
 
 def _parse_float(key: str, value: str, lineno: int) -> float:
     try:
-        out = float(value)
+        return float(value)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} must be a number, got {value!r}") from None
-    return out
 
 
-def _parse_axis_values(value: str, lineno: int) -> tuple[float, ...]:
+def _parse_numbers(key: str, value: str, lineno: int) -> tuple[float, ...]:
     """Either an explicit comma list or the inclusive range shorthand lo:hi:count."""
-    if ":" in value:
-        parts = value.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"line {lineno}: range shorthand is lo:hi:count, got {value!r}"
-            )
-        lo = _parse_float("axis_values", parts[0], lineno)
-        hi = _parse_float("axis_values", parts[1], lineno)
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: range count must be an integer, got {parts[2]!r}"
-            ) from None
-        if count < 1:
-            raise ConfigError(f"line {lineno}: range count must be >= 1, got {count}")
-        if count == 1:
-            return (lo,)
-        step = (hi - lo) / (count - 1)
-        return tuple(lo + i * step for i in range(count - 1)) + (hi,)
-    values = []
-    for token in value.split(","):
-        token = token.strip()
-        if token:
-            values.append(_parse_float("axis_values", token, lineno))
-    if not values:
-        raise ConfigError(f"line {lineno}: axis_values is empty")
-    return tuple(values)
-
-
-def _parse_m_values(value: str, lineno: int) -> tuple[int, ...]:
-    # Accepts the same lo:hi:count shorthand as axis_values, so long as
-    # every resulting value is a whole number. Each m writes its own
-    # table, so none may repeat.
-    values = []
-    if ":" in value:
-        for v in _parse_axis_values(value, lineno):
-            if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
-                raise ConfigError(
-                    f"line {lineno}: m_values range produced {v!r}, not an integer"
-                )
-            values.append(int(round(v)))
-    else:
-        for token in value.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            try:
-                values.append(int(token))
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: m_values entries must be integers, got {token!r}"
-                ) from None
-        if not values:
-            raise ConfigError(f"line {lineno}: m_values is empty")
-    if any(m > _MAX_ANTENNAS for m in values):
+    if ":" not in value:
+        tokens = (token.strip() for token in value.split(","))
+        return tuple(_parse_float(key, token, lineno) for token in tokens if token)
+    parts = value.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"line {lineno}: range shorthand is lo:hi:count, got {value!r}")
+    lo, hi = (_parse_float(key, part, lineno) for part in parts[:2])
+    try:
+        count = int(parts[2])
+    except ValueError:
         raise ConfigError(
-            f"line {lineno}: m_values must be at most {_MAX_ANTENNAS} antennas, "
-            f"got {value!r}"
-        )
-    if len(set(values)) < len(values):
-        raise ConfigError(f"line {lineno}: m_values must not repeat, got {value!r}")
-    return tuple(values)
+            f"line {lineno}: range count must be an integer, got {parts[2]!r}"
+        ) from None
+    if count < 1:
+        raise ConfigError(f"line {lineno}: range count must be >= 1, got {count}")
+    if count == 1:
+        return (lo,)
+    step = (hi - lo) / (count - 1)
+    return tuple(lo + i * step for i in range(count - 1)) + (hi,)
 
 
 def parse_config_text(
@@ -195,21 +162,22 @@ def parse_config_text(
     """Parse configuration text into a validated (SystemConfig, SweepSpec) pair.
 
     A given metric (the CLI subcommand) overrides any ``metric`` key in the
-    text, and the sweep defaults are resolved for it.
+    text, and the sweep defaults are resolved for it. The sweep rules are
+    `SweepSpec`'s; an error about a key read from the text names its line.
     """
     system_raw: dict[str, float] = {}
-    sweep_raw: dict[str, tuple[int, str]] = {}
-    seen: dict[str, int] = {}
+    sweep_raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, key, value in _split_lines(text):
-        if key in seen:
+        if key in lines:
             raise ConfigError(
-                f"line {lineno}: duplicate key {key!r} (first set on line {seen[key]})"
+                f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
             )
-        seen[key] = lineno
+        lines[key] = lineno
         if key in _SYSTEM_KEYS:
             system_raw[key] = _parse_float(key, value, lineno)
         elif key in _SWEEP_KEYS:
-            sweep_raw[key] = (lineno, value)
+            sweep_raw[key] = value
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
 
@@ -220,64 +188,49 @@ def parse_config_text(
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    file_metric = None
-    if "metric" in sweep_raw:
-        lineno, value = sweep_raw["metric"]
-        if value not in METRICS:
-            raise ConfigError(
-                f"line {lineno}: metric must be one of {METRICS}, got {value!r}"
-            )
-        file_metric = value
+    file_metric = sweep_raw.get("metric")
     if metric is None:
         metric = file_metric or "outage"
-    elif metric not in METRICS:
-        raise ConfigError(f"metric must be one of {METRICS}, got {metric!r}")
-    if metric in ("rate", "pde") and config.h == 0.0:
-        raise ConfigError(
-            f"h must be > 0 for the {metric} metric (the rate closed form needs "
-            "the waveguide above the user plane), got 0.0"
-        )
+    else:
+        # The given metric replaces the file's, which SweepSpec never sees.
+        lineno = lines.pop("metric", None)
+        if file_metric not in (None, *METRICS):
+            raise ConfigError(
+                f"line {lineno}: metric must be one of {METRICS}, got {file_metric!r}"
+            )
 
-    m_values = (1,)
-    if "m_values" in sweep_raw:
-        lineno, value = sweep_raw["m_values"]
-        m_values = _parse_m_values(value, lineno)
+    def numbers(key: str, default: str) -> tuple[float, ...]:
+        # The defaults are valid, so a bad value always has a line.
+        return _parse_numbers(key, sweep_raw.get(key, default), lines.get(key, 0))
 
+    m_values = numbers("m_values", "1")
     if metric == "regions":
         # The regions metric tabulates the partition itself, one table per
         # antenna count; a swept axis has no meaning for it. A file written
         # for regions may not set one; a file shared with other metrics may.
         for key in ("sweep_axis", "axis_values"):
             if key in sweep_raw and file_metric == "regions":
-                lineno, _ = sweep_raw[key]
                 raise ConfigError(
-                    f"line {lineno}: {key} does not apply to the regions metric"
+                    f"line {lines[key]}: {key} does not apply to the regions metric"
                 )
-        axis = "m"
-        axis_values = tuple(float(m) for m in sorted(set(m_values)))
+        axis, axis_values = "m", tuple(sorted(set(m_values)))
     else:
-        axis = _DEFAULT_AXIS[metric]
-        if "sweep_axis" in sweep_raw:
-            lineno, value = sweep_raw["sweep_axis"]
-            if value not in SWEEP_AXES:
-                raise ConfigError(
-                    f"line {lineno}: sweep_axis must be one of {SWEEP_AXES}, "
-                    f"got {value!r}"
-                )
-            axis = value
-        # The defaults are valid, so a bad value always has a line.
-        lineno, value = sweep_raw.get("axis_values", (0, _DEFAULT_AXIS_VALUES[axis]))
-        axis_values = _parse_axis_values(value, lineno)
-        if axis == "m":
-            _check_m_axis(axis_values, f"line {lineno}: ")
-
-    spec = SweepSpec(
-        metric=metric,
-        sweep_axis=axis,
-        axis_values=axis_values,
-        fixed_params=config,
-        m_values=m_values,
-    )
+        # An unknown metric or axis has no default; SweepSpec names it.
+        axis = sweep_raw.get("sweep_axis", _DEFAULT_AXIS.get(metric))
+        axis_values = numbers("axis_values", _DEFAULT_AXIS_VALUES.get(axis, ""))
+    try:
+        spec = SweepSpec(
+            metric=metric,
+            sweep_axis=axis,
+            axis_values=axis_values,
+            fixed_params=config,
+            m_values=m_values,
+        )
+    except ConfigError as exc:
+        key = str(exc).split(" ", 1)[0]  # each SweepSpec error starts with its key
+        if key not in lines:
+            raise
+        raise ConfigError(f"line {lines[key]}: {exc}") from None
     return config, spec
 
 

@@ -172,11 +172,12 @@ def _c0k_scales(alpha, big_c, positions) -> tuple[np.ndarray, np.ndarray]:
     """Attenuated SNR scale big_c e^(-alpha x_k) per antenna, and where it was clamped.
 
     alpha and big_c broadcast against positions, so one run of points
-    takes each antenna's own. Exponents beyond _UNDERFLOW_EXPONENT give the
-    smallest normal float, marked in the second array.
+    takes each antenna's own. Exponents beyond _UNDERFLOW_EXPONENT, and
+    scales below the smallest normal float, give that float, marked in the
+    second array.
     """
-    clamped = alpha * positions > _UNDERFLOW_EXPONENT
     scale = big_c * np.exp(-alpha * positions)
+    clamped = (alpha * positions > _UNDERFLOW_EXPONENT) | (scale < sys.float_info.min)
     return np.where(clamped, sys.float_info.min, scale), clamped
 
 
@@ -240,24 +241,26 @@ def i_j(x, delta_width, d_y):
 
 
 def _kernel_slope_series(x, delta_width, d_y):
-    # (-1)^(n-1) * delta^(2n-1) / (2n-1) * J_n summed over the first
-    # _IJ_SERIES_TERMS n, with J_n the integral of (x + y^2)^(-n) for y
-    # from 0 to Y = d_y/2: J_1 in closed form, then
-    # J_{n+1} = (Y / (x + Y^2)^n + (2n - 1) J_n) / (2n x).
+    # delta times the sum of (-1)^n / (2n + 1) * K_n over the first
+    # _IJ_SERIES_TERMS n >= 0, with K_n = delta^(2n) J_(n+1) and J_n the
+    # integral of (x + y^2)^(-n) for y from 0 to Y = d_y/2: K_0 = J_1 in
+    # closed form, then, with t = delta^2 / x <= 1e-4 on this branch,
+    # K_n = (Y delta^(2n-2) / (x + Y^2)^n + (2n - 1) K_(n-1)) t / (2n).
+    # No power of delta or multiple of x is formed, so none overflows.
     half = 0.5 * d_y
     sqrt_x = np.sqrt(x)
-    inv_corner_sq = 1.0 / (x + half * half)
-    inv_corner_pow = 1.0
-    j_n = np.arctan(half / sqrt_x) / sqrt_x
     d_sq = delta_width * delta_width
-    delta_pow = delta_width
-    total = delta_pow * j_n
+    t = d_sq / x
+    corner_pow = 1.0 / (x + half * half)
+    corner_ratio = d_sq * corner_pow
+    k_n = np.arctan(half / sqrt_x) / sqrt_x
+    total = k_n
     for n in range(1, _IJ_SERIES_TERMS):
-        inv_corner_pow = inv_corner_pow * inv_corner_sq
-        j_n = (half * inv_corner_pow + (2 * n - 1) * j_n) / (2 * n * x)
-        delta_pow = delta_pow * d_sq
-        total = total + (-1) ** n * delta_pow / (2 * n + 1) * j_n
-    return total
+        if n > 1:
+            corner_pow = corner_pow * corner_ratio
+        k_n = (half * corner_pow + (2 * n - 1) * k_n) * (t / (2 * n))
+        total = total + (-1) ** n / (2 * n + 1) * k_n
+    return delta_width * total
 
 
 def _kernel_slope_closed(x, delta_width, d_y):
@@ -279,14 +282,10 @@ def _kernel_slope(x, delta_width, d_y):
     element takes its own branch. Floats give a float; arrays broadcast.
     """
     x, delta_width, d_y = _arrays(x, delta_width, d_y)
+    with np.errstate(over="ignore"):  # a switch past the largest float: closed form
+        series = x > _IJ_DIRECT_RATIO * delta_width * delta_width
     return _float_or_array(
-        _piecewise(
-            x > _IJ_DIRECT_RATIO * delta_width * delta_width,
-            (_kernel_slope_closed, _kernel_slope_series),
-            x,
-            delta_width,
-            d_y,
-        )
+        _piecewise(series, (_kernel_slope_closed, _kernel_slope_series), x, delta_width, d_y)
     )
 
 
@@ -297,6 +296,14 @@ def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
     if not np.all(np.asarray(h_sq) > 0):
         raise ValueError("the rate closed form requires a strictly positive height h")
     delta_width, c_0k, h_sq, d_y = _arrays(delta_width, c_0k, h_sq, d_y)
+    # Past 2^1000 of width times d_y the kernels' integrals overflow, though
+    # their mean does not: it is the same with lengths scaled by s and c_0k
+    # and h^2 by s^2, and s = 2^-16 scales exactly. (The product is taken
+    # with d_y / 2^24, which keeps it finite.)
+    huge = delta_width * (d_y * 2.0**-24) > 2.0**976
+    if huge.any():
+        s = np.where(huge, 2.0**-16, 1.0)
+        delta_width, d_y, c_0k, h_sq = delta_width * s, d_y * s, c_0k * s * s, h_sq * s * s
     shifted = c_0k + h_sq
     total = np.zeros(shifted.shape)
     # Where c_0k is lost in c_0k + h^2 the difference of kernels would be
@@ -362,9 +369,11 @@ def _sub_rectangle_means(
     with no numpy call per point: c_0k per antenna (`_c0k_scales`), then
     per sub-rectangle, left and right of each antenna in antenna order,
     its width, c_0k and its point's h^2, d_y and linear threshold, for one
-    call term(widths, c_0k, h_sq, d_y, gamma_thr). np.bincount adds each
-    point's width-weighted terms left to right, as a loop over its antennas
-    would; a point any of whose scales was clamped is flagged.
+    call term(widths, c_0k, h_sq, d_y, gamma_thr) on the sub-rectangles of
+    positive width; one of zero width (a cut at the strip end) adds
+    nothing. np.bincount adds each point's width-weighted terms left to
+    right, as a loop over its antennas would; a point any of whose scales
+    was clamped is flagged.
     """
     for block in _point_blocks(points):
         configs, layouts, partitions = zip(*block)
@@ -378,11 +387,12 @@ def _sub_rectangle_means(
         widths = np.empty(2 * positions.size)
         widths[0::2] = np.concatenate([p.left_limits for p in partitions])
         widths[1::2] = np.concatenate([p.right_limits for p in partitions])
-        owner = np.repeat(antenna_owner, 2)
+        live = widths > 0.0
+        owner, widths = np.repeat(antenna_owner, 2)[live], widths[live]
         weighted = widths * term(
-            widths, np.repeat(c0k, 2), h_sq[owner], d_y[owner], gamma_thr[owner]
+            widths, np.repeat(c0k, 2)[live], h_sq[owner], d_y[owner], gamma_thr[owner]
         )
-        totals = np.bincount(owner, weights=weighted) / d_x
+        totals = np.bincount(owner, weights=weighted, minlength=len(block)) / d_x
         clamps = np.bincount(antenna_owner, weights=clamped).tolist()
         yield from zip(totals.tolist(), [(_UNDERFLOW_FLAG,) if n else () for n in clamps])
 
@@ -562,10 +572,10 @@ def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
     Below u_end t1 is finite, and the feed end takes over again before d_x
     where `_station_log_ratio` at d_x, with t1 clipped to d_x, is negative.
     Its sign changes between 64 even steps in u, up to 1e-6 short of
-    u_end (where t1 reaches d_x or stops being finite), are narrowed by
-    four more rounds of 64 steps each, to 64^-5 (1e-9) of u_end: the row
-    integral leaves such a root like (y - y0)^2, so a breakpoint that far
-    off costs the rule about its cube.
+    u_end (where t1 reaches d_x or stops being finite), are each narrowed
+    to one root by four more rounds of 64 steps, to 64^-5 (1e-9) of u_end:
+    the row integral leaves such a root like (y - y0)^2, so a breakpoint
+    that far off costs the rule about its cube.
     """
     h_sq, alpha, d_x = config.h * config.h, config.alpha, config.d_x
 
@@ -577,13 +587,18 @@ def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
     fractions = np.linspace(0.0, 1.0, 65)
     scan_end = u_end * (1.0 - 1e-6)
     grid, step = (scan_end * fractions)[None, :], scan_end / 64.0
-    for _ in range(4):
-        sign = falls(grid)
-        bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
-        grid = (grid[bracket, index])[:, None] + step * fractions
-        step /= 64.0
     sign = falls(grid)
     bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
+    for _ in range(4):
+        grid = (grid[bracket, index])[:, None] + step * fractions
+        step /= 64.0
+        sign = falls(grid)
+        # Near a root whose log-ratio is rounding noise the sign can flip
+        # many times in one bracket; the bracket keeps only its first flip,
+        # so the breakpoints never outnumber the first scan's.
+        bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
+        bracket, first = np.unique(bracket, return_index=True)
+        index = index[first]
     return (grid[bracket, index] + 0.5 * step).tolist()
 
 
@@ -641,13 +656,18 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
     curves: dict[tuple, list[int]] = {}
     for i, config in enumerate(configs):
         curves.setdefault(_unscaled(config), []).append(i)
-    rates: list[tuple[float, float]] = [(0.0, 0.0)] * len(configs)
+    rates: list[tuple[float, float]] = [(math.nan, math.nan)] * len(configs)
     for members in curves.values():
         config = configs[members[0]]
         if not config.h > 0:
             raise ValueError(
                 f"h must be > 0 for the continuous baseline, got {config.h!r}"
             )
+        # No row's SNR exceeds big_c / h^2, under the waveguide. A config
+        # where that is past the largest float keeps nan rates.
+        members = [
+            i for i in members if derive_rf(configs[i]).big_c / config.h / config.h < math.inf
+        ]
         edges = _outer_edges(config)
         base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
         refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
@@ -669,9 +689,14 @@ def _settled_rate(rates: tuple[float, float]) -> MetricResult:
     """The refined continuous rate, if the base order agrees with it.
 
     Disagreement beyond the relative tolerance raises, since it would mean
-    the quadrature cannot be trusted at this parameter point.
+    the quadrature cannot be trusted at this parameter point; so does a
+    rate `_continuous_rates` could not form.
     """
     base, refined = rates
+    if math.isnan(refined):
+        raise NumericalDiagnosticError(
+            "continuous rate not computed: its peak SNR big_c / h^2 is past the largest float"
+        )
     if abs(base - refined) > _RATE_QUAD_REL_TOL * max(abs(refined), 1e-300):
         raise NumericalDiagnosticError(
             f"continuous-rate quadrature did not settle: {base!r} vs {refined!r} "

@@ -46,8 +46,11 @@ class RegionPartition:
 
     def __post_init__(self):
         m, delta = self.layout.m, self.layout.delta
-        if m > 1 and not 0.0 < self.offset < delta:
-            raise ValueError(f"offset must lie in (0, delta = {delta!r}), got {self.offset!r}")
+        # offset = delta leaves each inner left limit 0: in a room of about
+        # 1e12 m or more, 1e-6 m is below one ulp of delta, and the search
+        # ends there.
+        if m > 1 and not 0.0 < self.offset <= delta:
+            raise ValueError(f"offset must lie in (0, delta = {delta!r}], got {self.offset!r}")
         if abs(self.d_x - m * delta) > 1e-9 * max(1.0, m * delta):
             raise ValueError(f"d_x must be m * delta = {m * delta!r}, got {self.d_x!r}")
 
@@ -82,7 +85,9 @@ def _boundary_offset(config: SystemConfig, delta: float, y):
     disc = q * delta * delta - w * w * dist_sq
     # Equivalent to |y| >= circle radius; the root is not taken there.
     misses = disc <= 0.0
-    offset = (delta * delta + w * dist_sq) / (delta + np.sqrt(np.where(misses, 0.0, disc)))
+    # Only a missed row's quotient can overflow, and its offset is inf anyway.
+    with np.errstate(over="ignore"):
+        offset = (delta * delta + w * dist_sq) / (delta + np.sqrt(np.where(misses, 0.0, disc)))
     return _float_or_array(np.where(misses, math.inf, offset))
 
 

@@ -112,6 +112,13 @@ class SystemConfig:
             value = getattr(self, name)
             if not math.isfinite(value * value):
                 raise ValueError(f"{name}^2 must be finite, got {name} = {value!r}")
+        # The largest squared distance from an antenna to a user.
+        half_y = self.d_y / 2.0
+        if not math.isfinite(self.d_x * self.d_x + half_y * half_y + self.h * self.h):
+            raise ValueError(
+                "d_x^2 + (d_y/2)^2 + h^2 must be finite, got "
+                f"d_x = {self.d_x!r}, d_y = {self.d_y!r}, h = {self.h!r}"
+            )
         if not self.alpha >= 0:
             raise ValueError(f"alpha must be >= 0 (range [0, inf)), got {self.alpha!r}")
         if not self.f_c > 0:
@@ -224,14 +231,16 @@ def _feedward_offset(alpha: float, dist_sq):
     For a radiator at x - u the SNR e^(-alpha (x - u)) / (u^2 + d^2) peaks
     at u = t1 = alpha d^2 / (1 + sqrt(1 - alpha^2 d^2)). Takes a float or
     an array of d^2 = y^2 + h^2. Where 1 - alpha^2 d^2 <= 0 there is no
-    interior stationary point and the offset is +inf.
+    interior stationary point and the offset is +inf, also where
+    alpha^2 d^2 overflows.
     """
-    disc = 1.0 - alpha * alpha * dist_sq
-    return np.where(
-        disc > 0.0,
-        alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0))),
-        np.inf,
-    )
+    with np.errstate(over="ignore"):
+        disc = 1.0 - alpha * alpha * dist_sq
+        return np.where(
+            disc > 0.0,
+            alpha * dist_sq / (1.0 + np.sqrt(np.maximum(disc, 0.0))),
+            np.inf,
+        )
 
 
 def _gain(

@@ -104,7 +104,7 @@ def test_axis_values_must_increase():
 
 def test_m_values_must_not_repeat():
     # Each m writes its own table; a repeat would overwrite the first.
-    with pytest.raises(ConfigError, match="line 2: m_values must not repeat, got '2,1,2'"):
+    with pytest.raises(ConfigError, match=r"line 2: m_values must not repeat, got \(2, 1, 2\)"):
         parse_config_text("d_x = 10\nm_values = 2,1,2\n")
     with pytest.raises(ConfigError, match=r"line 3: m_values must not repeat"):
         parse_config_text("d_x = 10\nmetric = regions\nm_values = 3:3:2\n")
@@ -218,11 +218,38 @@ def test_sweep_spec_direct_validation():
                   fixed_params=base, m_values=(2, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("d_x = 10\naxis_values = 5, 4\n", "line 2: axis_values must be strictly increasing"),
+        ("d_x = 10\nsweep_axis = m\naxis_values = 3, 2\n",
+         "line 3: axis_values must be strictly increasing"),
+        ("d_x = 10\nh = 0\nmetric = rate\n", "line 2: h must be > 0"),
+    ],
+    ids=["decreasing", "decreasing_along_m", "zero_height_rate"],
+)
+def test_sweep_rule_errors_name_their_line(text, error):
+    # SweepSpec holds the rule; the parser adds the line its key was read on.
+    with pytest.raises(ConfigError, match=f"^{error}"):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("metric", ["rate", "pde"])
+def test_sweep_spec_rejects_zero_height_for_rate_metrics(metric):
+    # A spec built in code meets the rule the parser's spec meets, before
+    # any sweep reaches the rate closed form.
+    with pytest.raises(ConfigError, match="^h must be > 0"):
+        SweepSpec(metric=metric, sweep_axis="gamma_t_db", axis_values=(90.0,),
+                  fixed_params=SystemConfig(d_x=10.0, h=0.0), m_values=(1,))
+    SweepSpec(metric="outage", sweep_axis="gamma_t_db", axis_values=(90.0,),
+              fixed_params=SystemConfig(d_x=10.0, h=0.0), m_values=(1,))
+
+
 def test_sweep_spec_caps_antenna_counts():
     # Constructed only: a spec that passed would build a layout per count.
     base = SystemConfig(d_x=10.0)
     cap = config_module._MAX_ANTENNAS
-    with pytest.raises(ConfigError, match=rf"m_values must all lie in \[1, {cap}\] "):
+    with pytest.raises(ConfigError, match=rf"^m_values must be at most {cap} "):
         SweepSpec(metric="rate", sweep_axis="gamma_t_db", axis_values=(90.0,),
                   fixed_params=base, m_values=(10**300,))
     for value, reason in (

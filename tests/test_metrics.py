@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pinchpas import (
@@ -25,8 +25,9 @@ from pinchpas import (
     outage_probability,
     p_l,
     pde,
+    simulate_outage,
 )
-from pinchpas import metrics
+from pinchpas import SimulationSpec, metrics
 from pinchpas.system import _unscaled
 
 import oracle_utils as oracle
@@ -201,7 +202,8 @@ def test_ij_continuous_across_evaluation_switch():
 # x / delta^2 on both sides of the switch at 1e4, with i_j's tolerance
 # there. Below it the slope's closed form in ti2 cancels most where d_y is
 # small against sqrt(x): 4.7e-12 at delta = 8, d_y = 0.5. From the switch
-# on the slope's series holds i_j to rounding.
+# on the slope's series holds i_j to rounding, up to x = 6.4e307, where
+# 10 x overflows.
 _IJ_RATIOS = (
     (1e3, 1e-11),
     (5e3, 1e-11),
@@ -209,6 +211,7 @@ _IJ_RATIOS = (
     (1e4 * (1.0 + 1e-12), 1e-14),
     (3e4, 1e-14),
     *((10.0**e, 1e-14) for e in range(5, 15)),
+    (1e306, 1e-14),
 )
 
 
@@ -748,6 +751,96 @@ def test_validated_configs_end_cleanly(d_x, d_y, h, alpha, gamma_t_db, gamma_thr
     part = optimize_partition(cfg, lay)  # RegionPartition validates itself
     assert len(part.left_limits) == m
     assert 0.0 <= outage_probability(cfg, lay, part).value <= 1.0
+    if h > 0.0:
+        assert math.isfinite(ergodic_rate(cfg, lay, part).value)
+        try:
+            efficiency = pde(cfg, lay, part)
+        except NumericalDiagnosticError:
+            return
+        if efficiency.flags:
+            assert 0.0 <= efficiency.value <= 1.0
+        else:
+            assert 0.0 < efficiency.value <= 1.0
+
+
+def test_float_range_corners_end_cleanly():
+    # Corners of the validated range that warned, raised or ran out of
+    # memory before.
+    # A missed row's boundary quotient overflows; its offset is inf anyway.
+    cfg = SystemConfig(d_x=1e-3, h=1e154, alpha=1e3)
+    assert optimize_partition(cfg, make_layout(cfg, 2)).offset > 0.0
+    # 1e4 * delta^2 overflows at the kernel slope's switch: the closed form.
+    assert math.isfinite(metrics._kernel_slope(1.0, 1e153, 1.0))
+    # c_0k = big_c e^(-alpha x_1) = 5.7e-30 * e^-690 underflows to 0 short
+    # of the exponent clamp: it is clamped and flagged too.
+    cfg = SystemConfig(d_x=10.0, alpha=138.0, gamma_t_db=-200.0, f_c=1e12)
+    lay = make_layout(cfg, 1)
+    result = ergodic_rate(cfg, lay, optimize_partition(cfg, lay))
+    assert result.flags == ("c0k_underflow_clamp",) and math.isfinite(result.value)
+    # The peak SNR big_c / h^2 = 5.7e290 / 1e-20 is past the largest float,
+    # so the continuous baseline cannot be formed: a named diagnostic.
+    cfg = SystemConfig(d_x=10.0, h=1e-10, gamma_t_db=3000.0, f_c=1e12)
+    lay = make_layout(cfg, 2)
+    with pytest.raises(NumericalDiagnosticError, match="peak SNR"):
+        pde(cfg, lay, optimize_partition(cfg, lay))
+    # log(y^2 + h^2) - log(h^2 + t1^2) is rounding noise near its root, and
+    # its sign flips in every refined bracket: each keeps one breakpoint.
+    cfg = SystemConfig(
+        d_x=1e-6, d_y=148.73603659748014, h=0.016662592928856593, alpha=1e-8,
+        gamma_t_db=2630.9652593690294, gamma_thr_db=-3000.0, f_c=1e6,
+    )
+    assert metrics._outer_edges(cfg).size <= 66
+
+
+def test_rate_of_a_room_past_2_to_the_1000_is_scaled():
+    # The rate does not change, to rounding, when lengths grow by 2^500 and
+    # c_0k and h^2 by 2^1000; width times d_y then passes 2^1000, where the
+    # kernels' integrals would overflow unless scaled back.
+    cfg = SystemConfig(d_x=10.0)
+    s = 2.0**500
+    big = SystemConfig(d_x=cfg.d_x * s, d_y=cfg.d_y * s, h=cfg.h * s)
+    widths = np.array([0.5, 2.0, 5.0])
+    for c_0k in (1e-2, 1e3, 1e6):
+        scaled = c_l(widths * s, c_0k * s * s, big)
+        assert scaled == pytest.approx(c_l(widths, c_0k, cfg), rel=1e-13)
+    room = SystemConfig(d_x=6.5e153, d_y=6.5e153, alpha=0.0, gamma_t_db=3000.0, f_c=1e6)
+    lay = make_layout(room, 1)
+    assert math.isfinite(ergodic_rate(room, lay, optimize_partition(room, lay)).value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d_x=_log_uniform(-6.0, 160.0),
+    d_y=_log_uniform(-6.0, 160.0),
+    h=st.one_of(st.just(0.0), _log_uniform(-10.0, 160.0)),
+    alpha=st.one_of(st.just(0.0), _log_uniform(-8.0, 3.0)),
+    gamma_t_db=st.floats(-200.0, 3000.0),
+    gamma_thr_db=st.floats(-3000.0, 200.0),
+    f_c=_log_uniform(6.0, 12.0),
+    m=st.integers(1, 299),
+)
+def test_validated_configs_end_cleanly_over_the_float_range(
+    d_x, d_y, h, alpha, gamma_t_db, gamma_thr_db, f_c, m
+):
+    # Every config that validates, out to rooms of 1e154 m and dB values
+    # near the float range's ends, ends in a value, a flagged value or a
+    # named error, with no warning: its partition builds (the offset may
+    # reach delta), outage lies in [0, 1], a 1,000-user simulation runs,
+    # and with a positive height the rate is finite and pde is in (0, 1],
+    # flagged, or a NumericalDiagnosticError.
+    try:
+        cfg = SystemConfig(
+            d_x=d_x, d_y=d_y, h=h, alpha=alpha, f_c=f_c,
+            gamma_t_db=gamma_t_db, gamma_thr_db=gamma_thr_db,
+        )
+    except ValueError:
+        assume(False)
+    lay = make_layout(cfg, m)
+    part = optimize_partition(cfg, lay)
+    assert len(part.left_limits) == m
+    assert 0.0 <= outage_probability(cfg, lay, part).value <= 1.0
+    estimate = simulate_outage(cfg, lay, SimulationSpec(n_samples=1_000, seed=m))
+    assert 0.0 <= estimate.mean <= 1.0
     if h > 0.0:
         assert math.isfinite(ergodic_rate(cfg, lay, part).value)
         try:

@@ -345,9 +345,9 @@ def test_partition_agrees_with_user_selection():
 
 
 def test_partition_validation():
-    # The offset lies strictly inside a strip, and the room is the layout's.
+    # The offset lies in (0, delta], and the room is the layout's.
     lay = make_layout(SystemConfig(d_x=4.0), 2)
-    for offset in (0.0, -0.5, 2.0, 2.5, math.nan):
+    for offset in (0.0, -0.5, 2.5, math.nan):
         with pytest.raises(ValueError, match="offset must"):
             RegionPartition(layout=lay, offset=offset, d_x=4.0)
     for d_x in (3.9, 4.0 + 1e-8):
@@ -357,6 +357,9 @@ def test_partition_validation():
     assert part.boundaries_b.tolist() == [0.0, 2.0, 4.0]
     with pytest.raises(ValueError):
         part.left_limits[0] = 2.0
+    # A cut at the strip end leaves the inner left limits 0.
+    part = RegionPartition(layout=lay, offset=2.0, d_x=4.0)
+    assert part.left_limits.tolist() == [1.0, 0.0]
     # One antenna has no interior cut for the offset to place.
     single = make_layout(SystemConfig(d_x=4.0), 1)
     assert RegionPartition(layout=single, offset=0.0, d_x=4.0).right_limits.tolist() == [2.0]

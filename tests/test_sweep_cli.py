@@ -420,12 +420,14 @@ _EXTREME_SNR = "gamma_t_db = 3000\ngamma_thr_db = -3000\nf_c = 1e6\n"
         ("outage", _EXTREME_SNR + "d_x = 10\nh = 1e200\n", "h^2"),
         ("outage", _EXTREME_SNR + "d_x = 10\nd_y = 1e200\n", "d_y^2"),
         ("outage", _EXTREME_SNR + "d_x = 1e200\n", "d_x^2"),
+        ("outage", "d_x = 10\nd_y = 1.34e154\nh = 1.34e154\n", "d_x^2 + (d_y/2)^2 + h^2"),
     ],
     ids=[
         "threshold_minus_inf", "threshold_underflows", "d_x_inf", "d_y_inf",
         "gamma_t_overflows", "gamma_t_axis_overflows", "alpha_axis_inf", "d_x_axis_inf",
         "wavelength_overflows", "eta_underflows", "big_c_subnormal",
         "h_squared_overflows", "d_y_squared_overflows", "d_x_squared_overflows",
+        "farthest_distance_squared_overflows",
     ],
 )
 def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, field):
@@ -440,6 +442,36 @@ def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, 
     assert code == 1
     assert f"pinchpas: {field} must" in err
     assert "Traceback" not in err
+
+
+_FLOAT_RANGE_ROOMS = [
+    pytest.param(command, f"d_x = {d_x}\nm_values = 2\n", id=f"{command}_dx{d_x}")
+    for d_x in ("1e12", "1e20", "1e100")
+    for command in ("regions", "outage", "rate")
+] + [
+    pytest.param(
+        "pde",
+        _EXTREME_SNR + "d_x = 10\nh = 1e154\nsweep_axis = gamma_t_db\n"
+        "axis_values = 3000\nm_values = 2\n",
+        id="pde_series_near_max_float",
+    ),
+    pytest.param(
+        "pde",
+        "d_x = 10\nd_y = 1e154\nalpha = 1000\nm_values = 2\n",
+        id="pde_baseline_alpha_d_overflows",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, text", _FLOAT_RANGE_ROOMS)
+def test_cli_float_range_rooms_end_cleanly(tmp_path, capsys, command, text):
+    # Past d_x of about 1e12 m the partition's offset reaches delta; near
+    # the largest float, x = c_0k + h^2 and alpha^2 d^2 would overflow.
+    # Each run exits 0 or 2 with no warning and no traceback.
+    cfg = _write_cfg(tmp_path, text)
+    code = main([command, "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

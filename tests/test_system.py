@@ -57,7 +57,10 @@ def test_config_validation():
     for name in ("d_x", "d_y", "h"):
         with pytest.raises(ValueError, match=rf"{name}\^2 must be finite"):
             SystemConfig(**{"d_x": 10.0, name: 1e200})
-    SystemConfig(d_x=1e154, d_y=1e154, h=1e154)
+        SystemConfig(**{"d_x": 10.0, name: 1e154})
+    # So must the largest squared distance from an antenna to a user.
+    with pytest.raises(ValueError, match=r"d_x\^2 \+ \(d_y/2\)\^2 \+ h\^2 must be finite"):
+        SystemConfig(d_x=1e154, d_y=1e154, h=1e154)
     with pytest.raises(ValueError, match="noise_dbm must be finite"):
         SystemConfig(d_x=10.0, noise_dbm=math.nan)
     with pytest.raises(ValueError, match="gamma_t_db must lie in"):
