@@ -34,13 +34,11 @@ from .specfun import CATALAN, ti2
 from .sweep import OutputTable, emit_table, header_config_text, reload_run, run_sweep
 from .system import (
     SPEED_OF_LIGHT,
-    DerivedRf,
     PaLayout,
     SystemConfig,
     UserPosition,
     best_snr,
     db_to_linear,
-    derive_rf,
     make_layout,
     select_pa,
     snr_matrix,
@@ -51,7 +49,6 @@ __all__ = [
     "CATALAN",
     "SPEED_OF_LIGHT",
     "ConfigError",
-    "DerivedRf",
     "MetricResult",
     "NumericalDiagnosticError",
     "OutputTable",
@@ -67,7 +64,6 @@ __all__ = [
     "continuous_optimal_position",
     "continuous_rate",
     "db_to_linear",
-    "derive_rf",
     "emit_table",
     "ergodic_rate",
     "header_config_text",

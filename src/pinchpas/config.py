@@ -12,6 +12,7 @@ rejected with their line number. Every sweep rule is checked once, by
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, fields
 
 from .system import SystemConfig
@@ -80,10 +81,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
-        if self.metric in ("rate", "pde") and not self.fixed_params.h > 0:
+        # The rate closed form needs the waveguide above the user plane, at a
+        # height whose square is a normal float: h >= about 1.5e-154 m.
+        h = self.fixed_params.h
+        if self.metric in ("rate", "pde") and not h * h >= sys.float_info.min:
             raise ConfigError(
-                f"h must be > 0 for the {self.metric} metric (the rate closed form "
-                f"needs the waveguide above the user plane), got {self.fixed_params.h!r}"
+                f"h must be > 0, with h^2 a normal float (h >= about 1.5e-154 m), "
+                f"for the {self.metric} metric, got {h!r}"
             )
         # The counts come before the axis: a regions spec's axis is its counts.
         if not self.m_values:

@@ -36,7 +36,6 @@ from .system import (
     _station_log_ratio,
     _unscaled,
     db_to_linear,
-    derive_rf,
 )
 
 __all__ = [
@@ -377,7 +376,7 @@ def _sub_rectangle_means(
     """
     for block in _point_blocks(points):
         configs, layouts, partitions = zip(*block)
-        fields = [(c.alpha, derive_rf(c).big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
+        fields = [(c.alpha, c.big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
         alpha, big_c, h_sq, d_y, d_x = np.array(fields).T
         gamma_thr = np.array([db_to_linear(c.gamma_thr_db) for c in configs])
         counts = [lay.m for lay in layouts]
@@ -577,10 +576,11 @@ def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
     the row integral leaves such a root like (y - y0)^2, so a breakpoint
     that far off costs the rule about its cube.
     """
-    h_sq, alpha, d_x = config.h * config.h, config.alpha, config.d_x
+    h, alpha, d_x = config.h, config.alpha, config.d_x
 
     def falls(u):
-        dist_sq = h_sq * np.cosh(u) ** 2
+        dist = h * np.cosh(u)  # cosh(u)^2 overflows once d_y/(2h) passes 1.3e154
+        dist_sq = dist * dist
         t1 = np.minimum(_feedward_offset(alpha, dist_sq), d_x)
         return _station_log_ratio(alpha, d_x, t1, dist_sq) < 0.0
 
@@ -665,13 +665,11 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
             )
         # No row's SNR exceeds big_c / h^2, under the waveguide. A config
         # where that is past the largest float keeps nan rates.
-        members = [
-            i for i in members if derive_rf(configs[i]).big_c / config.h / config.h < math.inf
-        ]
+        members = [i for i in members if configs[i].big_c / config.h / config.h < math.inf]
         edges = _outer_edges(config)
         base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
         refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
-        big_c = np.array([derive_rf(configs[i]).big_c for i in members])
+        big_c = np.array([configs[i].big_c for i in members])
         rows = _row_integrals(
             config, np.concatenate((base_sq, refined_sq)), big_c[:, None]
         )

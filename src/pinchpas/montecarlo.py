@@ -31,7 +31,6 @@ from .system import (
     _unscaled,
     best_snr,
     db_to_linear,
-    derive_rf,
 )
 
 __all__ = [
@@ -154,7 +153,7 @@ def _simulate_outages(
         curves = rooms.setdefault((config.d_x, config.d_y), {})
         curves.setdefault((_unscaled(config), layout.m, layout.delta), []).append(i)
     limits = [
-        _gain_limit(db_to_linear(config.gamma_thr_db), derive_rf(config).big_c)
+        _gain_limit(db_to_linear(config.gamma_thr_db), config.big_c)
         for config, _ in points
     ]
     hits = [0] * len(points)

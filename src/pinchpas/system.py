@@ -35,11 +35,9 @@ from .numerics import _read_only
 __all__ = [
     "SPEED_OF_LIGHT",
     "SystemConfig",
-    "DerivedRf",
     "PaLayout",
     "UserPosition",
     "db_to_linear",
-    "derive_rf",
     "make_layout",
     "snr_matrix",
     "best_snr",
@@ -78,6 +76,10 @@ class SystemConfig:
             budget enters through gamma_t_db directly).
         gamma_t_db: transmit SNR P_t/sigma^2 in dB.
         gamma_thr_db: SNR threshold for outage, dB.
+
+    Attribute (not a field):
+        big_c: the SNR scale eta * 10^(gamma_t_db/10), eta = wavelength^2 /
+            (16 pi^2): the SNR 1 m from an unattenuated radiator.
     """
 
     d_x: float
@@ -114,7 +116,8 @@ class SystemConfig:
                 raise ValueError(f"{name}^2 must be finite, got {name} = {value!r}")
         # The largest squared distance from an antenna to a user.
         half_y = self.d_y / 2.0
-        if not math.isfinite(self.d_x * self.d_x + half_y * half_y + self.h * self.h):
+        farthest_sq = self.d_x * self.d_x + half_y * half_y + self.h * self.h
+        if not math.isfinite(farthest_sq):
             raise ValueError(
                 "d_x^2 + (d_y/2)^2 + h^2 must be finite, got "
                 f"d_x = {self.d_x!r}, d_y = {self.d_y!r}, h = {self.h!r}"
@@ -126,7 +129,9 @@ class SystemConfig:
         if not self.n_eff >= 1:
             raise ValueError(f"n_eff must be >= 1, got {self.n_eff!r}")
         # f_c sets the wavelength and eta; gamma_t_db only scales eta to big_c.
-        wavelength, eta, big_c = _rf_values(self.f_c, self.gamma_t_db)
+        wavelength = SPEED_OF_LIGHT / self.f_c
+        eta = wavelength * wavelength / (16.0 * math.pi * math.pi)
+        big_c = eta * db_to_linear(self.gamma_t_db)
         for field, name, value in (
             ("f_c", "wavelength", wavelength),
             ("f_c", "eta", eta),
@@ -137,26 +142,16 @@ class SystemConfig:
                     f"{field} must leave {name} a positive normal float, "
                     f"got {name} = {value!r}"
                 )
-
-
-@dataclass(frozen=True)
-class DerivedRf:
-    """Quantities derived from the RF configuration.
-
-    wavelength: free-space wavelength, meters.
-    wavelength_g: guided wavelength (wavelength / n_eff), meters.
-    eta: free-space path gain at 1 m reference distance, dimensionless.
-    big_c: eta times the linear transmit SNR; the SNR a user would see at
-        1 m slant distance from an unattenuated radiator.
-
-    `SystemConfig` rejects an f_c or gamma_t_db that would leave the
-    wavelength, eta or big_c outside the positive normal floats.
-    """
-
-    wavelength: float
-    wavelength_g: float
-    eta: float
-    big_c: float
+        # This sum bounds every sum the rate kernels and the baseline form,
+        # such as c_0k + h^2 + width^2 and d^2 + big_c.
+        if not math.isfinite(big_c + farthest_sq):
+            raise ValueError(
+                "big_c + d_x^2 + (d_y/2)^2 + h^2 must be finite, got "
+                f"gamma_t_db = {self.gamma_t_db!r}, d_x = {self.d_x!r}, "
+                f"d_y = {self.d_y!r}, h = {self.h!r}"
+            )
+        # Not a field: equality, hash, repr and the header echo stay the fields'.
+        object.__setattr__(self, "big_c", big_c)
 
 
 @dataclass(frozen=True)
@@ -191,31 +186,13 @@ class UserPosition:
     y_m: float
 
 
-def _rf_values(f_c: float, gamma_t_db: float) -> tuple[float, float, float]:
-    """Wavelength, eta and big_c at a carrier frequency and transmit SNR."""
-    wavelength = SPEED_OF_LIGHT / f_c
-    eta = wavelength * wavelength / (16.0 * math.pi * math.pi)
-    return wavelength, eta, eta * db_to_linear(gamma_t_db)
-
-
-def derive_rf(config: SystemConfig) -> DerivedRf:
-    """Compute wavelength, reference path gain, and the linear SNR scale."""
-    wavelength, eta, big_c = _rf_values(config.f_c, config.gamma_t_db)
-    return DerivedRf(
-        wavelength=wavelength,
-        wavelength_g=wavelength / config.n_eff,
-        eta=eta,
-        big_c=big_c,
-    )
-
-
 def _unscaled(config: SystemConfig) -> tuple:
     """Every field but gamma_t_db: the key of a transmit-SNR curve.
 
     Transmit SNR only scales big_c, so configs with equal keys share every
     gain and differ only in the factor applied last.
     """
-    return tuple(v for name, v in vars(config).items() if name != "gamma_t_db")
+    return tuple(getattr(config, f.name) for f in fields(config) if f.name != "gamma_t_db")
 
 
 def make_layout(config: SystemConfig, m: int) -> PaLayout:
@@ -290,7 +267,7 @@ def snr_matrix(
     Returns:
         Strictly positive linear SNRs; row k - 1 belongs to antenna k.
     """
-    return derive_rf(config).big_c * _gain_matrix(config, layout, x, y)
+    return config.big_c * _gain_matrix(config, layout, x, y)
 
 
 def _continuous_candidates(
@@ -305,10 +282,9 @@ def _continuous_candidates(
     y_sq = y**2
     offset = _feedward_offset(config.alpha, y_sq + config.h * config.h)
     placement = np.clip(x - offset, 0.0, config.d_x)
-    big_c = derive_rf(config).big_c
     station = _gain(config, placement, np.exp(-config.alpha * placement), x, y_sq)
     feed = _gain(config, 0.0, 1.0, x, y_sq)
-    return placement, big_c * station, big_c * feed
+    return placement, config.big_c * station, config.big_c * feed
 
 
 def _continuous_snr(config: SystemConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -394,7 +370,7 @@ def best_snr(
     `_best_gain`, the best e^(-alpha x_k) / distance^2. Rounding is
     monotone, so max_k fl(big_c g_k) = fl(big_c max_k g_k).
     """
-    return derive_rf(config).big_c * _best_gain(config, layout, x, y)
+    return config.big_c * _best_gain(config, layout, x, y)
 
 
 def _best_gain(

@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 from scipy import integrate, optimize
 
-from pinchpas import SystemConfig, UserPosition, derive_rf, metrics
+from pinchpas import SystemConfig, UserPosition, metrics
 
 
 def outage_indicator_quad(delta_width: float, a_0k: float, d_y: float) -> float:
@@ -270,7 +270,7 @@ def brute_force_best_x(config: SystemConfig, user: UserPosition) -> float:
 
 def discrete_rate_quad(config: SystemConfig, layout, partition) -> float:
     """Ergodic rate of the discrete system by direct 2-D quadrature per region."""
-    big_c = derive_rf(config).big_c
+    big_c = config.big_c
     total = 0.0
     for k in range(layout.m):
         c0 = big_c * math.exp(-config.alpha * layout.x_k[k])
@@ -283,7 +283,7 @@ def discrete_rate_quad(config: SystemConfig, layout, partition) -> float:
 
 def outage_prob_quad(config: SystemConfig, layout, partition) -> float:
     """Outage probability by the indicator oracle applied per sub-rectangle."""
-    big_c = derive_rf(config).big_c
+    big_c = config.big_c
     thr = 10.0 ** (config.gamma_thr_db / 10.0)
     total = 0.0
     for k in range(layout.m):
@@ -312,7 +312,7 @@ def continuous_rate_quad(config: SystemConfig) -> float:
     = 1, where t1 reaches d_x, and where the feed end starts winning again
     at x = d_x (`_takeover_onsets`).
     """
-    big_c = derive_rf(config).big_c
+    big_c = config.big_c
     alpha, d_x, h = config.alpha, config.d_x, config.h
 
     def snr(p, x, d_sq):
@@ -492,9 +492,7 @@ def per_point_rates(points) -> list:
     """
     rates = []
     for config, layout, partition in points:
-        c0k, clamped = metrics._c0k_scales(
-            config.alpha, derive_rf(config).big_c, np.asarray(layout.x_k)
-        )
+        c0k, clamped = metrics._c0k_scales(config.alpha, config.big_c, np.asarray(layout.x_k))
         widths = np.column_stack((partition.left_limits, partition.right_limits)).ravel()
         terms = widths * metrics._conditional_rates(
             widths, np.repeat(c0k, 2), config.h * config.h, config.d_y

@@ -196,6 +196,22 @@ def test_zero_height_rejected_for_rate_metrics(metric):
         parse_config_text(f"d_x = 10\nh = 0\nmetric = {metric}\n")
 
 
+@pytest.mark.parametrize("h", ["1e-170", "1e-154"])
+@pytest.mark.parametrize("metric", ["rate", "pde"])
+def test_height_whose_square_is_subnormal_rejected_for_rate_metrics(metric, h):
+    # h^2 below the smallest normal float: the rate closed form cannot use it.
+    with pytest.raises(ConfigError, match=r"^line 2: h must be > 0, with h\^2 a normal"):
+        parse_config_text(f"d_x = 10\nh = {h}\n", metric=metric)
+    parse_config_text("d_x = 10\nh = 1.5e-154\n", metric=metric)
+
+
+@pytest.mark.parametrize("h", ["1e-170", "1e-154"])
+@pytest.mark.parametrize("metric", ["outage", "simulate"])
+def test_tiny_height_allowed_for_outage_and_simulate(metric, h):
+    system, _ = parse_config_text(f"d_x = 10\nh = {h}\n", metric=metric)
+    assert system.h == float(h)
+
+
 def test_zero_height_allowed_for_outage():
     system, spec = parse_config_text("d_x = 10\nh = 0\n", metric="outage")
     assert system.h == 0.0

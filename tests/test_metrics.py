@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pinchpas import (
@@ -16,7 +16,6 @@ from pinchpas import (
     c_l,
     continuous_optimal_position,
     continuous_rate,
-    derive_rf,
     ergodic_rate,
     i_i,
     i_j,
@@ -242,7 +241,7 @@ def test_rate_kernel_matches_mpmath_in_the_benchmark_room(gamma_t_db):
     # runs from about 19 to 7,500; widths span the partitions' 0.15 to 15 m.
     cfg = SystemConfig(d_x=30.0, gamma_t_db=gamma_t_db)
     positions = np.asarray(make_layout(cfg, 10).x_k)
-    scales, _ = metrics._c0k_scales(cfg.alpha, derive_rf(cfg).big_c, positions)
+    scales, _ = metrics._c0k_scales(cfg.alpha, cfg.big_c, positions)
     for c0 in (float(scales[0]), float(scales[-1])):
         for delta in (0.15, 0.5, 1.5, 5.0, 15.0):
             ref = oracle.rate_kernel_mpmath(delta, c0, cfg.d_y, cfg.h)
@@ -326,7 +325,7 @@ def _kernel_cases(points):
     for cfg, lay, part in points:
         h_sq = cfg.h * cfg.h
         positions = np.asarray(lay.x_k)
-        scales, _ = metrics._c0k_scales(cfg.alpha, derive_rf(cfg).big_c, positions)
+        scales, _ = metrics._c0k_scales(cfg.alpha, cfg.big_c, positions)
         scales = np.repeat(scales, 2)
         widths = np.column_stack((part.left_limits, part.right_limits)).ravel()
         lost = scales + h_sq == h_sq
@@ -792,6 +791,18 @@ def test_float_range_corners_end_cleanly():
     assert metrics._outer_edges(cfg).size <= 66
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d_y, h, gamma_t_db", [(1e3, 1e-153, -100.0), (10.0, 1e-154, -200.0)])
+def test_takeover_scan_past_d_y_over_h_of_1e154(d_y, h, gamma_t_db):
+    # The baseline's takeover scan reaches cosh(u) = d_y/(2h), past
+    # 1.3e154 here, whose square overflows; h cosh(u), squared, does not.
+    # At such a height the baseline's two orders disagree: a named diagnostic.
+    cfg = SystemConfig(d_x=10.0, d_y=d_y, h=h, gamma_t_db=gamma_t_db)
+    lay = make_layout(cfg, 2)
+    with pytest.raises(NumericalDiagnosticError):
+        pde(cfg, lay, optimize_partition(cfg, lay))
+
+
 def test_rate_of_a_room_past_2_to_the_1000_is_scaled():
     # The rate does not change, to rounding, when lengths grow by 2^500 and
     # c_0k and h^2 by 2^1000; width times d_y then passes 2^1000, where the
@@ -819,6 +830,9 @@ def test_rate_of_a_room_past_2_to_the_1000_is_scaled():
     f_c=_log_uniform(6.0, 12.0),
     m=st.integers(1, 299),
 )
+# big_c + h^2 overflows: rejected, where the rate returned 0.0 after two warnings.
+@example(d_x=1e-3, d_y=1e-3, h=1.34078e154, alpha=0.0, gamma_t_db=3000.0,
+         gamma_thr_db=20.0, f_c=1e6, m=1)
 def test_validated_configs_end_cleanly_over_the_float_range(
     d_x, d_y, h, alpha, gamma_t_db, gamma_thr_db, f_c, m
 ):

@@ -33,6 +33,9 @@ REMOVED = (
     "_params_snapshot",
     "_curves",
     "_baselines",
+    "DerivedRf",
+    "derive_rf",
+    "_rf_values",
 )
 
 

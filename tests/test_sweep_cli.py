@@ -398,6 +398,18 @@ def test_cli_zero_height_rate_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["rate", "pde"])
+def test_cli_subnormal_height_squared_is_config_error(tmp_path, capsys, command):
+    # h^2 rounds to 0: a config error with its line, not the kernel's check.
+    cfg = _write_cfg(tmp_path, "d_x = 10\nh = 1e-170\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pinchpas: line 2: h must be > 0, with h^2 a normal float")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # A reach c_0k / gamma_thr that overflows to inf: an overflowing h^2 made it inf - inf.
 _EXTREME_SNR = "gamma_t_db = 3000\ngamma_thr_db = -3000\nf_c = 1e6\n"
 
@@ -421,13 +433,15 @@ _EXTREME_SNR = "gamma_t_db = 3000\ngamma_thr_db = -3000\nf_c = 1e6\n"
         ("outage", _EXTREME_SNR + "d_x = 10\nd_y = 1e200\n", "d_y^2"),
         ("outage", _EXTREME_SNR + "d_x = 1e200\n", "d_x^2"),
         ("outage", "d_x = 10\nd_y = 1.34e154\nh = 1.34e154\n", "d_x^2 + (d_y/2)^2 + h^2"),
+        ("rate", _EXTREME_SNR + "d_x = 1e-3\nd_y = 1e-3\nh = 1.34078e154\n",
+         "big_c + d_x^2 + (d_y/2)^2 + h^2"),
     ],
     ids=[
         "threshold_minus_inf", "threshold_underflows", "d_x_inf", "d_y_inf",
         "gamma_t_overflows", "gamma_t_axis_overflows", "alpha_axis_inf", "d_x_axis_inf",
         "wavelength_overflows", "eta_underflows", "big_c_subnormal",
         "h_squared_overflows", "d_y_squared_overflows", "d_x_squared_overflows",
-        "farthest_distance_squared_overflows",
+        "farthest_distance_squared_overflows", "big_c_plus_distance_squared_overflows",
     ],
 )
 def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, field):

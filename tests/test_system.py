@@ -1,5 +1,6 @@
-"""Scenario dataclasses, derived RF quantities, and antenna selection."""
+"""Scenario dataclasses, the SNR scale big_c, and antenna selection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,17 @@ from hypothesis import strategies as st
 
 from pinchpas import (
     PaLayout,
+    SweepSpec,
     SystemConfig,
     UserPosition,
     best_snr,
     db_to_linear,
-    derive_rf,
     make_layout,
     select_pa,
     snr_matrix,
 )
-from pinchpas.system import SPEED_OF_LIGHT, _window_gain
+from pinchpas.sweep import _echo_lines
+from pinchpas.system import SPEED_OF_LIGHT, _unscaled, _window_gain
 
 
 def test_db_round_trip():
@@ -30,14 +32,27 @@ def test_db_round_trip():
     assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
 
 
-def test_derive_rf_matches_hand_computation():
+def test_big_c_matches_hand_computation():
     cfg = SystemConfig(d_x=10.0, f_c=28e9, n_eff=1.4, gamma_t_db=100.0)
-    rf = derive_rf(cfg)
     lam = SPEED_OF_LIGHT / 28e9
-    assert rf.wavelength == pytest.approx(lam, rel=1e-15)
-    assert rf.wavelength_g == pytest.approx(lam / 1.4, rel=1e-15)
-    assert rf.eta == pytest.approx(lam * lam / (16.0 * math.pi * math.pi), rel=1e-15)
-    assert rf.big_c == pytest.approx(rf.eta * 1e10, rel=1e-14)
+    eta = lam * lam / (16.0 * math.pi * math.pi)
+    assert cfg.big_c == pytest.approx(eta * 1e10, rel=1e-14)
+
+
+def test_big_c_is_not_a_field():
+    # big_c is kept, not declared: equality, the header echo and the key
+    # of a transmit-SNR curve read the fields alone.
+    low = SystemConfig(d_x=10.0, gamma_t_db=90.0)
+    high = SystemConfig(d_x=10.0, gamma_t_db=110.0)
+    assert low.big_c < high.big_c
+    assert _unscaled(low) == _unscaled(high)
+    assert "big_c" not in {f.name for f in dataclasses.fields(SystemConfig)}
+    spec = SweepSpec(metric="outage", sweep_axis="gamma_t_db", axis_values=(90.0,),
+                     fixed_params=low, m_values=(1,))
+    assert not any("big_c" in line for line in _echo_lines(low, spec))
+    assert "big_c" not in repr(low)
+    assert dataclasses.replace(low, gamma_t_db=110.0) == high
+    assert dataclasses.replace(low, gamma_t_db=110.0).big_c == high.big_c
 
 
 def test_config_validation():
@@ -61,13 +76,17 @@ def test_config_validation():
     # So must the largest squared distance from an antenna to a user.
     with pytest.raises(ValueError, match=r"d_x\^2 \+ \(d_y/2\)\^2 \+ h\^2 must be finite"):
         SystemConfig(d_x=1e154, d_y=1e154, h=1e154)
+    # And big_c plus it, which bounds every sum the rate kernels form.
+    with pytest.raises(ValueError, match=r"^big_c \+ d_x\^2 \+ \(d_y/2\)\^2 \+ h\^2 must be"):
+        SystemConfig(d_x=1e-3, d_y=1e-3, h=1.34078e154, gamma_t_db=3000.0, f_c=1e6)
+    SystemConfig(d_x=1e-3, d_y=1e-3, h=1.34078e154, gamma_t_db=100.0, f_c=1e6)
     with pytest.raises(ValueError, match="noise_dbm must be finite"):
         SystemConfig(d_x=10.0, noise_dbm=math.nan)
     with pytest.raises(ValueError, match="gamma_t_db must lie in"):
         SystemConfig(d_x=10.0, gamma_t_db=3083.0)
     # The edges of the dB range still give normal, finite big_c and threshold.
     edge = SystemConfig(d_x=10.0, gamma_t_db=3082.0, gamma_thr_db=-3076.0)
-    assert math.isfinite(derive_rf(edge).big_c)
+    assert math.isfinite(edge.big_c)
     assert db_to_linear(edge.gamma_thr_db) >= 2.2250738585072014e-308
 
 
@@ -110,7 +129,7 @@ def test_layout_is_its_count_and_spacing():
 
 def _hand_snr(cfg, x_k, x, y):
     """big_c e^(-alpha x_k) / ((x - x_k)^2 + y^2 + h^2), written out."""
-    big_c = derive_rf(cfg).big_c
+    big_c = cfg.big_c
     return big_c * math.exp(-cfg.alpha * x_k) / ((x - x_k) ** 2 + y * y + cfg.h * cfg.h)
 
 
@@ -163,7 +182,7 @@ def test_attenuation_shifts_selection_toward_feed():
 def test_best_snr_equals_full_max_on_grid(alpha, d_x, m):
     cfg = SystemConfig(d_x=d_x, alpha=alpha)
     lay = make_layout(cfg, m)
-    big_c = derive_rf(cfg).big_c
+    big_c = cfg.big_c
     x_k = np.asarray(lay.x_k)
     xs = np.concatenate(
         (
@@ -228,7 +247,7 @@ def test_best_snr_equals_full_max_property(
     y[len(x_frac):] = 0.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         full = snr_matrix(cfg, lay, x, y).max(axis=0)
-        window = derive_rf(cfg).big_c * _window_gain(cfg, lay, x, y)
+        window = cfg.big_c * _window_gain(cfg, lay, x, y)
         best = best_snr(cfg, lay, x, y)
     assert np.array_equal(window, full, equal_nan=True)
     assert np.array_equal(best, full, equal_nan=True)
