@@ -41,10 +41,10 @@ _DEFAULT_AXIS_VALUES = {
 
 
 # The most antennas a config may ask for, on m_values or along the m axis.
-# Memory grows with m in the kernel pass, which takes a point's 2m
-# sub-rectangles as one run: a one-point `rate` op at 10**5 antennas peaks
-# at 95 MB resident in a fresh process (29 MB of it the import; x86-64,
-# numpy 2.4), and at 10**6 at 660 MB. A larger count is a typo or an
+# Memory grows with m in the kernel pass, which holds a few arrays of a
+# point's 2m sub-rectangles: a one-point `rate` op at 10**5 antennas peaks
+# at 44 MB resident in a fresh process (30 MB of it the import; x86-64,
+# numpy 2.4), and at 10**6 at 148 MB. A larger count is a typo or an
 # overflowing range, not a room.
 _MAX_ANTENNAS = 10**6
 

@@ -9,16 +9,17 @@ efficiency is the ratio of the two rates. Each metric takes a batch of
 points in one call (`_outages`, `_ergodic_rates`, `_continuous_rates`,
 `_pdes`) that finds the work its points share, and the public one-point
 functions are their one-point cases. Outage and rate share one assembly,
-`_sub_rectangle_means`: it builds each run of points' sub-rectangles as
-whole arrays, with no numpy call per point, and sums each point's terms
-left to right, so a batched outage or rate is bit for bit its point's own.
+`_sub_rectangle_means`: it builds the pass's sub-rectangles as whole
+arrays once, with no numpy call per point, feeds them to the kernels in
+fixed slices, and sums each point's terms left to right, so a batched
+outage or rate is bit for bit its point's own.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,13 @@ _IJ_SERIES_TERMS = 6
 # relative error of 1e-5 at 1e-8 * h^2 with width 100.
 _C_L_SLOPE_RATIO = 1e-4
 
-# Sub-rectangles per run of the outage and rate passes, which bounds the
-# run's kernel arrays. The rate pass along m = 1..100 at d_x = 30 (10,100
-# sub-rectangles) took 13-21 ms in runs of 512, 6-10.5 ms in runs of 2,048
-# and 5.6-8.9 ms as one run (quartiles over repeats on a shared 2-vCPU
-# machine), with heap peaks of 0.22, 0.73 and 2.8 MB (tracemalloc). A CLI
-# process of the three antenna_scaling ops then peaked at 32.5, 32.5 and
-# 34.5 MB resident: the one run costs 6% more memory to save about 1 ms.
+# Sub-rectangles per kernel call of the outage and rate passes, which
+# bounds the kernels' arrays. The rate pass along m = 1..100 at d_x = 30
+# (10,100 sub-rectangles) took 7.8-8.7 ms in slices of 512, 4.4-4.7 ms in
+# slices of 2,048 and 4.1-4.3 ms as one slice (quartiles of 60 repeats on
+# a shared 2-vCPU x86-64 machine), with heap peaks of 0.63, 1.10 and 2.84
+# MB (tracemalloc). A CLI process of the three antenna_scaling ops then
+# peaked at 32.3, 32.6 and 34.3 MB resident: one slice costs 5% more.
 _RATE_BLOCK = 2048
 
 # Gauss-Legendre nodes per piece of the continuous baseline's y rule at the
@@ -170,8 +171,8 @@ def p_l(delta_width, a_0k, d_y):
 def _c0k_scales(alpha, big_c, positions) -> tuple[np.ndarray, np.ndarray]:
     """Attenuated SNR scale big_c e^(-alpha x_k) per antenna, and where it was clamped.
 
-    alpha and big_c broadcast against positions, so one run of points
-    takes each antenna's own. Exponents beyond _UNDERFLOW_EXPONENT, and
+    alpha and big_c broadcast against positions, so one pass over many
+    points takes each antenna's own. Exponents beyond _UNDERFLOW_EXPONENT, and
     scales below the smallest normal float, give that float, marked in the
     second array.
     """
@@ -214,8 +215,6 @@ def _arctan_kernel(x, delta_width, d_y):
     # i_j without its argument check. `_conditional_rates`, which checks its
     # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
     # `metrics.i_j` and labels each call by its arguments taken as scalars.
-    # The slope comes first, so that none of the terms below is held
-    # through it: its series is where a rate pass's heap peaks.
     slope = _kernel_slope(x, delta_width, d_y)
     corner = np.sqrt(x + d_y * d_y / 4.0)
     root = np.sqrt(x + delta_width * delta_width)
@@ -320,8 +319,6 @@ def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
         # Both ends in one call: row 0 at c_0k + h^2, row 1 at h^2.
         x = np.stack((shifted[difference], h_sq[difference]))
         w, y = delta_width[difference], d_y[difference]
-        # The arctangent kernel first, so that i_i's rows are not held
-        # through its slope.
         arctan_part = _arctan_kernel(x, w, y)
         log_part = i_i(x, w, y)
         total[difference] = log_part[0] + arctan_part[0] - log_part[1] - arctan_part[1]
@@ -340,60 +337,47 @@ def c_l(delta_width, c_0k, config: SystemConfig):
     )
 
 
-def _point_blocks(points: Sequence) -> Iterator[list]:
-    """Runs of consecutive points with at most _RATE_BLOCK sub-rectangles in all.
-
-    A point has 2m sub-rectangles, so this bounds a run's kernel arrays.
-    A point with more than _RATE_BLOCK of them is a run of its own.
-    """
-    block, size = [], 0
-    for point in points:
-        count = 2 * point[1].m
-        if block and size + count > _RATE_BLOCK:
-            yield block
-            block, size = [], 0
-        block.append(point)
-        size += count
-    if block:
-        yield block
-
-
 def _sub_rectangle_means(
     points: Sequence[tuple[SystemConfig, PaLayout, RegionPartition]], term
-) -> Iterator[tuple[float, tuple[str, ...]]]:
+) -> list[tuple[float, tuple[str, ...]]]:
     """Per (config, layout, partition), term's width-weighted sum over d_x, and flags.
 
-    The one place that turns points into sub-rectangles. The points are
-    taken in runs (`_point_blocks`), and each run's arrays are built whole,
-    with no numpy call per point: c_0k per antenna (`_c0k_scales`), then
-    per sub-rectangle, left and right of each antenna in antenna order,
-    its width, c_0k and its point's h^2, d_y and linear threshold, for one
-    call term(widths, c_0k, h_sq, d_y, gamma_thr) on the sub-rectangles of
-    positive width; one of zero width (a cut at the strip end) adds
-    nothing. np.bincount adds each point's width-weighted terms left to
-    right, as a loop over its antennas would; a point any of whose scales
-    was clamped is flagged.
+    The one place that turns points into sub-rectangles. The pass's arrays
+    are built once, with no numpy call per point: c_0k per antenna
+    (`_c0k_scales`), then per sub-rectangle, left and right of each antenna
+    in antenna order, its width and owning point. The sub-rectangles of
+    positive width go to term(widths, c_0k, h_sq, d_y, gamma_thr) in
+    consecutive slices of _RATE_BLOCK, which bounds the kernels' arrays;
+    one of zero width (a cut at the strip end) adds nothing. A slice may
+    split a point: each term is its own element's. np.bincount adds each
+    point's width-weighted terms left to right, as a loop over its antennas
+    would; a point any of whose scales was clamped is flagged.
     """
-    for block in _point_blocks(points):
-        configs, layouts, partitions = zip(*block)
-        fields = [(c.alpha, c.big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
-        alpha, big_c, h_sq, d_y, d_x = np.array(fields).T
-        gamma_thr = np.array([db_to_linear(c.gamma_thr_db) for c in configs])
-        counts = [lay.m for lay in layouts]
-        antenna_owner = np.repeat(np.arange(len(block)), counts)
-        positions = np.concatenate([lay.x_k for lay in layouts])
-        c0k, clamped = _c0k_scales(alpha[antenna_owner], big_c[antenna_owner], positions)
-        widths = np.empty(2 * positions.size)
-        widths[0::2] = np.concatenate([p.left_limits for p in partitions])
-        widths[1::2] = np.concatenate([p.right_limits for p in partitions])
-        live = widths > 0.0
-        owner, widths = np.repeat(antenna_owner, 2)[live], widths[live]
-        weighted = widths * term(
-            widths, np.repeat(c0k, 2)[live], h_sq[owner], d_y[owner], gamma_thr[owner]
+    if not points:
+        return []
+    configs, layouts, partitions = zip(*points)
+    fields = [(c.alpha, c.big_c, c.h * c.h, c.d_y, c.d_x) for c in configs]
+    alpha, big_c, h_sq, d_y, d_x = np.array(fields).T
+    gamma_thr = np.array([db_to_linear(c.gamma_thr_db) for c in configs])
+    antenna_owner = np.repeat(np.arange(len(points)), [lay.m for lay in layouts])
+    positions = np.concatenate([lay.x_k for lay in layouts])
+    c0k, clamped = _c0k_scales(alpha[antenna_owner], big_c[antenna_owner], positions)
+    widths = np.empty(2 * positions.size)
+    widths[0::2] = np.concatenate([p.left_limits for p in partitions])
+    widths[1::2] = np.concatenate([p.right_limits for p in partitions])
+    live = widths > 0.0
+    owner, widths = np.repeat(antenna_owner, 2)[live], widths[live]
+    c0k = np.repeat(c0k, 2)[live]
+    weighted = np.empty(widths.size)
+    for start in range(0, widths.size, _RATE_BLOCK):
+        part = slice(start, start + _RATE_BLOCK)
+        at = owner[part]
+        weighted[part] = widths[part] * term(
+            widths[part], c0k[part], h_sq[at], d_y[at], gamma_thr[at]
         )
-        totals = np.bincount(owner, weights=weighted, minlength=len(block)) / d_x
-        clamps = np.bincount(antenna_owner, weights=clamped).tolist()
-        yield from zip(totals.tolist(), [(_UNDERFLOW_FLAG,) if n else () for n in clamps])
+    totals = np.bincount(owner, weights=weighted, minlength=len(points)) / d_x
+    clamps = np.bincount(antenna_owner, weights=clamped).tolist()
+    return list(zip(totals.tolist(), [(_UNDERFLOW_FLAG,) if n else () for n in clamps]))
 
 
 def _outage_terms(widths, c_0k, h_sq, d_y, gamma_thr):
@@ -566,7 +550,7 @@ def _row_integrals(config, dist_sq, big_c) -> np.ndarray:
 
 
 def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
-    """Each u = asinh(y / h) in (0, u_end) where the feed end starts or stops winning at d_x.
+    """Each u = asinh(y / h) in (0, u_end) where the feed end starts winning at d_x.
 
     Below u_end t1 is finite, and the feed end takes over again before d_x
     where `_station_log_ratio` at d_x, with t1 clipped to d_x, is negative.
@@ -575,6 +559,12 @@ def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
     to one root by four more rounds of 64 steps, to 64^-5 (1e-9) of u_end:
     the row integral leaves such a root like (y - y0)^2, so a breakpoint
     that far off costs the rule about its cube.
+
+    The feed end starts at most once and never stops: while t1 < d_x that
+    log-ratio g falls as d^2 = y^2 + h^2 grows (t1 maximizes the station's
+    SNR, so dg/d(d^2) = 1/(d_x^2 + d^2) - 1/(t1^2 + d^2) < 0), and g = 0
+    where t1 reaches d_x, which it does first when alpha d_x <= 1: no onset
+    then.
     """
     h, alpha, d_x = config.h, config.alpha, config.d_x
 
@@ -602,13 +592,15 @@ def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
     return (grid[bracket, index] + 0.5 * step).tolist()
 
 
-def _outer_edges(config: SystemConfig) -> np.ndarray:
+def _outer_edges(config: SystemConfig, big_c: Sequence[float]) -> np.ndarray:
     """Pieces of the baseline's y rule, as edges in u = asinh(y / h) over [0, d_y/2].
 
     The row integral has a kink where rows become feed-served throughout,
     at alpha^2 (y^2 + h^2) = 1; where t1 reaches d_x, at
     y^2 + h^2 = d_x (2 - alpha d_x) / alpha (only when alpha d_x < 1); and
-    where the feed end starts winning again at d_x (`_takeover_onsets`).
+    where the feed end starts winning at d_x (`_takeover_onsets`; only
+    when alpha d_x > 1, else rounding noise could read as an onset). Its
+    SNR changes scale at y^2 = big_c, for each big_c of the curve's points.
     """
     h, alpha, d_x = config.h, config.alpha, config.d_x
     far = math.hypot(h, 0.5 * config.d_y)
@@ -619,8 +611,10 @@ def _outer_edges(config: SystemConfig) -> np.ndarray:
     reach = d_x * (2.0 - alpha * d_x)
     if alpha * d_x < 1.0 and alpha * h * h < reach < alpha * far * far:
         kinks.append(math.acosh(math.sqrt(reach / alpha) / h))
-    if 0.0 < alpha * h < 1.0:
+    if 0.0 < alpha * h < 1.0 < alpha * d_x:
         kinks += _takeover_onsets(config, min(kinks, default=u_end))
+    scales = [math.asinh(math.sqrt(c) / h) for c in big_c]
+    kinks += [u for u in scales if 0.0 < u < u_end]
     return np.array([0.0, *sorted(kinks), u_end])
 
 
@@ -631,7 +625,7 @@ def _outer_rule(
 
     `order` Gauss-Legendre nodes per piece of `edges`, in u = asinh(y / h),
     with dy = h cosh(u) du: the row integral varies on the scale of d, so
-    this resolves the 1/(y^2 + h^2) peak however large d_y/h is.
+    this resolves the 1/(y^2 + h^2) peak, in a 10 m room to h = 1e-100.
     """
     nodes, weights = leggauss_cached(order)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
@@ -650,7 +644,7 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
     and twice as many refined, for `_settled_rate` to compare. Transmit
     SNR only scales big_c, so the configs that differ only in gamma_t_db
     are one curve (`system._unscaled`): both rules' rows are laid out, and
-    their kinks found, once at the curve's first config, and each config
+    their kinks found, once for the curve (`_outer_edges`), and each config
     scales them by its own big_c.
     """
     curves: dict[tuple, list[int]] = {}
@@ -666,10 +660,10 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
         # No row's SNR exceeds big_c / h^2, under the waveguide. A config
         # where that is past the largest float keeps nan rates.
         members = [i for i in members if configs[i].big_c / config.h / config.h < math.inf]
-        edges = _outer_edges(config)
+        big_c = np.array([configs[i].big_c for i in members])
+        edges = _outer_edges(config, big_c)
         base_sq, base_weights = _outer_rule(config, edges, _RATE_QUAD_ORDER)
         refined_sq, refined_weights = _outer_rule(config, edges, 2 * _RATE_QUAD_ORDER)
-        big_c = np.array([configs[i].big_c for i in members])
         rows = _row_integrals(
             config, np.concatenate((base_sq, refined_sq)), big_c[:, None]
         )

@@ -167,8 +167,10 @@ class PaLayout:
     delta: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m!r}")
+        # m - m is 0 for a finite number and nan for inf and nan.
+        if not (self.m - self.m == 0 and self.m == int(self.m) and self.m >= 1):
+            raise ValueError(f"m must be a whole number >= 1, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
         if not self.delta > 0:
             raise ValueError(f"delta must be > 0, got {self.delta!r}")
 
@@ -198,7 +200,7 @@ def _unscaled(config: SystemConfig) -> tuple:
 def make_layout(config: SystemConfig, m: int) -> PaLayout:
     """Build the m-antenna grid for the given room length."""
     if m < 1:  # before d_x / m, which would divide by zero at m = 0
-        raise ValueError(f"m must be >= 1, got {m!r}")
+        raise ValueError(f"m must be a whole number >= 1, got {m!r}")
     return PaLayout(m=m, delta=config.d_x / m)
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pinchpas import (
     MetricResult,
     NumericalDiagnosticError,
+    RegionPartition,
     SystemConfig,
     UserPosition,
     c_l,
@@ -403,8 +404,9 @@ def _partitioned(points):
 
 @pytest.mark.parametrize("block", [None, 2, 10**6], ids=["default", "2", "1e6"])
 def test_batched_rates_equal_the_per_point_assembly(monkeypatch, block):
-    # Runs of whole points, of a single point each, and one run for all:
-    # every value and flag is the one-point-at-a-time assembly's, bit for bit.
+    # Slices of the default size, of two sub-rectangles (which split every
+    # point) and one slice for all: every value and flag is the
+    # one-point-at-a-time assembly's, bit for bit.
     if block is not None:
         monkeypatch.setattr(metrics, "_RATE_BLOCK", block)
     cases = {f"mixed_batch({seed})": oracle.mixed_batch(seed) for seed in (0, 1)}
@@ -422,8 +424,9 @@ def test_batched_rates_equal_the_per_point_assembly(monkeypatch, block):
 
 @pytest.mark.parametrize("block", [2, 2048, 10**6])
 def test_batched_outages_equal_pointwise_outages(monkeypatch, block):
-    # Runs of a single point each, of whole points, and one run for all:
-    # every value and flag is the one-point outage's, bit for bit.
+    # Slices of two sub-rectangles (which split every point), of the default
+    # size and one slice for all: every value and flag is the one-point
+    # outage's, bit for bit.
     monkeypatch.setattr(metrics, "_RATE_BLOCK", block)
     room = SystemConfig(d_x=30.0)
     cases = {f"mixed_batch({seed})": oracle.mixed_batch(seed) for seed in (0, 1)}
@@ -435,17 +438,51 @@ def test_batched_outages_equal_pointwise_outages(monkeypatch, block):
         assert results == [outage_probability(*point) for point in points], name
 
 
-def test_point_blocks_bound_the_sub_rectangles(monkeypatch):
-    # A run's points have at most the cap's sub-rectangles (2m each) in
-    # all, unless one point has more alone; the points keep their order.
-    monkeypatch.setattr(metrics, "_RATE_BLOCK", 40)
+def test_kernels_take_fixed_slices_of_the_live_sub_rectangles():
+    # One point of m = 5,000 has 10,000 sub-rectangles: the kernels see
+    # them in slices of at most _RATE_BLOCK, in order, skipping those of
+    # zero width (offset = delta leaves every inner left limit 0).
     cfg = SystemConfig(d_x=30.0)
-    points = [(cfg, make_layout(cfg, m), None) for m in (1, 1, 1, 5, 30, 2, 2, 9, 1)]
-    runs = list(metrics._point_blocks(points))
-    assert [p for run in runs for p in run] == points
-    assert [[p[1].m for p in run] for run in runs] == [[1, 1, 1, 5], [30], [2, 2, 9, 1]]
-    for run in runs:
-        assert len(run) == 1 or sum(2 * p[1].m for p in run) <= 40
+    lay = make_layout(cfg, 5000)
+    for part in (optimize_partition(cfg, lay), RegionPartition(lay, lay.delta, cfg.d_x)):
+        sides = np.stack((part.left_limits, part.right_limits), axis=1).ravel()
+        seen = []
+
+        def spy(widths, *fields):
+            assert all(f.shape == widths.shape for f in fields)
+            seen.append(widths.copy())
+            return np.ones(widths.size)
+
+        ((total, flags),) = metrics._sub_rectangle_means([(cfg, lay, part)], spy)
+        assert max(w.size for w in seen) == metrics._RATE_BLOCK
+        assert np.concatenate(seen).tolist() == sides[sides > 0.0].tolist()
+        assert total == pytest.approx(1.0, rel=1e-12) and flags == ()
+
+
+def test_an_empty_batch_gives_no_results():
+    assert metrics._outages([]) == []
+    assert metrics._ergodic_rates([]) == []
+    assert metrics._pdes([]) == []
+
+
+@pytest.mark.parametrize("metric", [ergodic_rate, outage_probability])
+def test_one_point_heap_is_bounded_by_its_slices(metric):
+    # The pass holds a few arrays of the point's 2m sub-rectangles, and the
+    # kernels' temporaries only for one slice: at m = 10**5 the whole point
+    # in one kernel call peaked at 68 MB (rate) and 32 MB (outage).
+    import tracemalloc
+
+    cfg = SystemConfig(d_x=30.0)
+    lay = make_layout(cfg, 10**5)
+    part = optimize_partition(cfg, lay)
+    metric(cfg, lay, part)  # the layout and partition keep their arrays
+    tracemalloc.start()
+    try:
+        metric(cfg, lay, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # ------------------------------------------------- continuous benchmark --
@@ -558,6 +595,19 @@ def test_continuous_rate_settles_when_room_is_wide_against_height():
     assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+def test_continuous_rate_settles_when_height_is_far_below_sqrt_big_c():
+    # sqrt(big_c) = 8.5e-4 m: a row's SNR changes scale at y = 8.5e-4 m,
+    # which the peak's piece of u = asinh(y / h), up to asinh(5 / h), did
+    # not resolve at h = 1e-30 (its two orders differed in the sixth digit).
+    # The rule breaks there; the rate tends to its value at h = 0.
+    rates = [
+        continuous_rate(SystemConfig(d_x=10.0, d_y=10.0, h=h, gamma_t_db=0.0)).value
+        for h in (1e-12, 1e-30, 1e-100)
+    ]
+    assert rates[1] == pytest.approx(rates[2], rel=1e-12, abs=0.0)
+    assert rates[0] == pytest.approx(rates[2], rel=2e-9, abs=0.0)
+
+
 def test_continuous_rate_settles_in_random_rooms():
     rng = np.random.default_rng(2025)
     for _ in range(200):
@@ -579,6 +629,65 @@ def test_continuous_rate_with_partial_feed_rows_within_self_check():
         cfg = SystemConfig(d_x=30.0, alpha=alpha)
         ref = oracle.continuous_rate_quad(cfg)
         assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_takeover_log_ratio_falls_while_t1_is_short_of_d_x():
+    # g(d^2) = ln(d_x^2 + d^2) - ln(t1^2 + d^2) - alpha (d_x - t1), the log
+    # of p*'s SNR over the feed end's at d_x, has slope 1/(d_x^2 + d^2)
+    # - 1/(t1^2 + d^2) < 0 in d^2 while t1 < d_x, and is 0 where t1 reaches
+    # d_x. So it changes sign at most once, and never when alpha d_x <= 1.
+    # In 50 digits, over d^2 up to where t1 reaches d_x or stops being finite.
+    import mpmath
+
+    rng = np.random.default_rng(29)
+    onsets = 0
+    with mpmath.workdps(50):
+        for _ in range(100):
+            alpha = mpmath.mpf(10.0 ** rng.uniform(-3.0, 1.0))
+            d_x = mpmath.mpf(10.0 ** rng.uniform(-1.0, 3.0))
+            end = 1 / alpha**2
+            if alpha * d_x < 1:
+                end = d_x * (2 - alpha * d_x) / alpha
+            g = []
+            for dist_sq in mpmath.linspace(end / 64, end * (1 - mpmath.mpf(10) ** -12), 64):
+                t1 = alpha * dist_sq / (1 + mpmath.sqrt(1 - alpha**2 * dist_sq))
+                g.append(
+                    mpmath.log(d_x**2 + dist_sq) - mpmath.log(t1**2 + dist_sq)
+                    - alpha * (d_x - t1)
+                )
+            assert all(b < a for a, b in zip(g, g[1:])), (alpha, d_x)
+            assert alpha * d_x > 1 or g[-1] > 0, (alpha, d_x)
+            onsets += g[-1] < 0
+    assert onsets > 10, onsets
+
+
+def test_feed_end_takes_over_at_d_x_at_most_once(monkeypatch):
+    # The scan finds at most one onset, and runs only where alpha d_x > 1
+    # (see the test above).
+    onsets = []
+    scan = metrics._takeover_onsets
+
+    def spy(config, u_end):
+        assert config.alpha * config.d_x > 1.0, config
+        found = scan(config, u_end)
+        onsets.extend(found)
+        return found
+
+    monkeypatch.setattr(metrics, "_takeover_onsets", spy)
+    rng = np.random.default_rng(23)
+    rooms = 0
+    for _ in range(5000):
+        cfg = SystemConfig(
+            d_x=10.0 ** rng.uniform(-1.0, 3.0),
+            d_y=10.0 ** rng.uniform(-1.0, 3.0),
+            h=10.0 ** rng.uniform(-3.0, 1.0),
+            alpha=10.0 ** rng.uniform(-3.0, 1.0),
+        )
+        onsets.clear()
+        metrics._outer_edges(cfg, [cfg.big_c])
+        assert len(onsets) <= 1, cfg
+        rooms += len(onsets)
+    assert rooms > 500, rooms
 
 
 def test_continuous_rate_requires_height():
@@ -784,20 +893,25 @@ def test_float_range_corners_end_cleanly():
         pde(cfg, lay, optimize_partition(cfg, lay))
     # log(y^2 + h^2) - log(h^2 + t1^2) is rounding noise near its root, and
     # its sign flips in every refined bracket: each keeps one breakpoint.
+    # (alpha d_x <= 1 here, so the y rule does not scan for a takeover: the
+    # scan is called up to where t1 reaches d_x.)
     cfg = SystemConfig(
         d_x=1e-6, d_y=148.73603659748014, h=0.016662592928856593, alpha=1e-8,
         gamma_t_db=2630.9652593690294, gamma_thr_db=-3000.0, f_c=1e6,
     )
-    assert metrics._outer_edges(cfg).size <= 66
+    reach = cfg.d_x * (2.0 - cfg.alpha * cfg.d_x) / cfg.alpha
+    assert len(metrics._takeover_onsets(cfg, math.acosh(math.sqrt(reach) / cfg.h))) <= 64
+    assert metrics._outer_edges(cfg, [cfg.big_c]).size == 3
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d_y, h, gamma_t_db", [(1e3, 1e-153, -100.0), (10.0, 1e-154, -200.0)])
 def test_takeover_scan_past_d_y_over_h_of_1e154(d_y, h, gamma_t_db):
-    # The baseline's takeover scan reaches cosh(u) = d_y/(2h), past
-    # 1.3e154 here, whose square overflows; h cosh(u), squared, does not.
-    # At such a height the baseline's two orders disagree: a named diagnostic.
-    cfg = SystemConfig(d_x=10.0, d_y=d_y, h=h, gamma_t_db=gamma_t_db)
+    # The baseline's takeover scan (alpha d_x = 1.5 > 1) reaches cosh(u)
+    # = 2e154 and 5e154 here, past 1.3e154, whose square overflows;
+    # h cosh(u), squared, does not. At such a height the baseline's two
+    # orders disagree: a named diagnostic.
+    cfg = SystemConfig(d_x=30.0, d_y=d_y, h=h, gamma_t_db=gamma_t_db)
     lay = make_layout(cfg, 2)
     with pytest.raises(NumericalDiagnosticError):
         pde(cfg, lay, optimize_partition(cfg, lay))

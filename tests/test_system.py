@@ -127,6 +127,20 @@ def test_layout_is_its_count_and_spacing():
         PaLayout(m=2, delta=0.0)
 
 
+@pytest.mark.parametrize("m", [2.5, math.nan, math.inf])
+def test_layout_rejects_a_count_that_is_not_whole(m):
+    # 2.5 once built a grid whose last antenna sat at the room's end, and
+    # nan failed on its spacing instead.
+    with pytest.raises(ValueError, match=r"^m must be a whole number >= 1, got"):
+        make_layout(SystemConfig(d_x=10.0), m)
+
+
+def test_layout_takes_a_whole_float_count_as_an_int():
+    lay = make_layout(SystemConfig(d_x=10.0), 2.0)
+    assert lay == PaLayout(m=2, delta=5.0) and type(lay.m) is int
+    assert lay.x_k.tolist() == [2.5, 7.5]
+
+
 def _hand_snr(cfg, x_k, x, y):
     """big_c e^(-alpha x_k) / ((x - x_k)^2 + y^2 + h^2), written out."""
     big_c = cfg.big_c
