@@ -33,8 +33,6 @@ from .system import (
     UserPosition,
     _continuous_candidates,
     _continuous_kinks,
-    _feedward_offset,
-    _station_log_ratio,
     _unscaled,
     db_to_linear,
 )
@@ -88,6 +86,11 @@ _RATE_BLOCK = 2048
 # base order; the self-check compares it with twice as many.
 _RATE_QUAD_ORDER = 64
 _RATE_QUAD_REL_TOL = 1e-6
+# Widest piece of that rule in u = asinh(y / h). In 10 m rooms with h from
+# 1e-14 to 1.5e-154 the two orders' largest relative gap was 4e-14 with
+# pieces cut to 32 or 48, 5e-13 at 64, 4e-10 at 128 and 8e-6 uncut (340
+# wide at h = 1e-150): 32 stays clear of where the gap starts to grow.
+_RATE_PIECE_WIDTH = 32.0
 
 
 class NumericalDiagnosticError(RuntimeError):
@@ -549,73 +552,63 @@ def _row_integrals(config, dist_sq, big_c) -> np.ndarray:
     return feed(t1) + middle + (feed(config.d_x) - feed(takeover))
 
 
-def _takeover_onsets(config: SystemConfig, u_end: float) -> list[float]:
-    """Each u = asinh(y / h) in (0, u_end) where the feed end starts winning at d_x.
+def _onset_reach(a: float) -> float:
+    """ln q* of the row where the feed end starts winning at x = d_x, for a = alpha d_x > 1.
 
-    Below u_end t1 is finite, and the feed end takes over again before d_x
-    where `_station_log_ratio` at d_x, with t1 clipped to d_x, is negative.
-    Its sign changes between 64 even steps in u, up to 1e-6 short of
-    u_end (where t1 reaches d_x or stops being finite), are each narrowed
-    to one root by four more rounds of 64 steps, to 64^-5 (1e-9) of u_end:
-    the row integral leaves such a root like (y - y0)^2, so a breakpoint
-    that far off costs the rule about its cube.
-
-    The feed end starts at most once and never stops: while t1 < d_x that
-    log-ratio g falls as d^2 = y^2 + h^2 grows (t1 maximizes the station's
-    SNR, so dg/d(d^2) = 1/(d_x^2 + d^2) - 1/(t1^2 + d^2) < 0), and g = 0
-    where t1 reaches d_x, which it does first when alpha d_x <= 1: no onset
-    then.
+    With s = sqrt(1 - q), t1 = q / (alpha (1 + s)) and t1^2 + d^2 =
+    2q / (alpha^2 (1 + s)), so the log of p*'s SNR over the feed end's at d_x
+    is g = ln((a^2 + q)(1 + s) / (2q)) - a + q / (1 + s). It falls while
+    t1 < d_x, so on all of q < 1 when a > 1: from +inf at q = 0 to
+    ln((a^2 + 1) / 2) - a + 1 < 0 at q = 1, one root. Bisection in ln q over
+    (-a - 10, 0), where g > 2 ln a + 9 at the low end, keeps a q* that
+    underflows (a past about 720). As g is written here nothing overflows,
+    and near a = 1, where q* nears 1, each term is small: q* keeps 1e-15.
     """
-    h, alpha, d_x = config.h, config.alpha, config.d_x
 
-    def falls(u):
-        dist = h * np.cosh(u)  # cosh(u)^2 overflows once d_y/(2h) passes 1.3e154
-        dist_sq = dist * dist
-        t1 = np.minimum(_feedward_offset(alpha, dist_sq), d_x)
-        return _station_log_ratio(alpha, d_x, t1, dist_sq) < 0.0
+    def g(log_q):
+        short = -math.expm1(log_q)  # 1 - q
+        s = math.sqrt(short)
+        # ln((a^2 + q) / 2) = 2 ln a + ln(1 - (a^2 - q) / (2 a^2)); q / (1 + s) = 1 - s.
+        spread = (a - 1.0) / a * ((a + 1.0) / a) + short / a / a
+        low = 2.0 * math.log(a) + math.log1p(-0.5 * spread) + math.log1p(s)
+        return low - log_q - (a - 1.0) - s
 
-    fractions = np.linspace(0.0, 1.0, 65)
-    scan_end = u_end * (1.0 - 1e-6)
-    grid, step = (scan_end * fractions)[None, :], scan_end / 64.0
-    sign = falls(grid)
-    bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
-    for _ in range(4):
-        grid = (grid[bracket, index])[:, None] + step * fractions
-        step /= 64.0
-        sign = falls(grid)
-        # Near a root whose log-ratio is rounding noise the sign can flip
-        # many times in one bracket; the bracket keeps only its first flip,
-        # so the breakpoints never outnumber the first scan's.
-        bracket, index = np.nonzero(sign[:, 1:] != sign[:, :-1])
-        bracket, first = np.unique(bracket, return_index=True)
-        index = index[first]
-    return (grid[bracket, index] + 0.5 * step).tolist()
+    lo, hi = -a - 10.0, 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if g(mid) > 0.0 else (lo, mid)
+    return lo
 
 
 def _outer_edges(config: SystemConfig, big_c: Sequence[float]) -> np.ndarray:
     """Pieces of the baseline's y rule, as edges in u = asinh(y / h) over [0, d_y/2].
 
-    The row integral has a kink where rows become feed-served throughout,
-    at alpha^2 (y^2 + h^2) = 1; where t1 reaches d_x, at
-    y^2 + h^2 = d_x (2 - alpha d_x) / alpha (only when alpha d_x < 1); and
-    where the feed end starts winning at d_x (`_takeover_onsets`; only
-    when alpha d_x > 1, else rounding noise could read as an onset). Its
+    The row integral has a kink at three values of q = alpha^2 (y^2 + h^2):
+    q = 1, where rows become feed-served throughout; q = a (2 - a) with
+    a = alpha d_x, where t1 reaches d_x (only for a <= 1); and, for a > 1,
+    the onset q* where the feed end starts winning at d_x (`_onset_reach`).
+    Each maps to u = acosh(sqrt(q) / (alpha h)), taken from ln q. The row's
     SNR changes scale at y^2 = big_c, for each big_c of the curve's points.
+    The values in (0, u_end) are the inner edges, and a piece wider than
+    _RATE_PIECE_WIDTH is cut into equal parts.
     """
-    h, alpha, d_x = config.h, config.alpha, config.d_x
-    far = math.hypot(h, 0.5 * config.d_y)
+    h, alpha = config.h, config.alpha
     u_end = math.asinh(0.5 * config.d_y / h)
-    kinks = []
-    if 0.0 < alpha * h < 1.0 < alpha * far:
-        kinks.append(math.acosh(1.0 / (alpha * h)))
-    reach = d_x * (2.0 - alpha * d_x)
-    if alpha * d_x < 1.0 and alpha * h * h < reach < alpha * far * far:
-        kinks.append(math.acosh(math.sqrt(reach / alpha) / h))
-    if 0.0 < alpha * h < 1.0 < alpha * d_x:
-        kinks += _takeover_onsets(config, min(kinks, default=u_end))
-    scales = [math.asinh(math.sqrt(c) / h) for c in big_c]
-    kinks += [u for u in scales if 0.0 < u < u_end]
-    return np.array([0.0, *sorted(kinks), u_end])
+    kinks = [math.asinh(math.sqrt(c) / h) for c in big_c]
+    if alpha > 0.0:
+        a = alpha * config.d_x
+        if a <= 1.0:  # ln(a (2 - a)), also where a underflows
+            reach = math.log(alpha) + math.log(config.d_x) + math.log(2.0 - a)
+        else:
+            reach = _onset_reach(a)
+        with np.errstate(over="ignore"):
+            ratio = np.exp(0.5 * np.array([0.0, reach]) - math.log(alpha) - math.log(h))
+        kinks += np.arccosh(np.maximum(ratio, 1.0)).tolist()
+    edges = np.array(sorted({0.0, *(u for u in kinks if 0.0 < u < u_end), u_end}))
+    parts = np.ceil(np.diff(edges) / _RATE_PIECE_WIDTH).astype(int)
+    cuts = [
+        np.linspace(lo, hi, n, endpoint=False) for lo, hi, n in zip(edges, edges[1:], parts)
+    ]
+    return np.concatenate((*cuts, [u_end]))
 
 
 def _outer_rule(
@@ -625,7 +618,8 @@ def _outer_rule(
 
     `order` Gauss-Legendre nodes per piece of `edges`, in u = asinh(y / h),
     with dy = h cosh(u) du: the row integral varies on the scale of d, so
-    this resolves the 1/(y^2 + h^2) peak, in a 10 m room to h = 1e-100.
+    this resolves the 1/(y^2 + h^2) peak, in a 10 m room to h = 1.5e-154
+    with pieces no wider than _RATE_PIECE_WIDTH.
     """
     nodes, weights = leggauss_cached(order)
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
@@ -657,8 +651,11 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
             raise ValueError(
                 f"h must be > 0 for the continuous baseline, got {config.h!r}"
             )
-        # No row's SNR exceeds big_c / h^2, under the waveguide. A config
-        # where that is past the largest float keeps nan rates.
+        # No row's SNR exceeds big_c / h^2, under the waveguide, and the y
+        # rule ends at u = asinh(d_y / (2h)). A config where either ratio is
+        # past the largest float keeps nan rates.
+        if not 0.5 * config.d_y / config.h < math.inf:
+            continue
         members = [i for i in members if configs[i].big_c / config.h / config.h < math.inf]
         big_c = np.array([configs[i].big_c for i in members])
         edges = _outer_edges(config, big_c)
@@ -687,7 +684,7 @@ def _settled_rate(rates: tuple[float, float]) -> MetricResult:
     base, refined = rates
     if math.isnan(refined):
         raise NumericalDiagnosticError(
-            "continuous rate not computed: its peak SNR big_c / h^2 is past the largest float"
+            "continuous rate not computed: its peak SNR big_c / h^2 or its d_y / h overflows"
         )
     if abs(base - refined) > _RATE_QUAD_REL_TOL * max(abs(refined), 1e-300):
         raise NumericalDiagnosticError(

@@ -310,7 +310,7 @@ def continuous_rate_quad(config: SystemConfig) -> float:
     serves the whole row. The outer
     integral is split where a row's pieces change: at alpha^2 (y^2 + h^2)
     = 1, where t1 reaches d_x, and where the feed end starts winning again
-    at x = d_x (`_takeover_onsets`).
+    at x = d_x (`metrics._onset_reach`).
     """
     big_c = config.big_c
     alpha, d_x, h = config.alpha, config.d_x, config.h

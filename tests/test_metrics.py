@@ -28,7 +28,7 @@ from pinchpas import (
     simulate_outage,
 )
 from pinchpas import SimulationSpec, metrics
-from pinchpas.system import _unscaled
+from pinchpas.system import _feedward_offset, _station_log_ratio, _unscaled
 
 import oracle_utils as oracle
 
@@ -661,21 +661,58 @@ def test_takeover_log_ratio_falls_while_t1_is_short_of_d_x():
     assert onsets > 10, onsets
 
 
-def test_feed_end_takes_over_at_d_x_at_most_once(monkeypatch):
-    # The scan finds at most one onset, and runs only where alpha d_x > 1
-    # (see the test above).
-    onsets = []
-    scan = metrics._takeover_onsets
+def _onset_reach_in_50_digits(a):
+    # ln q* of the onset, by bisection in ln q of the log-ratio at d_x,
+    # g = ln((a^2 + q)(1 + s) / (2q)) - a + q / (1 + s), s = sqrt(1 - q).
+    import mpmath
 
-    def spy(config, u_end):
-        assert config.alpha * config.d_x > 1.0, config
-        found = scan(config, u_end)
-        onsets.extend(found)
-        return found
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        lo, hi = -a - 10, mpmath.mpf(0)
+        for _ in range(250):
+            mid = (lo + hi) / 2
+            q = mpmath.exp(mid)
+            s = mpmath.sqrt(1 - q)
+            g = mpmath.log(a * a + q) + mpmath.log((1 + s) / 2) - mid - a + q / (1 + s)
+            lo, hi = (mid, hi) if g > 0 else (lo, mid)
+        return mpmath.exp(lo), lo
 
-    monkeypatch.setattr(metrics, "_takeover_onsets", spy)
+
+@pytest.mark.parametrize("a", [1.001, 1.5, 2.5, 30.0])
+def test_onset_reach_matches_the_50_digit_root_in_q(a):
+    q, _ = _onset_reach_in_50_digits(a)
+    assert abs(math.exp(metrics._onset_reach(a)) - q) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [720.0, 1e3, 1e160, 1e300])
+def test_onset_reach_matches_the_50_digit_root_in_ln_q(a):
+    # q* is below the smallest float past a = 745, and ln q* near -a.
+    _, log_q = _onset_reach_in_50_digits(a)
+    assert abs(metrics._onset_reach(a) - log_q) <= 1e-12 * abs(log_q)
+
+
+@pytest.mark.parametrize(
+    "d_x, alpha, h, d_y",
+    [(10.0, 0.25, 3.0, 10.0), (10.0, 0.15, 1.0, 20.0), (10.0, 3.0, 1e-7, 1.0)],
+)
+def test_feed_end_starts_winning_at_d_x_on_the_onset_row(d_x, alpha, h, d_y):
+    # The onset's edge is where p*'s SNR over the feed end's at x = d_x
+    # changes sign, from positive to negative as u grows.
+    cfg = SystemConfig(d_x=d_x, alpha=alpha, h=h, d_y=d_y)
+    ratio = math.exp(0.5 * metrics._onset_reach(alpha * d_x)) / (alpha * h)
+    edges = metrics._outer_edges(cfg, [cfg.big_c])
+    onset = edges[np.argmin(np.abs(edges - math.acosh(ratio)))]
+    assert onset == pytest.approx(math.acosh(ratio), rel=1e-14, abs=0.0)
+    dist_sq = (h * np.cosh([onset - 1e-9, onset + 1e-9])) ** 2
+    t1 = _feedward_offset(alpha, dist_sq)
+    below, above = _station_log_ratio(alpha, d_x, t1, dist_sq)
+    assert below > 0.0 > above
+
+
+def test_outer_edges_rise_strictly_within_the_room():
+    # Over rooms where about one in ten has an onset inside and one in four
+    # has two inner edges or more.
     rng = np.random.default_rng(23)
-    rooms = 0
     for _ in range(5000):
         cfg = SystemConfig(
             d_x=10.0 ** rng.uniform(-1.0, 3.0),
@@ -683,11 +720,9 @@ def test_feed_end_takes_over_at_d_x_at_most_once(monkeypatch):
             h=10.0 ** rng.uniform(-3.0, 1.0),
             alpha=10.0 ** rng.uniform(-3.0, 1.0),
         )
-        onsets.clear()
-        metrics._outer_edges(cfg, [cfg.big_c])
-        assert len(onsets) <= 1, cfg
-        rooms += len(onsets)
-    assert rooms > 500, rooms
+        edges = metrics._outer_edges(cfg, [cfg.big_c])
+        assert edges[0] == 0.0 and edges[-1] == math.asinh(0.5 * cfg.d_y / cfg.h), cfg
+        assert np.all(np.diff(edges) > 0.0), cfg
 
 
 def test_continuous_rate_requires_height():
@@ -891,30 +926,38 @@ def test_float_range_corners_end_cleanly():
     lay = make_layout(cfg, 2)
     with pytest.raises(NumericalDiagnosticError, match="peak SNR"):
         pde(cfg, lay, optimize_partition(cfg, lay))
-    # log(y^2 + h^2) - log(h^2 + t1^2) is rounding noise near its root, and
-    # its sign flips in every refined bracket: each keeps one breakpoint.
-    # (alpha d_x <= 1 here, so the y rule does not scan for a takeover: the
-    # scan is called up to where t1 reaches d_x.)
+    # d_y / (2h) = 5e313 overflows, so the y rule has no last edge.
+    with pytest.raises(NumericalDiagnosticError, match="d_y / h"):
+        continuous_rate(SystemConfig(d_x=10.0, d_y=1e154, h=1e-160, gamma_t_db=-100.0))
+    # The takeover's log-ratio at d_x is rounding noise here (alpha d_x =
+    # 1e-14), which once multiplied a scan's brackets: the one inner edge
+    # is where t1 reaches d_x.
     cfg = SystemConfig(
         d_x=1e-6, d_y=148.73603659748014, h=0.016662592928856593, alpha=1e-8,
         gamma_t_db=2630.9652593690294, gamma_thr_db=-3000.0, f_c=1e6,
     )
-    reach = cfg.d_x * (2.0 - cfg.alpha * cfg.d_x) / cfg.alpha
-    assert len(metrics._takeover_onsets(cfg, math.acosh(math.sqrt(reach) / cfg.h))) <= 64
     assert metrics._outer_edges(cfg, [cfg.big_c]).size == 3
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d_y, h, gamma_t_db", [(1e3, 1e-153, -100.0), (10.0, 1e-154, -200.0)])
-def test_takeover_scan_past_d_y_over_h_of_1e154(d_y, h, gamma_t_db):
-    # The baseline's takeover scan (alpha d_x = 1.5 > 1) reaches cosh(u)
-    # = 2e154 and 5e154 here, past 1.3e154, whose square overflows;
-    # h cosh(u), squared, does not. At such a height the baseline's two
-    # orders disagree: a named diagnostic.
+def test_baseline_past_d_y_over_h_of_1e154(d_y, h, gamma_t_db):
+    # The y rule reaches cosh(u) = 2e154 and 5e154 here, past 1.3e154,
+    # whose square overflows; h cosh(u), squared, does not. The rule's
+    # pieces are cut to a bounded width in u, so both orders agree.
     cfg = SystemConfig(d_x=30.0, d_y=d_y, h=h, gamma_t_db=gamma_t_db)
     lay = make_layout(cfg, 2)
-    with pytest.raises(NumericalDiagnosticError):
-        pde(cfg, lay, optimize_partition(cfg, lay))
+    assert 0.0 < pde(cfg, lay, optimize_partition(cfg, lay)).value <= 1.0
+
+
+@pytest.mark.parametrize("h", [1e-150, 1.5e-154])
+def test_continuous_rate_settles_far_below_h_of_1e100(h):
+    # From 0 to asinh(sqrt(big_c) / h) the rule's first piece was 340 wide
+    # in u at h = 1e-150, too wide for 64 nodes against 128: it did not
+    # settle. Cut into pieces, it tends to its value at h = 0.
+    rate = continuous_rate(SystemConfig(d_x=10.0, d_y=10.0, h=h, gamma_t_db=0.0)).value
+    ref = continuous_rate(SystemConfig(d_x=10.0, d_y=10.0, h=1e-100, gamma_t_db=0.0)).value
+    assert rate == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_rate_of_a_room_past_2_to_the_1000_is_scaled():

@@ -1,6 +1,8 @@
-"""The package's public names resolve, and deleted ones stay deleted."""
+"""The package's public names resolve, deleted ones stay deleted, and no import is stale."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -50,3 +52,18 @@ def test_every_name_in_all_resolves(module_name):
 def test_removed_names_are_gone(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_import_is_used_or_exported(module_name):
+    # Names a module imports but neither reads nor lists in __all__.
+    module = importlib.import_module(module_name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read - set(getattr(module, "__all__", ()))) == []
