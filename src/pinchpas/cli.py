@@ -32,7 +32,7 @@ from .metrics import (
     pde,
 )
 from .montecarlo import SimulationSpec, simulate_outage, simulate_rate
-from .numerics import gauss_legendre
+from .numerics import gauss_legendre, leggauss_cached
 from .regions import optimize_partition
 from .specfun import CATALAN, ti2
 from .sweep import emit_table, run_sweep
@@ -97,6 +97,18 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def _selftest() -> int:
     """Fast numerical consistency checks against internal oracles."""
     all_ok = True
+
+    # An n-node rule is exact to degree 2n - 1, and x^(2n-2) rests on its end nodes.
+    worst = 0.0
+    for n in (64, 128):
+        nodes, weights = leggauss_cached(n)
+        exact = 2.0 / (2 * n - 1)
+        worst = max(worst, abs(float(weights @ nodes ** (2 * n - 2)) - exact) / exact)
+    all_ok &= _check(
+        "Gauss-Legendre rules integrate x^(2n-2) exactly",
+        worst <= 1e-13,
+        f"worst rel={worst:.3e}",
+    )
 
     diff = abs(ti2(1.0) - CATALAN)
     all_ok &= _check("ti2(1) matches the Catalan constant", diff <= 1e-12, f"diff={diff:.3e}")
@@ -290,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _, spec = load_config(args.config, metric=args.command)
         sim = SimulationSpec(n_samples=args.samples, seed=args.seed)
-    except FileNotFoundError as exc:
-        print(f"pinchpas: config file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        print(f"pinchpas: cannot read config {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except (ConfigError, ValueError) as exc:
         print(f"pinchpas: {exc}", file=sys.stderr)
@@ -304,7 +316,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"pinchpas: cannot make output dir {out_dir}: {exc.strerror}", file=sys.stderr)
+        return 1
     status = 0
     flagged: set[str] = set()
     for table in tables:

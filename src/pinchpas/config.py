@@ -243,8 +243,8 @@ def load_config(
 ) -> tuple[SystemConfig, SweepSpec]:
     """Read and parse a configuration file, optionally for a given metric.
 
-    Raises ConfigError for malformed content, FileNotFoundError for a
-    missing path.
+    Raises ConfigError for malformed content, and OSError for a path that
+    cannot be read (FileNotFoundError, IsADirectoryError, ...).
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()

@@ -64,8 +64,9 @@ class SimulationSpec:
             )
         if self.chunk_size <= 0:
             raise ValueError(f"chunk_size must be > 0, got {self.chunk_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        # Philox's key, which the seed is, holds 128 bits.
+        if not 0 <= self.seed < 2**128:
+            raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
 
 
 @dataclass(frozen=True)

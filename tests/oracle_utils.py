@@ -231,6 +231,36 @@ def ti2_mpmath(z: float) -> float:
         return float(mpmath.im(mpmath.polylog(2, 1j * mpmath.mpf(z))))
 
 
+def leggauss_mpmath(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] to 50 digits, as floats.
+
+    Newton's method on the Legendre recurrence at 50 digits, started from
+    numpy's `leggauss` nodes, until a step is below 1e-45; the weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the converged nodes.
+    """
+    start, _ = np.polynomial.legendre.leggauss(n)
+    nodes, weights = [], []
+    with mpmath.workdps(50):
+
+        def sweep(x):
+            p_prev, p = mpmath.mpf(1), x
+            for j in range(1, n):
+                p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        for x0 in start.tolist():
+            x = mpmath.mpf(x0)
+            for _ in range(10):
+                p, dp = sweep(x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf("1e-45"):
+                    break
+            _, dp = sweep(x)
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    return np.array(nodes), np.array(weights)
+
+
 def simulation_users(
     seed: int, n_samples: int, chunk_size: int, d_x: float, d_y: float
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,13 @@ def test_spec_validation():
     assert spec.n_samples == 1000
 
 
+def test_seed_past_the_philox_key_names_seed():
+    with pytest.raises(ValueError, match="seed"):
+        SimulationSpec(seed=2**128)
+    spec = SimulationSpec(n_samples=1000, seed=2**128 - 1)
+    assert np.isfinite(_chunk_rng(spec, 0).uniform())
+
+
 def test_chunk_sizes_cover_budget():
     spec = SimulationSpec(n_samples=1_000_000, chunk_size=300_000)
     chunks = list(_chunk_sizes(spec))

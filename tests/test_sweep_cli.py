@@ -2,6 +2,9 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -752,6 +755,50 @@ def test_cli_missing_config_is_usage_error(tmp_path):
 def test_cli_bad_config_is_usage_error(tmp_path):
     cfg = _write_cfg(tmp_path, "alpha = 0.05\n")  # d_x missing
     assert main(["outage", "--config", cfg]) == 1
+
+
+def test_cli_config_directory_is_usage_error(tmp_path, capsys):
+    assert main(["outage", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+def test_cli_out_dir_on_a_file_is_usage_error(tmp_path, capsys, below):
+    cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 1\n")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = taken / "o" if below else taken
+    assert main(["outage", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(out) in err and err.count("\n") == 1
+
+
+def test_cli_seed_past_the_philox_key_is_usage_error(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 1\n")
+    argv = ["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]
+    assert main([*argv, "--seed", str(2**128)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_closed_form_run_never_imports_numpy_polynomial(tmp_path):
+    # A fresh interpreter: this one imported numpy.polynomial for the oracles.
+    cfg = _write_cfg(
+        tmp_path, "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90,100\nm_values = 1,2\n"
+    )
+    script = (
+        "import sys\n"
+        "from pinchpas.cli import main\n"
+        f"code = main(['pde', '--config', {cfg!r}, '--out-dir', {str(tmp_path / 'o')!r}])\n"
+        "print(code, 'numpy.polynomial' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split()[-2:] == ["0", "False"]
 
 
 def test_cli_bad_flag_is_usage_error():
