@@ -165,22 +165,32 @@ def rate_kernel_mpmath(delta_width: float, c_0k: float, d_y: float, h: float) ->
 
     For b > 0, the integral of ln(u^2 + b) over [0, w] is
     w ln(w^2 + b) - 2w + 2 sqrt(b) atan(w / sqrt(b)); the integrand in u is
-    the difference of that at b = y^2 + h^2 + c_0k and b = y^2 + h^2, which
-    40 digits hold without loss. The y integral is tanh-sinh quadrature.
+    the difference of that at b = y^2 + h^2 + c_0k and b = y^2 + h^2. The
+    difference cancels about log10(|ln D| (D + c_0k) / c_0k) digits, with
+    D = w^2 + (d_y/2)^2 + h^2, so the work keeps 40 digits beyond those.
+    The y integral is tanh-sinh quadrature in v = asinh(y / h), which
+    resolves the peak at y ~ h, broken where y reaches sqrt(c_0k) and w.
     """
-    with mpmath.workdps(40):
+    span = delta_width**2 + (d_y / 2.0) ** 2 + h * h
+    size = abs(math.log(span + c_0k)) + abs(math.log(h * h)) + 4.0
+    lost = math.log10(size) + math.log10(span + c_0k) - math.log10(c_0k)
+    with mpmath.workdps(40 + max(0, math.ceil(lost))):
         w, c, half_y, h_sq = (
             mpmath.mpf(v) for v in (delta_width, c_0k, d_y / 2.0, h * h)
         )
+        height = mpmath.sqrt(h_sq)
 
         def antiderivative(b):
             root = mpmath.sqrt(b)
             return w * mpmath.log(w * w + b) - 2 * w + 2 * root * mpmath.atan(w / root)
 
-        val = mpmath.quad(
-            lambda y: antiderivative(y * y + h_sq + c) - antiderivative(y * y + h_sq),
-            [0, half_y],
-        )
+        def row(v):
+            b = (height * mpmath.cosh(v)) ** 2
+            return (antiderivative(b + c) - antiderivative(b)) * height * mpmath.cosh(v)
+
+        end = mpmath.asinh(half_y / height)
+        breaks = sorted(mpmath.asinh(y / height) for y in (mpmath.sqrt(c), w))
+        val = mpmath.quad(row, [0, *(v for v in breaks if v < end), end])
         return float(val / (w * half_y * mpmath.log(2)))
 
 

@@ -1,6 +1,7 @@
 """Closed-form metrics against quadrature oracles and brute force."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -251,26 +252,53 @@ def test_rate_kernel_matches_mpmath_in_the_benchmark_room(gamma_t_db):
             )
 
 
+@pytest.fixture
+def rule_sizes(monkeypatch):
+    """The size of each batch that c_l sends to its y rule, as it happens."""
+    sizes = []
+    rule_rates = metrics._rule_rates
+
+    def spy(*args):
+        sizes.append(args[0].size)
+        return rule_rates(*args)
+
+    monkeypatch.setattr(metrics, "_rule_rates", spy)
+    return sizes
+
+
 @pytest.mark.parametrize("c0", [1e-14, 1e-12, 1e-10, 1e-8])
 def test_rate_kernel_small_c0k_matches_log1p_quadrature(c0):
-    # The difference of kernels at c_0k + h^2 and h^2 cancels here, to
-    # relative errors of 2.6, 0.31, 6.4e-4 and 1.0e-5 at these points.
+    # The difference of kernels at c_0k + h^2 and h^2 would cancel here, to
+    # relative errors of 2.6, 0.31, 6.4e-4 and 1.0e-5 at these points, so
+    # c_l takes the y rule instead.
     cfg = SystemConfig(d_x=100.0, d_y=10.0, h=1.0)
     ref = oracle.rate_kernel_scaled_quad(100.0, c0, cfg.d_y, cfg.h)
-    assert c_l(100.0, c0, cfg) == pytest.approx(ref, rel=1e-6, abs=0.0)
+    assert c_l(100.0, c0, cfg) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("delta", [100.0, 3.0, 1e-3, 3.4e-7])
-def test_rate_kernel_continuous_across_slope_switch(delta):
-    # c_l switches from the kernel difference to the slope form at
-    # c_0k = 1e-4 h^2; both sides must agree with each other and the oracle.
+def test_rate_kernel_continuous_across_slope_switch(delta, rule_sizes):
+    # c_l switches from the kernel difference to the y rule where the
+    # difference's rounding passes _C_L_TRUST of it (c_0k near 3e-3 h^2 at
+    # width 100 and 1e-4 h^2 up to width 3). c_0k is bisected to neighbours
+    # on either side; the two paths agree with each other and the oracle.
     cfg = SystemConfig(d_x=100.0, d_y=10.0, h=2.0)
-    edge = 1e-4 * cfg.h * cfg.h
-    below = c_l(delta, edge * (1.0 - 1e-12), cfg)
-    above = c_l(delta, edge * (1.0 + 1e-12), cfg)
-    assert abs(above - below) < 1e-8 * above
-    ref = oracle.rate_kernel_scaled_quad(delta, edge, cfg.d_y, cfg.h)
-    assert below == pytest.approx(ref, rel=1e-8, abs=0.0)
+
+    def takes_the_rule(log_c):
+        rule_sizes.clear()
+        c_l(delta, math.exp(log_c), cfg)
+        return bool(rule_sizes)
+
+    lo, hi = math.log(1e-20), math.log(1e2)
+    assert takes_the_rule(lo) and not takes_the_rule(hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if takes_the_rule(mid) else (lo, mid)
+    below, above = c_l(delta, math.exp(lo), cfg), c_l(delta, math.exp(hi), cfg)
+    assert abs(above - below) < 1e-10 * above
+    ref = oracle.rate_kernel_mpmath(delta, math.exp(lo), cfg.d_y, cfg.h)
+    assert below == pytest.approx(ref, rel=1e-13, abs=0.0)
+    ref = oracle.rate_kernel_mpmath(delta, math.exp(hi), cfg.d_y, cfg.h)
+    assert above == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_rate_kernel_requires_height():
@@ -301,9 +329,12 @@ def test_rate_kernels_broadcast_and_match_scalar_calls():
         for (i, j), value in np.ndenumerate(values):
             single = kernel(float(xs[i, 0]), float(widths[j]), cfg.d_y)
             assert isinstance(single, float) and value == single
-    scales = np.array([[1e-30], [1e-5], [1e3]])  # exact 0, slope, difference
+    scales = np.array([[1e-30], [1e-5], [1e3]])  # y rule, y rule, kernel difference
     rates = c_l(widths, scales, cfg)
-    assert rates.shape == (3, 4) and not rates[0].any()
+    assert rates.shape == (3, 4)
+    # c_0k = 1e-30 is lost in c_0k + h^2, but not in the rule's rows.
+    ref = oracle.rate_kernel_scaled_quad(3.0, 1e-30, cfg.d_y, cfg.h)
+    assert rates[0, 2] == pytest.approx(ref, rel=1e-10, abs=0.0)
     for (i, j), value in np.ndenumerate(rates):
         assert value == c_l(float(widths[j]), float(scales[i, 0]), cfg)
 
@@ -321,7 +352,7 @@ def test_rate_kernels_name_the_bad_array_argument():
 
 
 def _kernel_cases(points):
-    """The c_l forms and i_j branches that a table's sub-rectangles reach."""
+    """The i_j branches that a table's sub-rectangles reach, at c_0k + h^2 and h^2."""
     cases = set()
     for cfg, lay, part in points:
         h_sq = cfg.h * cfg.h
@@ -329,14 +360,8 @@ def _kernel_cases(points):
         scales, _ = metrics._c0k_scales(cfg.alpha, cfg.big_c, positions)
         scales = np.repeat(scales, 2)
         widths = np.column_stack((part.left_limits, part.right_limits)).ravel()
-        lost = scales + h_sq == h_sq
-        if lost.any():
-            cases.add("exact 0")
-        if (~lost & (scales <= 1e-4 * h_sq)).any():
-            cases.add("slope")
-        difference = scales > 1e-4 * h_sq
         for x in (scales + h_sq, np.full(scales.shape, h_sq)):
-            series = (x > 1e4 * widths * widths)[difference]
+            series = x > 1e4 * widths * widths
             if series.any():
                 cases.add("i_j series")
             if not series.all():
@@ -351,7 +376,8 @@ def _rate_tables():
         cfg = SystemConfig(d_x=30.0, alpha=alpha)
         layouts = [make_layout(cfg, m) for m in range(1, 101)]
         tables.append([(cfg, lay, optimize_partition(cfg, lay)) for lay in layouts])
-    # alpha = 1.5 takes the far antennas' c_0k below eps * h^2 at low gamma_t.
+    # alpha = 1.5 takes the far antennas' c_0k below eps * h^2 at low gamma_t,
+    # into c_l's y rule.
     for alpha in (0.05, 0.2, 1.5):
         cfg = SystemConfig(d_x=30.0, alpha=alpha)
         for m in (1, 10, 100):
@@ -364,7 +390,7 @@ def _rate_tables():
     return tables
 
 
-def test_batched_rates_match_pointwise_rates():
+def test_batched_rates_match_pointwise_rates(rule_sizes):
     reached = set()
     for table in _rate_tables():
         reached |= _kernel_cases(table)
@@ -374,7 +400,8 @@ def test_batched_rates_match_pointwise_rates():
             single = ergodic_rate(*point)
             assert result.value == single.value
             assert (result.kind, result.flags) == (single.kind, single.flags)
-    assert reached == {"exact 0", "slope", "i_j series", "i_j closed"}
+    assert reached == {"i_j series", "i_j closed"}
+    assert rule_sizes, "no sub-rectangle took c_l's y rule"
 
 
 def _clamped_room_points():
@@ -725,6 +752,21 @@ def test_outer_edges_rise_strictly_within_the_room():
         assert np.all(np.diff(edges) > 0.0), cfg
 
 
+def test_rule_pieces_cut_each_gap_as_linspace_does():
+    # Two rules at once, one with a gap of 0: a gap wider than 32 in u is cut
+    # into equal pieces, whose ends are those of np.linspace bit for bit.
+    edges = np.array([[0.0, 1.5, 1.5, 100.0], [0.0, 40.0, 64.0, 70.0]])
+    lo, hi, owner = metrics._rule_pieces(edges)
+    for row, rule in enumerate(edges):
+        cuts = [
+            np.linspace(a, b, math.ceil((b - a) / 32.0), endpoint=False)
+            for a, b in zip(rule, rule[1:])
+        ]
+        ends = np.concatenate((*cuts, rule[-1:]))
+        assert lo[owner == row].tolist() == ends[:-1].tolist()
+        assert hi[owner == row].tolist() == ends[1:].tolist()
+
+
 def test_continuous_rate_requires_height():
     with pytest.raises(ValueError, match="h must be > 0"):
         continuous_rate(SystemConfig(d_x=10.0, h=0.0))
@@ -844,8 +886,7 @@ def test_outage_of_an_overflowing_reach_is_zero(h):
 
 def test_pde_of_a_rate_that_rounds_to_zero():
     # Clamped against underflow, the rate is a flagged 0, and so is pde,
-    # as the sweep writes it. Unclamped but below the closed form's
-    # precision (alpha x_1 = 500), a 0 rate is a named diagnostic.
+    # as the sweep writes it.
     flagged = SystemConfig(
         d_x=2185.24, d_y=5.0975, h=1.0643, alpha=2.1146, gamma_t_db=154.287
     )
@@ -854,21 +895,58 @@ def test_pde_of_a_rate_that_rounds_to_zero():
     assert result.value == 0.0
     assert result.flags == ("c0k_underflow_clamp",)
 
-    # At alpha = 3.4, c_0k = 1.6e-150 is lost in c_0k + h^2 = 1; unless
-    # c_l returns an exact 0, rounding noise of 3.7e-16 passes as a rate.
+    # Unclamped, c_0k = 1.6e-150 (alpha = 3.4) is lost in c_0k + h^2 = 1,
+    # but not in the rows of c_l's y rule: the rate is the oracle's, over
+    # the two 100 m halves of the one antenna's region, and so is pde.
     for unflagged in (
         SystemConfig(d_x=200.0, alpha=5.0, gamma_t_db=40.0),
         SystemConfig(d_x=200.0, alpha=3.4, h=1.0, gamma_t_db=40.0),
     ):
         lay = make_layout(unflagged, 1)
         part = optimize_partition(unflagged, lay)
-        assert ergodic_rate(unflagged, lay, part).value == 0.0
-        with pytest.raises(NumericalDiagnosticError, match="rounds to 0"):
-            pde(unflagged, lay, part)
+        (c0,), _ = metrics._c0k_scales(unflagged.alpha, unflagged.big_c, lay.x_k)
+        ref = oracle.rate_kernel_mpmath(100.0, float(c0), unflagged.d_y, unflagged.h)
+        rate = ergodic_rate(unflagged, lay, part)
+        assert rate.value == pytest.approx(ref, rel=1e-10, abs=0.0) and not rate.flags
+        baseline = continuous_rate(unflagged).value
+        assert pde(unflagged, lay, part).value == pytest.approx(rate.value / baseline)
+
+
+def test_pde_of_a_subnormal_rate_is_a_diagnostic():
+    # The rate is 9.9e-321, a subnormal float with about 3 digits left;
+    # no pde is formed from it.
+    cfg = SystemConfig(d_x=30.0, h=1e10, gamma_t_db=-2940.0)
+    lay = make_layout(cfg, 1)
+    part = optimize_partition(cfg, lay)
+    rate = ergodic_rate(cfg, lay, part)
+    assert 0.0 < rate.value < sys.float_info.min and not rate.flags
+    with pytest.raises(NumericalDiagnosticError, match="below the smallest normal float"):
+        pde(cfg, lay, part)
 
 
 def _log_uniform(lo_exp, hi_exp):
     return st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    width=_log_uniform(-6.0, 6.0),
+    d_y=_log_uniform(-6.0, 6.0),
+    h=_log_uniform(-150.0, 1.0),
+    log_ratio=st.floats(-300.0, 300.0),
+)
+def test_rate_kernel_matches_mpmath_over_the_float_range(width, d_y, h, log_ratio):
+    # c_l to 1e-10 of the oracle, by either path, for widths and d_y of
+    # 1e-6 to 1e6 m, h down to 1e-150 and c_0k / h^2 from 1e-300 to 1e300,
+    # where c_0k and the rate are normal floats. 1,000 examples took 270 s,
+    # so tier-1 runs ten.
+    c_0k = 10.0**log_ratio * h * h
+    # The rate is at least log2(1 + c_0k / d^2), d the far corner's distance.
+    assume(c_0k >= sys.float_info.min)
+    assume(math.log1p(c_0k / (width * width + d_y * d_y / 4.0 + h * h)) > 1e-290)
+    ref = oracle.rate_kernel_mpmath(width, c_0k, d_y, h)
+    cfg = SystemConfig(d_x=width, d_y=d_y, h=h)
+    assert c_l(width, c_0k, cfg) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -939,15 +1017,24 @@ def test_float_range_corners_end_cleanly():
     assert metrics._outer_edges(cfg, [cfg.big_c]).size == 3
 
 
+# The discrete rate as `oracle.rate_kernel_mpmath` gives it over each of the
+# four sub-rectangles (4.3548525196375e-19 and 7.281703532474247e-27), over
+# the continuous baseline.
+_PDE_PAST_1E154 = {1e-153: 8.014846002362352e-09, 1e-154: 1.3401540508944974e-13}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("d_y, h, gamma_t_db", [(1e3, 1e-153, -100.0), (10.0, 1e-154, -200.0)])
 def test_baseline_past_d_y_over_h_of_1e154(d_y, h, gamma_t_db):
     # The y rule reaches cosh(u) = 2e154 and 5e154 here, past 1.3e154,
     # whose square overflows; h cosh(u), squared, does not. The rule's
-    # pieces are cut to a bounded width in u, so both orders agree.
+    # pieces are cut to a bounded width in u, so both orders agree. c_0k
+    # is near 1e-17 and 1e-27 against rooms of 1e3 and 10 m, so c_l takes
+    # its y rule, and pde is 8.0e-9 and 1.3e-13.
     cfg = SystemConfig(d_x=30.0, d_y=d_y, h=h, gamma_t_db=gamma_t_db)
     lay = make_layout(cfg, 2)
-    assert 0.0 < pde(cfg, lay, optimize_partition(cfg, lay)).value <= 1.0
+    result = pde(cfg, lay, optimize_partition(cfg, lay)).value
+    assert result == pytest.approx(_PDE_PAST_1E154[h], rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("h", [1e-150, 1.5e-154])
@@ -963,7 +1050,8 @@ def test_continuous_rate_settles_far_below_h_of_1e100(h):
 def test_rate_of_a_room_past_2_to_the_1000_is_scaled():
     # The rate does not change, to rounding, when lengths grow by 2^500 and
     # c_0k and h^2 by 2^1000; width times d_y then passes 2^1000, where the
-    # kernels' integrals would overflow unless scaled back.
+    # kernels' integrals overflow and c_l takes the y rule, whose rows are
+    # means over the width.
     cfg = SystemConfig(d_x=10.0)
     s = 2.0**500
     big = SystemConfig(d_x=cfg.d_x * s, d_y=cfg.d_y * s, h=cfg.h * s)

@@ -32,7 +32,7 @@ from pinchpas import (
     run_sweep,
     simulate_outage,
 )
-from pinchpas import metrics, montecarlo, sweep
+from pinchpas import cli, metrics, montecarlo, sweep
 from pinchpas.cli import main
 
 
@@ -658,18 +658,19 @@ def _data_rows(path):
 
 
 def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
-    # At alpha = 5 the discrete rate rounds to 0 and pde fails its
-    # self-check; the alpha = 0.05 row must still be written. Its c_0k is
-    # 5.4e-6 h^2, where c_l's slope form is within 5e-13 of quadrature.
+    # At 70 dB the baseline's peak SNR big_c / h^2 overflows and pde fails
+    # its self-check; the 60 dB row must still be written.
     cfg = _write_cfg(
         tmp_path,
-        "d_x = 200\ngamma_t_db = 40\nsweep_axis = alpha\naxis_values = 0.05,5\n"
+        "d_x = 30\nh = 1.5e-154\nsweep_axis = gamma_t_db\naxis_values = 60,70\n"
         "m_values = 1\n",
     )
     out = tmp_path / "o"
     assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
-    assert _data_rows(out / "pde_m1.dat") == [[0.05, 0.00382089368821]]
-    assert "alpha = 5.0, m = 1: row left out: discrete rate rounds to 0" in caplog.text
+    assert _data_rows(out / "pde_m1.dat") == [[60.0, 0.0621257235571]]
+    assert (
+        "gamma_t_db = 70.0, m = 1: row left out: continuous rate not computed" in caplog.text
+    )
     assert "numerical flags raised: numerical_diagnostic" in capsys.readouterr().err
 
 
@@ -724,8 +725,8 @@ def _log_uniform(lo_exp, hi_exp):
 # The room of test_cli_failed_self_check_costs_one_row, so a sweep that
 # drops its table on one failed point fails here whatever the draw.
 @example(
-    command="pde", d_x=200.0, d_y=10.0, h=3.0, alpha=5.0,
-    gammas=[40.0, 50.0], gamma_thr_db=20.0, m=1,
+    command="pde", d_x=30.0, d_y=10.0, h=1.5e-154, alpha=0.05,
+    gammas=[60.0, 70.0], gamma_thr_db=20.0, m=1,
 )
 def test_cli_validated_configs_write_every_table(
     command, d_x, d_y, h, alpha, gammas, gamma_thr_db, m
@@ -772,6 +773,19 @@ def test_cli_out_dir_on_a_file_is_usage_error(tmp_path, capsys, below):
     assert main(["outage", "--config", cfg, "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert str(out) in err and err.count("\n") == 1
+
+
+def test_cli_out_dir_is_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(*_):
+        raise AssertionError("the sweep ran before --out-dir was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 1\n")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("pinchpas: cannot make output dir") and err.count("\n") == 1
 
 
 def test_cli_seed_past_the_philox_key_is_usage_error(tmp_path, capsys):
