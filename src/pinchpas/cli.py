@@ -1,12 +1,13 @@
 """Command-line driver.
 
-One subcommand per metric (outage, rate, pde, regions, simulate) plus a
-selftest that exercises the numerical core against internal oracles. The
-subcommand overrides any metric named in the config file; everything else
-comes from the file, with --seed and --samples steering the simulation
-stream. Exit codes: 0 success, 1 usage or configuration error, 2 a
-numerical flag or a failed self-check at some point (every table is
-still written, without the failed rows).
+One flat parser: a command, one per metric (outage, rate, pde, regions,
+simulate) plus a selftest that exercises the numerical core against
+internal oracles, and four options. The sweep commands need --config;
+selftest takes no options. The command overrides any metric named in the
+config file; everything else comes from the file, with --seed and
+--samples steering the simulation stream. Exit codes: 0 success, 1 usage
+or configuration error, 2 a numerical flag or a failed self-check at some
+point (every table is still written, without the failed rows).
 """
 
 from __future__ import annotations
@@ -49,40 +50,45 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_COMMANDS = {
+    "outage": "closed-form outage probability sweep",
+    "rate": "closed-form ergodic rate sweep",
+    "pde": "discretization-efficiency sweep",
+    "regions": "dump the optimized serving-region partition",
+    "simulate": "Monte Carlo outage sweep with standard errors",
+    "selftest": "run the built-in numerical consistency checks (takes no options)",
+}
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="pinchpas",
+        usage=(
+            "%(prog)s [-h] [--version]\n"
+            "       %(prog)s {outage,rate,pde,regions,simulate} --config CONFIG\n"
+            "                [--out-dir OUT_DIR] [--seed SEED] [--samples SAMPLES]\n"
+            "       %(prog)s selftest"
+        ),
         description=(
-            "Outage, rate, and discretization-efficiency sweeps for a "
+            "Outage, rate, and discretization-efficiency sweeps for a\n"
             "waveguide-fed discrete antenna system."
         ),
+        epilog="commands:\n"
+        + "".join(f"  {name:<10}{text}\n" for name, text in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"pinchpas {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("outage", "closed-form outage probability sweep"),
-        ("rate", "closed-form ergodic rate sweep"),
-        ("pde", "discretization-efficiency sweep"),
-        ("regions", "dump the optimized serving-region partition"),
-        ("simulate", "Monte Carlo outage sweep with standard errors"),
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    # An option left out stays off the namespace, so main sees which were given.
+    for flag, kind, text in (
+        ("--config", str, "path to a key = value config file"),
+        ("--out-dir", str, "directory for the output tables (default .; created if missing)"),
+        ("--seed", int, "simulation stream seed"),
+        ("--samples", int, "simulation sample count per sweep point"),
     ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to a key = value config file")
-        p.add_argument(
-            "--out-dir",
-            default=".",
-            help="directory for the output tables (created if missing)",
-        )
-        p.add_argument(
-            "--seed", type=int, default=SimulationSpec.seed, help="simulation stream seed"
-        )
-        p.add_argument(
-            "--samples",
-            type=int,
-            default=SimulationSpec.n_samples,
-            help="simulation sample count per sweep point",
-        )
-    sub.add_parser("selftest", help="run the built-in numerical consistency checks")
+        parser.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=text)
     return parser
 
 
@@ -290,16 +296,25 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        options = vars(parser.parse_args(argv))
+        command = options.pop("command")
+        if command == "selftest" and options:
+            given = ", ".join("--" + name.replace("_", "-") for name in options)
+            parser.error(f"selftest takes no options, got {given}")
+        if command != "selftest" and "config" not in options:
+            parser.error("the following arguments are required: --config")
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.command == "selftest":
+    if command == "selftest":
         return _selftest()
 
     try:
-        _, spec = load_config(args.config, metric=args.command)
-        sim = SimulationSpec(n_samples=args.samples, seed=args.seed)
+        _, spec = load_config(options["config"], metric=command)
+        sim = SimulationSpec(
+            n_samples=options.get("samples", SimulationSpec.n_samples),
+            seed=options.get("seed", SimulationSpec.seed),
+        )
     except OSError as exc:
         print(f"pinchpas: cannot read config {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
@@ -307,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pinchpas: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out_dir)
+    out_dir = Path(options.get("out_dir", "."))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

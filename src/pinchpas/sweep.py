@@ -181,14 +181,17 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     }[spec.metric]
 
     per_m = spec.sweep_axis != "m"
-    table_ms = spec.m_values if per_m else (0,)
-    points = [
-        (dataclasses.replace(config, **{spec.sweep_axis: value}), m)
-        if per_m
-        else (config, int(value))
-        for m in table_ms
-        for value in spec.axis_values
-    ]
+    if per_m:
+        table_ms = spec.m_values
+        # One validated config per axis value, shared by every m.
+        configs = [
+            dataclasses.replace(config, **{spec.sweep_axis: value})
+            for value in spec.axis_values
+        ]
+        points = [(point, m) for m in table_ms for point in configs]
+    else:
+        table_ms = (0,)
+        points = [(config, int(value)) for value in spec.axis_values]
     results = _evaluate(spec.metric, points, sim)
     count = len(spec.axis_values)
     for i, m in enumerate(table_ms):

@@ -32,7 +32,7 @@ from pinchpas import (
     run_sweep,
     simulate_outage,
 )
-from pinchpas import cli, metrics, montecarlo, sweep
+from pinchpas import __version__, cli, metrics, montecarlo, sweep
 from pinchpas.cli import main
 
 
@@ -248,6 +248,32 @@ def test_sweep_rate_gamma_is_one_rate_pass_per_run(monkeypatch):
             layout = make_layout(point, m)
             expected = ergodic_rate(point, layout, optimize_partition(point, layout)).value
             assert rate == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_sweep_builds_one_config_per_axis_value(monkeypatch, tmp_path):
+    built = []
+    validate = SystemConfig.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.gamma_t_db)
+        validate(self)
+
+    monkeypatch.setattr(SystemConfig, "__post_init__", counting_post_init)
+    base = "d_x = 30\nmetric = pde\nsweep_axis = gamma_t_db\naxis_values = 90:110:5\n"
+    tables = run_sweep(_spec(base + "m_values = 1,2,10\n"))
+    # The loaded config, then one per axis value, shared by every m.
+    assert built == [100.0, 90.0, 95.0, 100.0, 105.0, 110.0]
+
+    def table_bytes(table):
+        path = tmp_path / f"{table.name}.dat"
+        emit_table(table, path)
+        lines = path.read_bytes().splitlines()
+        return [line for line in lines if not line.startswith(b"# m_values")]
+
+    for table, m in zip(tables, (1, 2, 10)):
+        (alone,) = run_sweep(_spec(base + f"m_values = {m}\n"))
+        assert table.flags == alone.flags
+        assert table_bytes(table) == table_bytes(alone)
 
 
 @pytest.mark.parametrize("metric", ["rate", "simulate"])
@@ -796,28 +822,64 @@ def test_cli_seed_past_the_philox_key_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_closed_form_run_never_imports_numpy_polynomial(tmp_path):
-    # A fresh interpreter: this one imported numpy.polynomial for the oracles.
+def _fresh_run_imports(tmp_path, command, module):
+    """A closed-form run's exit code in a fresh interpreter, and whether it imported module."""
     cfg = _write_cfg(
         tmp_path, "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90,100\nm_values = 1,2\n"
     )
     script = (
         "import sys\n"
         "from pinchpas.cli import main\n"
-        f"code = main(['pde', '--config', {cfg!r}, '--out-dir', {str(tmp_path / 'o')!r}])\n"
-        "print(code, 'numpy.polynomial' in sys.modules)\n"
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out-dir', {str(tmp_path / 'o')!r}])\n"
+        f"print(code, {module!r} in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split()[-2:] == ["0", "False"]
+    return done.stdout.split()[-2:]
 
 
-def test_cli_bad_flag_is_usage_error():
-    assert main(["outage", "--config", "x", "--bogus"]) == 1
-    assert main(["frobnicate"]) == 1
+def test_cli_closed_form_run_never_imports_numpy_polynomial(tmp_path):
+    # A fresh interpreter: this one imported numpy.polynomial for the oracles.
+    assert _fresh_run_imports(tmp_path, "pde", "numpy.polynomial") == ["0", "False"]
+
+
+@pytest.mark.parametrize("command", ["outage", "pde"])
+def test_cli_closed_form_run_never_imports_numpy_random(tmp_path, command):
+    # Importing numpy.random adds about 5.5 MB to a closed-form run's peak resident memory.
+    assert _fresh_run_imports(tmp_path, command, "numpy.random") == ["0", "False"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        ([], 1, ["the following arguments are required: command"]),
+        (["frobnicate"], 1, ["argument command: invalid choice: 'frobnicate'"]),
+        (["outage"], 1, ["the following arguments are required: --config"]),
+        (["selftest", "--config", "x"], 1, ["--config"]),
+        (["outage", "--config", "x", "--bogus"], 1, ["unrecognized arguments: --bogus"]),
+        (["--version"], 0, [f"pinchpas {__version__}"]),
+        (["--help"], 0, ["outage", "rate", "pde", "regions", "simulate", "selftest", "--config"]),
+    ],
+    ids=[
+        "empty", "unknown_command", "no_config", "selftest_option", "bad_flag", "version", "help"
+    ],
+)
+def test_cli_usage_contract(capsys, argv, code, named):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        # A usage line first, then one error line that names the fault.
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: pinchpas")
+        assert lines[-1].startswith("pinchpas") and ": error: " in lines[-1]
+        assert all(text in lines[-1] for text in named)
+        assert captured.out == ""
+    else:
+        assert captured.err == ""
+        assert all(text in captured.out for text in named)
 
 
 def test_cli_numerical_flags_exit_two(tmp_path, capsys):
@@ -825,11 +887,6 @@ def test_cli_numerical_flags_exit_two(tmp_path, capsys):
     code = main(["outage", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert "numerical flags" in capsys.readouterr().err
-
-
-def test_cli_version(capsys):
-    assert main(["--version"]) == 0
-    assert "pinchpas" in capsys.readouterr().out
 
 
 def test_cli_selftest(capsys):
