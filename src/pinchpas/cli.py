@@ -137,13 +137,9 @@ def _selftest() -> int:
     worst = 0.0
     for x, dw, wy in ((9.0, 2.0, 10.0), (1e4, 0.5, 10.0), (25.0, 6.0, 4.0)):
         nodes, weights = gauss_legendre(200, 0.0, wy / 2.0)
-        quad_i = sum(
-            w * dw * math.log(dw * dw + x + y * y) for y, w in zip(nodes, weights)
-        )
-        quad_j = sum(
-            w * 2.0 * math.sqrt(x + y * y) * math.atan(dw / math.sqrt(x + y * y))
-            for y, w in zip(nodes, weights)
-        )
+        root = np.sqrt(x + nodes * nodes)
+        quad_i = float(weights @ (dw * np.log(dw * dw + x + nodes * nodes)))
+        quad_j = float(weights @ (2.0 * root * np.arctan(dw / root)))
         worst = max(worst, abs(i_i(x, dw, wy) - quad_i) / abs(quad_i))
         worst = max(worst, abs(i_j(x, dw, wy) - quad_j) / abs(quad_j))
     all_ok &= _check("rate kernels match quadrature", worst <= 1e-10, f"worst rel={worst:.3e}")
@@ -277,10 +273,8 @@ def _selftest() -> int:
         ("conditional rate matches quadrature", db_to_linear(config.gamma_t_db) * 1e-7, 1e-9),
         ("conditional rate below the trust bound matches quadrature", 1e-5, 1e-10),
     ):
-        quad = 0.0
-        for eps, we in zip(nodes_e, weights_e):
-            for y, wy in zip(nodes_y, weights_y):
-                quad += we * wy * math.log1p(c0 / (eps * eps + y * y + config.h * config.h))
+        dist_sq = nodes_e[:, None] ** 2 + nodes_y**2 + config.h * config.h
+        quad = float(weights_e @ np.log1p(c0 / dist_sq) @ weights_y)
         quad *= 2.0 / (3.0 * 10.0 * math.log(2.0))
         rel = abs(c_l(3.0, c0, config) - quad) / abs(quad)
         all_ok &= _check(name, rel <= tol, f"rel={rel:.3e}")

@@ -8,12 +8,12 @@ best SNR comes from `system.best_snr`, big_c times the best gain, which
 past a dozen antennas is evaluated on three candidate antennas per user
 that provably hold the best, so the cost per sample does not grow with
 the antenna count. Users depend only on the room (d_x, d_y), so a batch
-of outage points draws each chunk once per room for all its points (every
-antenna count, and every value of an axis such as alpha or h), and the
-points that differ only in transmit SNR compute their best gains once
-and each count their own users exactly. Streams are counter-based: a
-given (seed, chunk size) pair reproduces the same users regardless of
-platform.
+of outage points reads the run's users once per room for all its points
+(every antenna count, and every value of an axis such as alpha or h), and
+the points that differ only in transmit SNR compute their best gains once
+and each count their own users exactly. Streams are counter-based and cut
+into chunks of `_CHUNK_USERS` users: a given (seed, n_samples) pair
+reproduces the same users regardless of platform.
 """
 
 from __future__ import annotations
@@ -47,23 +47,30 @@ _MIN_SAMPLES = 1_000
 # pieces, page faults on fresh 2 MB temporaries made the best gains take
 # about 1.6x as long at m = 100.
 _BLOCK_USERS = 16384
+# Users per jump of the Philox stream. The users a seed gives depend on
+# it, so the simulate tables' header echoes it.
+_CHUNK_USERS = 250_000
 
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Sample budget and stream identity of one simulation run."""
+    """Sample budget and stream identity of one simulation run.
+
+    The (n_samples, seed) pair fixes a run's users; both are stored as int.
+    """
 
     n_samples: int = 1_000_000
     seed: int = 0
-    chunk_size: int = 250_000
 
     def __post_init__(self):
+        for name in ("n_samples", "seed"):
+            v = getattr(self, name)
+            # v - v is 0 for a finite number and nan for inf and nan.
+            if not (v - v == 0 and v == int(v)):
+                raise ValueError(f"{name} must be a whole number, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.n_samples < _MIN_SAMPLES:
-            raise ValueError(
-                f"n_samples must be >= {_MIN_SAMPLES}, got {self.n_samples}"
-            )
-        if self.chunk_size <= 0:
-            raise ValueError(f"chunk_size must be > 0, got {self.chunk_size}")
+            raise ValueError(f"n_samples must be >= {_MIN_SAMPLES}, got {self.n_samples}")
         # Philox's key, which the seed is, holds 128 bits.
         if not 0 <= self.seed < 2**128:
             raise ValueError(f"seed must be in [0, 2**128), got {self.seed}")
@@ -84,32 +91,25 @@ def _chunk_rng(spec: SimulationSpec, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=spec.seed).jumped(index))
 
 
-def _chunk_sizes(spec: SimulationSpec):
-    remaining = spec.n_samples
-    index = 0
-    while remaining > 0:
-        take = min(spec.chunk_size, remaining)
-        yield index, take
-        remaining -= take
-        index += 1
+def _users(spec: SimulationSpec, d_x: float, d_y: float):
+    """Every user of a run, in stream order, as (x, y) blocks of `_BLOCK_USERS`.
 
-
-def _chunk_users(spec: SimulationSpec, index: int, take: int, d_x: float, d_y: float):
-    """Chunk `index`'s `take` users as (x, y) blocks of `_BLOCK_USERS`.
-
-    Bit for bit the chunk's `uniform(0, d_x, take)` followed by its
-    `uniform(-d_y/2, d_y/2, take)`, read by two generators: one from the
-    chunk's start, and one moved past the x draws. Philox makes four
+    Chunk i holds `_CHUNK_USERS` users (the last one the rest), and its
+    users are bit for bit the chunk's `uniform(0, d_x, take)` followed by
+    its `uniform(-d_y/2, d_y/2, take)`, read by two generators: one from
+    the chunk's start, and one moved past the x draws. Philox makes four
     64-bit words per counter step and each double takes one word, so that
     is `take // 4` steps ahead and `take % 4` draws discarded.
     """
-    along = _chunk_rng(spec, index)
-    across = _chunk_rng(spec, index)
-    across.bit_generator.advance(take // 4)
-    across.random(take % 4)
-    for start in range(0, take, _BLOCK_USERS):
-        n = min(_BLOCK_USERS, take - start)
-        yield along.uniform(0.0, d_x, n), across.uniform(-d_y / 2.0, d_y / 2.0, n)
+    for index, first in enumerate(range(0, spec.n_samples, _CHUNK_USERS)):
+        take = min(_CHUNK_USERS, spec.n_samples - first)
+        along = _chunk_rng(spec, index)
+        across = _chunk_rng(spec, index)
+        across.bit_generator.advance(take // 4)
+        across.random(take % 4)
+        for start in range(0, take, _BLOCK_USERS):
+            n = min(_BLOCK_USERS, take - start)
+            yield along.uniform(0.0, d_x, n), across.uniform(-d_y / 2.0, d_y / 2.0, n)
 
 
 def simulate_outage(
@@ -145,7 +145,7 @@ def _simulate_outages(
     at its first point, and each point counts the gains at or below
     `_gain_limit` of its threshold and its big_c: exactly the users whose
     best SNR is at or below the threshold. Users depend only on the room
-    (d_x, d_y), so every curve in a room reads one stream of its chunks'
+    (d_x, d_y), so every curve in a room reads one stream of the run's
     users. Each estimate equals `simulate_outage` at its own point, bit
     for bit, by construction.
     """
@@ -159,12 +159,11 @@ def _simulate_outages(
     ]
     hits = [0] * len(points)
     for (d_x, d_y), curves in rooms.items():
-        for index, take in _chunk_sizes(spec):
-            for x, y in _chunk_users(spec, index, take, d_x, d_y):
-                for members in curves.values():
-                    gain = _best_gain(*points[members[0]], x, y)
-                    for i in members:
-                        hits[i] += int(np.count_nonzero(gain <= limits[i]))
+        for x, y in _users(spec, d_x, d_y):
+            for members in curves.values():
+                gain = _best_gain(*points[members[0]], x, y)
+                for i in members:
+                    hits[i] += int(np.count_nonzero(gain <= limits[i]))
     return [_share(count, spec.n_samples) for count in hits]
 
 
@@ -178,11 +177,10 @@ def _rate_estimate(config: SystemConfig, spec: SimulationSpec, snr) -> SimEstima
     """Mean of log2(1 + snr(x, y)) over uniform users, with its standard error."""
     total = 0.0
     total_sq = 0.0
-    for index, take in _chunk_sizes(spec):
-        for x, y in _chunk_users(spec, index, take, config.d_x, config.d_y):
-            rate = np.log2(1.0 + snr(x, y))
-            total += float(rate.sum())
-            total_sq += float(np.square(rate).sum())
+    for x, y in _users(spec, config.d_x, config.d_y):
+        rate = np.log2(1.0 + snr(x, y))
+        total += float(rate.sum())
+        total_sq += float(np.square(rate).sum())
     n = spec.n_samples
     var = max(total_sq - total * total / n, 0.0) / (n - 1)
     return SimEstimate(mean=total / n, std_error=math.sqrt(var / n), n_samples=n)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ._version import __version__
 from .config import SweepSpec, parse_config_text
 from .metrics import NumericalDiagnosticError, _ergodic_rates, _outages, _pdes
-from .montecarlo import SimulationSpec, _simulate_outages
+from .montecarlo import _CHUNK_USERS, SimulationSpec, _simulate_outages
 from .regions import RegionPartition, _optimize_partitions
 from .system import PaLayout, SystemConfig, make_layout
 
@@ -91,7 +91,7 @@ def _table_header(
     if sim is not None:
         lines.append(f"## seed = {sim.seed}")
         lines.append(f"## n_samples = {sim.n_samples}")
-        lines.append(f"## chunk_size = {sim.chunk_size}")
+        lines.append(f"## chunk_size = {_CHUNK_USERS}")
     lines.extend(_echo_lines(config, spec))
     return tuple(lines)
 

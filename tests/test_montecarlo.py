@@ -1,7 +1,7 @@
 """Simulation oracle: determinism, stream independence, and agreement."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,9 +22,12 @@ from pinchpas import (
     simulate_rate,
 )
 from pinchpas import montecarlo
-from pinchpas.montecarlo import _BLOCK_USERS, _chunk_rng, _chunk_sizes, _chunk_users
+from pinchpas.montecarlo import _BLOCK_USERS, _chunk_rng, _users
 
 import oracle_utils as oracle
+
+# Users per jump of the Philox stream; the simulate goldens' headers pin it too.
+STREAM_CHUNK = 250_000
 
 
 def test_spec_validation():
@@ -32,10 +35,33 @@ def test_spec_validation():
         SimulationSpec(n_samples=999)
     with pytest.raises(ValueError):
         SimulationSpec(seed=-1)
-    with pytest.raises(ValueError):
-        SimulationSpec(chunk_size=0)
-    spec = SimulationSpec(n_samples=1000, seed=5, chunk_size=300)
+    spec = SimulationSpec(n_samples=1000, seed=5)
     assert spec.n_samples == 1000
+    assert [f.name for f in fields(SimulationSpec)] == ["n_samples", "seed"]
+    with pytest.raises(TypeError):
+        SimulationSpec(chunk_size=300)
+
+
+@pytest.mark.parametrize(
+    "field, value, stored",
+    [
+        ("n_samples", math.inf, None),  # a chunk loop over it would never end
+        ("n_samples", 2000.0, 2000),  # whole, so taken, and Philox gets an int
+        ("seed", 1.5, None),  # would run seed 1's stream under a 1.5 header
+    ],
+)
+def test_spec_takes_only_whole_finite_numbers(field, value, stored):
+    if stored is None:
+        with pytest.raises(ValueError, match=field):
+            SimulationSpec(**{field: value})
+        return
+    spec = SimulationSpec(**{field: value})
+    assert type(getattr(spec, field)) is int and getattr(spec, field) == stored
+    cfg = SystemConfig(d_x=12.0, gamma_t_db=94.0)
+    lay = make_layout(cfg, 2)
+    assert simulate_outage(cfg, lay, spec) == simulate_outage(
+        cfg, lay, replace(spec, **{field: stored})
+    )
 
 
 def test_seed_past_the_philox_key_names_seed():
@@ -45,15 +71,8 @@ def test_seed_past_the_philox_key_names_seed():
     assert np.isfinite(_chunk_rng(spec, 0).uniform())
 
 
-def test_chunk_sizes_cover_budget():
-    spec = SimulationSpec(n_samples=1_000_000, chunk_size=300_000)
-    chunks = list(_chunk_sizes(spec))
-    assert [c[1] for c in chunks] == [300_000, 300_000, 300_000, 100_000]
-    assert [c[0] for c in chunks] == [0, 1, 2, 3]
-
-
 def test_chunk_streams_are_distinct():
-    spec = SimulationSpec(n_samples=10_000, seed=42, chunk_size=5_000)
+    spec = SimulationSpec(n_samples=10_000, seed=42)
     a = _chunk_rng(spec, 0).random(8)
     b = _chunk_rng(spec, 1).random(8)
     assert not np.allclose(a, b)
@@ -151,7 +170,7 @@ def _direct_outage_hits(config, layout, spec):
     """Users at or below the threshold, each best SNR computed at `config`."""
     threshold = db_to_linear(config.gamma_thr_db)
     x, y = oracle.simulation_users(
-        spec.seed, spec.n_samples, spec.chunk_size, config.d_x, config.d_y
+        spec.seed, spec.n_samples, STREAM_CHUNK, config.d_x, config.d_y
     )
     return int(np.count_nonzero(best_snr(config, layout, x, y) <= threshold))
 
@@ -159,10 +178,10 @@ def _direct_outage_hits(config, layout, spec):
 @pytest.mark.parametrize("seed", [0, 3, 8191])
 @pytest.mark.parametrize("m", [1, 10, 40])
 def test_outage_curve_equals_pointwise_simulation(seed, m):
-    # m = 40 takes best_snr's candidate window; 7,000 does not divide 30,000.
+    # m = 40 takes best_snr's candidate window; the run ends in a 3-user chunk.
     cfg = SystemConfig(d_x=30.0, gamma_t_db=97.0)
     lay = make_layout(cfg, m)
-    spec = SimulationSpec(n_samples=30_000, seed=seed, chunk_size=7_000)
+    spec = SimulationSpec(n_samples=STREAM_CHUNK + 3, seed=seed)
     points = [replace(cfg, gamma_t_db=gamma_t_db) for gamma_t_db in _CURVE_GAMMAS]
     curve = montecarlo._simulate_outages([(point, lay) for point in points], spec)
     assert len(curve) == len(points)
@@ -193,40 +212,41 @@ def test_gain_limit_is_the_last_gain_in_outage(threshold_exp, big_c_exp):
 
 
 @pytest.mark.parametrize(
-    "n_samples, chunk_size",
+    "n_samples",
     [
-        (1_001, 1_001),  # one chunk, smaller than a block, 1 past a multiple of 4
-        (1_003, 1_000),  # a 3-user last chunk: no whole Philox step to skip
-        (50_003, 20_001),  # chunks of 5 blocks and 1 user; a shorter last chunk
-        (40_000, 16_386),  # 2 past a multiple of 4 and of the block size
-        (33_000, 2 * _BLOCK_USERS),  # whole blocks, then a 232-user chunk
+        1_001,  # one chunk, smaller than a block, 1 past a multiple of 4
+        STREAM_CHUNK + 1,  # a 1-user last chunk: no whole Philox step to skip
+        STREAM_CHUNK + 2,  # a 2-user last chunk
+        STREAM_CHUNK + 3,  # a 3-user last chunk
+        2 * STREAM_CHUNK + 3,  # two whole chunks, then 3 users
     ],
 )
-def test_user_stream_equals_whole_chunk_draws(n_samples, chunk_size):
-    spec = SimulationSpec(n_samples=n_samples, seed=11, chunk_size=chunk_size)
-    xs, ys = [], []
-    for index, take in _chunk_sizes(spec):
-        blocks = list(_chunk_users(spec, index, take, 30.0, 7.5))
-        assert all(0 < x.size <= _BLOCK_USERS and y.size == x.size for x, y in blocks)
-        assert sum(x.size for x, _ in blocks) == take
-        xs += [x for x, _ in blocks]
-        ys += [y for _, y in blocks]
-    x_ref, y_ref = oracle.simulation_users(11, n_samples, chunk_size, 30.0, 7.5)
-    assert np.array_equal(np.concatenate(xs), x_ref)
-    assert np.array_equal(np.concatenate(ys), y_ref)
+def test_user_stream_equals_whole_chunk_draws(n_samples):
+    spec = SimulationSpec(n_samples=n_samples, seed=11)
+    blocks = list(_users(spec, 30.0, 7.5))
+    assert all(0 < x.size <= _BLOCK_USERS and y.size == x.size for x, y in blocks)
+    x_ref, y_ref = oracle.simulation_users(11, n_samples, STREAM_CHUNK, 30.0, 7.5)
+    assert np.array_equal(np.concatenate([x for x, _ in blocks]), x_ref)
+    assert np.array_equal(np.concatenate([y for _, y in blocks]), y_ref)
+
+
+def _count_user_streams(monkeypatch):
+    """The room of each `_users` call, in call order."""
+    streams = []
+    users = montecarlo._users
+
+    def counting_users(spec, d_x, d_y):
+        streams.append((d_x, d_y))
+        return users(spec, d_x, d_y)
+
+    monkeypatch.setattr(montecarlo, "_users", counting_users)
+    return streams
 
 
 def test_mixed_run_equals_pointwise_simulation(monkeypatch):
     # Two antenna counts, an alpha axis, an h axis and a second room: the
     # d_x = 30 curves share one stream of users and d_x = 12 reads its own.
-    streams = []
-    chunk_users = montecarlo._chunk_users
-
-    def counting_chunk_users(spec, index, take, d_x, d_y):
-        streams.append((d_x, d_y, index))
-        return chunk_users(spec, index, take, d_x, d_y)
-
-    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
+    streams = _count_user_streams(monkeypatch)
     base = SystemConfig(d_x=30.0, gamma_t_db=97.0)
     configs = [
         (base, 1),
@@ -243,9 +263,9 @@ def test_mixed_run_equals_pointwise_simulation(monkeypatch):
         for config, m in configs
         for gamma_t_db in _CURVE_GAMMAS
     ]
-    spec = SimulationSpec(n_samples=30_001, seed=3, chunk_size=7_000)
+    spec = SimulationSpec(n_samples=30_001, seed=3)
     found = montecarlo._simulate_outages(points, spec)
-    assert streams == [(30.0, 10.0, i) for i in range(5)] + [(12.0, 10.0, i) for i in range(5)]
+    assert streams == [(30.0, 10.0), (12.0, 10.0)]
     assert len(found) == len(points)
     for (point, layout), estimate in zip(points, found):
         assert estimate == simulate_outage(point, layout, spec)
@@ -256,21 +276,12 @@ def test_mixed_run_equals_pointwise_simulation(monkeypatch):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shuffled_batch_equals_pointwise_simulation(monkeypatch, seed):
     # Whatever the batch order and whatever it holds, each point is its own
-    # simulation exactly, and each room's chunks are still read once.
-    streams = []
-    chunk_users = montecarlo._chunk_users
-
-    def counting_chunk_users(spec, index, take, d_x, d_y):
-        streams.append((d_x, d_y, index))
-        return chunk_users(spec, index, take, d_x, d_y)
-
-    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
+    # simulation exactly, and each room's users are still read once.
+    streams = _count_user_streams(monkeypatch)
     points = [(config, make_layout(config, m)) for config, m in oracle.mixed_batch(seed)]
-    spec = SimulationSpec(n_samples=20_001, seed=9, chunk_size=7_000)
+    spec = SimulationSpec(n_samples=20_001, seed=9)
     found = montecarlo._simulate_outages(points, spec)
-    assert sorted(streams) == [(12.0, 6.0, i) for i in range(3)] + [
-        (30.0, 10.0, i) for i in range(3)
-    ]
+    assert sorted(streams) == [(12.0, 6.0), (30.0, 10.0)]
     monkeypatch.undo()
     assert found == [simulate_outage(config, layout, spec) for config, layout in points]
     assert any(0.0 < estimate.mean < 1.0 for estimate in found)

@@ -38,6 +38,8 @@ REMOVED = (
     "DerivedRf",
     "derive_rf",
     "_rf_values",
+    "_chunk_sizes",
+    "_chunk_users",
 )
 
 

@@ -102,19 +102,25 @@ def test_sweep_simulate_carries_stderr_column():
     tables = run_sweep(spec, SimulationSpec(n_samples=50_000, seed=5))
     assert len(tables) == 1
     assert all(len(r) == 3 for r in tables[0].rows)
-    assert any("seed = 5" in line for line in tables[0].header)
-    assert any("n_samples = 50000" in line for line in tables[0].header)
+    # The stream's identity follows the column line, chunk size included.
+    header = tables[0].header
+    after = header.index("## columns: gamma_t_db outage_estimate std_error") + 1
+    assert header[after : after + 3] == (
+        "## seed = 5",
+        "## n_samples = 50000",
+        "## chunk_size = 250000",
+    )
 
 
 def _count_user_draws(monkeypatch):
     calls = []
-    chunk_users = montecarlo._chunk_users
+    users = montecarlo._users
 
-    def counting_chunk_users(spec, index, take, d_x, d_y):
-        calls.append(take)
-        return chunk_users(spec, index, take, d_x, d_y)
+    def counting_users(spec, d_x, d_y):
+        calls.append((d_x, d_y))
+        return users(spec, d_x, d_y)
 
-    monkeypatch.setattr(montecarlo, "_chunk_users", counting_chunk_users)
+    monkeypatch.setattr(montecarlo, "_users", counting_users)
     return calls
 
 
@@ -123,10 +129,10 @@ def test_sweep_simulate_gamma_draws_users_once_per_run(monkeypatch):
     spec = _spec(
         "d_x = 30\nmetric = simulate\naxis_values = 90:110:5\nm_values = 1,20\n"
     )
-    sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
+    sim = SimulationSpec(n_samples=20_000, seed=7)
     tables = run_sweep(spec, sim)
-    # 4 chunk streams for the run, not 4 per table or per point.
-    assert calls == [6_000, 6_000, 6_000, 2_000]
+    # One stream of users for the run, not one per table or per point.
+    assert calls == [(30.0, 10.0)]
     for table, m in zip(tables, (1, 20)):
         for gamma_t_db, mean, std_error in table.rows:
             point = replace(spec.fixed_params, gamma_t_db=gamma_t_db)
@@ -140,10 +146,10 @@ def test_sweep_simulate_alpha_draws_users_once_per_run(monkeypatch):
         "d_x = 30\nmetric = simulate\nsweep_axis = alpha\n"
         "axis_values = 0.02,0.05,0.1\nm_values = 10\n"
     )
-    sim = SimulationSpec(n_samples=20_000, seed=7, chunk_size=6_000)
+    sim = SimulationSpec(n_samples=20_000, seed=7)
     (table,) = run_sweep(spec, sim)
     # One stream shared by the three alpha values, not one each.
-    assert calls == [6_000, 6_000, 6_000, 2_000]
+    assert calls == [(30.0, 10.0)]
     expected = []
     for alpha in (0.02, 0.05, 0.1):
         point = replace(spec.fixed_params, alpha=alpha)
