@@ -210,6 +210,13 @@ def ij_mpmath(x: float, delta_width: float, d_y: float) -> float:
         return float(mpmath.quad(f, [0, mpmath.mpf(d_y) / 2]))
 
 
+def middle_mean_mpmath(start_snr: float, decay: float) -> float:
+    """Mean of ln(1 + w0 e^(-decay s)) over s in [0, 1], by quadrature at 40 digits."""
+    with mpmath.workdps(40):
+        w0, rate = mpmath.mpf(start_snr), mpmath.mpf(decay)
+        return float(mpmath.quad(lambda s: mpmath.log1p(w0 * mpmath.exp(-rate * s)), [0, 1]))
+
+
 def ti2_quad(z: float) -> float:
     """Inverse-tangent integral by quadrature of its defining integrand.
 

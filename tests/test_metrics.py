@@ -586,29 +586,25 @@ def test_continuous_rate_matches_oracle_without_cancellation(alpha, d_x, gamma_t
     assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
-def test_softplus_derivative_table_follows_its_recurrence():
-    q = np.polynomial.Polynomial([0.0, 1.0])
-    derivative = q
-    for coefficients in metrics._SOFTPLUS_EVEN_DERIVATIVES:
-        assert derivative.coef.tolist() == [0.0, *coefficients]
-        derivative = derivative.deriv(2) * q * q * (1.0 - 4.0 * q) + (
-            derivative.deriv() * (q - 6.0 * q * q)
-        )
+@pytest.mark.parametrize("start_snr", [1e-12, 1e-3, 1.0, 7.0, 1e3, 1e10, 1e20])
+@pytest.mark.parametrize("decay", [0.0, 1e-12, 1e-6, 1e-3, 0.1, 0.5])
+def test_middle_rule_matches_oracle(decay, start_snr):
+    # Every decay up to the switch, where _middle_integral takes the rule.
+    value = float(metrics._middle_rule(np.array([start_snr]), np.array([decay]))[0])
+    ref = oracle.middle_mean_mpmath(start_snr, decay)
+    assert value == pytest.approx(ref, rel=2e-15, abs=0.0)
+    if decay == 0.0:
+        assert value == pytest.approx(math.log1p(start_snr), rel=2e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("start_snr", [1e-12, 1e-3, 1.0, 7.0, 1e3, 1e10, 1e20])
 def test_middle_piece_branches_meet_at_the_switch(start_snr):
     # The mean of ln(1 + w0 e^(-alpha L s)) over s in [0, 1], from the
-    # midpoint series and from the dilogarithm difference, where
+    # Gauss-Legendre rule and from the dilogarithm difference, where
     # _middle_integral switches from one to the other.
-    import mpmath
-
-    decay = metrics._MIDDLE_SERIES_SPAN
-    with mpmath.workdps(30):
-        ref = float(
-            mpmath.quad(lambda s: mpmath.log1p(start_snr * mpmath.exp(-decay * s)), [0, 1])
-        )
-    for branch in (metrics._middle_series, metrics._middle_dilog):
+    decay = metrics._MIDDLE_RULE_SPAN
+    ref = oracle.middle_mean_mpmath(start_snr, decay)
+    for branch in (metrics._middle_rule, metrics._middle_dilog):
         value = float(branch(np.array([start_snr]), np.array([decay]))[0])
         assert value == pytest.approx(ref, rel=1e-14, abs=0.0), branch.__name__
 

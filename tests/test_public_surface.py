@@ -40,6 +40,8 @@ REMOVED = (
     "_rf_values",
     "_chunk_sizes",
     "_chunk_users",
+    "_SOFTPLUS_EVEN_DERIVATIVES",
+    "_middle_series",
 )
 
 
