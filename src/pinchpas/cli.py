@@ -185,20 +185,22 @@ def _selftest() -> int:
         f"{differ} of 12 arrays differ",
     )
 
-    # The simulator's candidate window holds every user's best antenna.
+    # The simulator's best gains, by antenna rows (m = 10) and by the
+    # candidate window (m = 100), hold every user's best antenna.
     users = np.random.default_rng(2000)
     differ = 0
-    for alpha in (0.05, 0.4):
-        room = SystemConfig(d_x=30.0, alpha=alpha)
-        grid = make_layout(room, 100)
-        x = users.uniform(0.0, room.d_x, 2000)
-        y = users.uniform(-room.d_y / 2.0, room.d_y / 2.0, 2000)
-        full = snr_matrix(room, grid, x, y).max(axis=0)
-        differ += int(np.count_nonzero(best_snr(room, grid, x, y) != full))
+    for m in (10, 100):
+        for alpha in (0.05, 0.4):
+            room = SystemConfig(d_x=30.0, alpha=alpha)
+            grid = make_layout(room, m)
+            x = users.uniform(0.0, room.d_x, 2000)
+            y = users.uniform(-room.d_y / 2.0, room.d_y / 2.0, 2000)
+            full = snr_matrix(room, grid, x, y).max(axis=0)
+            differ += int(np.count_nonzero(best_snr(room, grid, x, y) != full))
     all_ok &= _check(
         "best-antenna window matches full max",
         differ == 0,
-        f"{differ} of 4000 users differ",
+        f"{differ} of 8000 users differ",
     )
 
     # Outage, rate and pde sweeps along m, one batch each, keep each

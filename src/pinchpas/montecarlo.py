@@ -4,16 +4,18 @@ Users are drawn uniformly over the service rectangle, the serving antenna
 is the one with the highest instantaneous SNR, and sample means with
 standard errors are accumulated block by block, so a run of a billion
 samples needs only memory for `_BLOCK_USERS` users. Each user's
-best SNR comes from `system.best_snr`, big_c times the best gain, which
-past a dozen antennas is evaluated on three candidate antennas per user
-that provably hold the best, so the cost per sample does not grow with
-the antenna count. Users depend only on the room (d_x, d_y), so a batch
-of outage points reads the run's users once per room for all its points
-(every antenna count, and every value of an axis such as alpha or h), and
-the points that differ only in transmit SNR compute their best gains once
-and each count their own users exactly. Streams are counter-based and cut
-into chunks of `_CHUNK_USERS` users: a given (seed, n_samples) pair
-reproduces the same users regardless of platform.
+best SNR comes from `system.best_snr`, big_c times the best gain, and no
+(m, n) matrix holds it: up to ten antennas a running maximum takes one
+antenna row at a time, and beyond that three candidate antennas per user
+provably hold the best, so the cost per sample does not grow with the
+antenna count. Users depend only on the room (d_x, d_y), so a batch of
+outage points reads the run's users once per room for all its points
+(every antenna count, and every value of an axis such as alpha or h).
+The curves that share h and the layout form each antenna row's distances
+once, the points that differ only in transmit SNR compute their best
+gains once, and each point counts its own users exactly. Streams are
+counter-based and cut into chunks of `_CHUNK_USERS` users: a given
+(seed, n_samples) pair reproduces the same users regardless of platform.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .system import (
     PaLayout,
     SystemConfig,
-    _best_gain,
+    _best_gains,
     _continuous_snr,
     _unscaled,
     best_snr,
@@ -42,11 +44,17 @@ __all__ = [
 ]
 
 _MIN_SAMPLES = 1_000
-# Users drawn and evaluated at once. Small blocks keep `_best_gain`'s
-# temporaries in cache and in the allocator's free lists; in 250,000-user
-# pieces, page faults on fresh 2 MB temporaries made the best gains take
-# about 1.6x as long at m = 100.
-_BLOCK_USERS = 16384
+# Users drawn and evaluated at once. Small blocks keep the best gains'
+# (n,) temporaries in cache: in 250,000-user pieces, page faults on fresh
+# 2 MB temporaries made the best gains take about 1.6x as long at m = 100.
+# At 16,384 users each temporary is 128 KiB, exactly glibc's default mmap
+# threshold, so each was mapped afresh until a larger free raised that
+# threshold: a process running only the m = 100 benchmark op took about
+# 12,300 minor faults, and 6 after an op at m = 10, whose (10, n) matrix
+# raised it. At 8,192 users the temporaries come from the heap: about 730
+# faults alone, and about 5,100 after the m = 10 op, since glibc trims
+# the heap's top after each block.
+_BLOCK_USERS = 8192
 # Users per jump of the Philox stream. The users a seed gives depend on
 # it, so the simulate tables' header echoes it.
 _CHUNK_USERS = 250_000
@@ -142,28 +150,32 @@ def _simulate_outages(
     and only big_c depends on the transmit SNR. So the points that share
     the layout (its m and delta) and every other field (`system._unscaled`)
     are one curve: each block of users gets each curve's best gains once,
-    at its first point, and each point counts the gains at or below
+    at its first point, from one `_best_gains` call for all the curves
+    that share h and the layout, and each point counts the gains at or below
     `_gain_limit` of its threshold and its big_c: exactly the users whose
     best SNR is at or below the threshold. Users depend only on the room
     (d_x, d_y), so every curve in a room reads one stream of the run's
     users. Each estimate equals `simulate_outage` at its own point, bit
     for bit, by construction.
     """
-    rooms: dict[tuple[float, float], dict[tuple, list[int]]] = {}
+    rooms: dict[tuple[float, float], dict[tuple, dict[tuple, list[int]]]] = {}
     for i, (config, layout) in enumerate(points):
-        curves = rooms.setdefault((config.d_x, config.d_y), {})
-        curves.setdefault((_unscaled(config), layout.m, layout.delta), []).append(i)
+        rows = rooms.setdefault((config.d_x, config.d_y), {})
+        curves = rows.setdefault((config.h, layout.m, layout.delta), {})
+        curves.setdefault(_unscaled(config), []).append(i)
     limits = [
         _gain_limit(db_to_linear(config.gamma_thr_db), config.big_c)
         for config, _ in points
     ]
     hits = [0] * len(points)
-    for (d_x, d_y), curves in rooms.items():
+    for (d_x, d_y), rows in rooms.items():
         for x, y in _users(spec, d_x, d_y):
-            for members in curves.values():
-                gain = _best_gain(*points[members[0]], x, y)
-                for i in members:
-                    hits[i] += int(np.count_nonzero(gain <= limits[i]))
+            for curves in rows.values():
+                firsts = [points[members[0]] for members in curves.values()]
+                gains = _best_gains([c for c, _ in firsts], firsts[0][1], x, y)
+                for members, gain in zip(curves.values(), gains):
+                    for i in members:
+                        hits[i] += int(np.count_nonzero(gain <= limits[i]))
     return [_share(count, spec.n_samples) for count in hits]
 
 

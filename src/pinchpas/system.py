@@ -8,12 +8,15 @@ Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
 The SNR law is big_c, the one factor that depends on the transmit SNR,
 times a gain e^(-alpha x_k) / distance^2 written once, in `_gain`, and
-evaluated three ways: `snr_matrix` on every antenna (behind the scalar
-`select_pa`); `best_snr` (behind the simulator), whose `_best_gain` past a
-dozen antennas evaluates it on three candidate antennas per user that
-provably hold the best one, so its cost does not grow with the antenna
-count (the proof is in its docstring); and `_continuous_candidates`, for
-the freely placed radiator of the continuous baseline. Each multiplies by
+evaluated three ways: `snr_matrix`, the (m, n) matrix of every antenna
+(behind the scalar `select_pa`); `best_snr` (behind the simulator), whose
+`_best_gains` builds no such matrix: up to ten antennas it keeps a running
+maximum over one antenna row at a time, sharing each row's distances
+between the curves that differ only in alpha, and beyond that it evaluates
+three candidate antennas per user that provably hold the best one, so its
+cost does not grow with the antenna count (the proof is in
+`_window_gain`'s docstring); and `_continuous_candidates`, for the freely
+placed radiator of the continuous baseline. Each multiplies by
 big_c last; rounding is monotone, so the best SNR is big_c times the best
 gain, bit for bit.
 
@@ -236,11 +239,19 @@ def _gain(
     user, shape (n,) or scalar; each entry takes the same operations in the
     same order either way.
     """
-    denom = x - positions
-    denom *= denom
-    denom += y_sq
-    denom += config.h * config.h
+    denom = _dist_sq(config.h, positions, x, y_sq)
     return np.divide(attenuation, denom, out=denom)
+
+
+def _dist_sq(
+    h: float, positions, x: np.ndarray, y_sq: np.ndarray, out=None
+) -> np.ndarray:
+    """`_gain`'s denominator (x - x_k)^2 + y^2 + h^2, into `out` if given."""
+    dist_sq = np.subtract(x, positions, out=out)
+    dist_sq *= dist_sq
+    dist_sq += y_sq
+    dist_sq += h * h
+    return dist_sq
 
 
 def _gain_matrix(
@@ -355,12 +366,18 @@ def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:
     return index
 
 
-# Up to this many antennas the full matrix is cheaper than the window,
-# whose index work costs about a dozen full rows. In a fresh process on a
-# 2-vCPU x86-64 host (numpy 2.4), 3e6 users took about 0.25 s through the
-# window at any m, and 0.14 / 0.21 / 0.31 s through the full matrix at
-# m = 1 / 10 / 20.
-_FULL_MATRIX_MAX_M = 12
+# Up to this many antennas a user's best gain streams one antenna row at
+# a time; beyond it the three-candidate window is cheaper. Rows cost about
+# six passes over the users per antenna, the window's index work about as
+# much as nine or ten rows. In fresh processes on a 2-vCPU x86-64 host
+# (numpy 2.4), 3e6 users in blocks of 8,192 took 0.07-0.12 s through the
+# window at any m (the host's speed drifts between processes). As a share
+# of the window's time in the same process, the rows took 0.12 / 0.5 /
+# 0.8 at m = 1 / 5 / 8, 0.94-1.11 at m = 10, 1.13-1.27 at m = 11-12 and
+# about 2 at m = 20. Curves that share the rows (an alpha axis) each pay
+# only two of the six passes: three of them took 0.34-0.40 of the
+# window's time at m = 10 and 0.9-1.0 at m = 16.
+_ROW_MAX_M = 10
 
 
 def best_snr(
@@ -380,8 +397,51 @@ def _best_gain(
 ) -> np.ndarray:
     """`_gain_matrix(...).max(axis=0)`: each user's best gain, shape (n,).
 
-    Past a dozen antennas it is evaluated on a window of three candidate
-    antennas per user: antenna 1 and the two antennas that bracket x - t1.
+    The one-config case of `_best_gains`, which builds no (m, n) matrix.
+    """
+    (best,) = _best_gains([config], layout, x, y)
+    return best
+
+
+def _best_gains(
+    configs: list[SystemConfig], layout: PaLayout, x: np.ndarray, y: np.ndarray
+):
+    """Yield `_best_gain` of each config in turn; the configs share h.
+
+    Up to `_ROW_MAX_M` antennas the gains stream one antenna row at a time
+    through (n,) buffers: each row's (x - x_k)^2 + y^2 + h^2 is formed once
+    for all configs, each config divides it by its own e^(-alpha x_k), and
+    a running maximum keeps each config's best. Every value takes `_gain`'s
+    operations in the same order and the maximum is exact, so the result is
+    the matrix maximum bit for bit.
+
+    Beyond `_ROW_MAX_M` each config takes `_window_gain`, computed only
+    when it is asked for.
+    """
+    if layout.m > _ROW_MAX_M:
+        for config in configs:
+            yield _window_gain(config, layout, x, y)
+        return
+    h = configs[0].h
+    positions = layout.x_k
+    attenuations = [np.exp(-config.alpha * positions) for config in configs]
+    y_sq = y**2
+    row = _dist_sq(h, positions[0], x, y_sq)
+    best = [np.divide(attenuation[0], row) for attenuation in attenuations]
+    gain = np.empty_like(row)
+    for k in range(1, layout.m):
+        _dist_sq(h, positions[k], x, y_sq, out=row)
+        for top, attenuation in zip(best, attenuations):
+            np.maximum(top, np.divide(attenuation[k], row, out=gain), out=top)
+    yield from best
+
+
+def _window_gain(
+    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """`_best_gain` over three candidate antennas per user, for any m.
+
+    The candidates are antenna 1 and the two antennas that bracket x - t1.
     Antenna k's gain at (x, y) is e^(-alpha t) / ((x - t)^2 + r^2) with
     t = x_k and r^2 = y^2 + h^2. Put u = x - t:
 
@@ -400,15 +460,6 @@ def _best_gain(
     centimetre room: there two antennas can tie to within rounding, and
     the window may keep the one that rounds one ulp lower.
     """
-    if layout.m <= _FULL_MATRIX_MAX_M:
-        return _gain_matrix(config, layout, x, y).max(axis=0)
-    return _window_gain(config, layout, x, y)
-
-
-def _window_gain(
-    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """`_best_gain` over its three candidate antennas per user, for any m."""
     positions = layout.x_k
     attenuation = np.exp(-config.alpha * positions)
     y_sq = y**2

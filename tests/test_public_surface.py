@@ -42,6 +42,7 @@ REMOVED = (
     "_chunk_users",
     "_SOFTPLUS_EVEN_DERIVATIVES",
     "_middle_series",
+    "_FULL_MATRIX_MAX_M",
 )
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,17 @@ from pinchpas import (
     select_pa,
     snr_matrix,
 )
+from pinchpas.montecarlo import _BLOCK_USERS
 from pinchpas.sweep import _echo_lines
-from pinchpas.system import SPEED_OF_LIGHT, _unscaled, _window_gain
+from pinchpas.system import (
+    _ROW_MAX_M,
+    SPEED_OF_LIGHT,
+    _best_gain,
+    _best_gains,
+    _gain_matrix,
+    _unscaled,
+    _window_gain,
+)
 
 
 def test_db_round_trip():
@@ -215,14 +225,60 @@ def test_best_snr_equals_full_max_on_grid(alpha, d_x, m):
 
 @pytest.mark.parametrize("m", [10, 100])
 def test_best_snr_spans_several_user_blocks(m):
-    # 40,000 users: two whole blocks of 16,384 and a partial one.
+    # As many users as two whole simulator blocks and part of a third.
+    n = 2 * _BLOCK_USERS + 7_000
     cfg = SystemConfig(d_x=30.0)
     lay = make_layout(cfg, m)
     rng = np.random.default_rng(40)
-    x = rng.uniform(0.0, cfg.d_x, 40_000)
-    y = rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0, 40_000)
+    x = rng.uniform(0.0, cfg.d_x, n)
+    y = rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0, n)
     full = snr_matrix(cfg, lay, x, y).max(axis=0)
     assert np.array_equal(best_snr(cfg, lay, x, y), full)
+
+
+@pytest.mark.parametrize("m", [1, 2, _ROW_MAX_M, _ROW_MAX_M + 1, 40])
+def test_best_gains_of_alpha_curves_equal_each_matrix_max(m):
+    # Curves that differ only in alpha share each row's distances; each
+    # still gets its own matrix maximum, bit for bit, in order.
+    base = SystemConfig(d_x=30.0, h=1.5, gamma_t_db=97.0)
+    configs = [dataclasses.replace(base, alpha=alpha) for alpha in (0.0, 0.05, 0.02, 0.4)]
+    lay = make_layout(base, m)
+    rng = np.random.default_rng(m)
+    x = np.concatenate((np.asarray(lay.x_k), rng.uniform(0.0, base.d_x, 3_000)))
+    y = rng.uniform(-base.d_y / 2.0, base.d_y / 2.0, x.size)
+    gains = list(_best_gains(configs, lay, x, y))
+    assert len(gains) == len(configs)
+    for config, gain in zip(configs, gains):
+        assert np.array_equal(gain, _gain_matrix(config, lay, x, y).max(axis=0))
+
+
+def _peak_arrays(config, m, x, y):
+    """The traced peak of `_best_gain`, in whole float arrays of the users.
+
+    What is left over is small Python objects, far below one array.
+    """
+    layout = make_layout(config, m)
+    layout.x_k  # cached before tracing
+    tracemalloc.start()
+    try:
+        _best_gain(config, layout, x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / x.nbytes)
+
+
+def test_best_gain_peak_memory_is_at_most_the_windows():
+    # No (m, n) matrix: up to the cutoff a few (n,) buffers, no more than
+    # the three-candidate window takes past it, at any m.
+    cfg = SystemConfig(d_x=30.0)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(0.0, cfg.d_x, _BLOCK_USERS)
+    y = rng.uniform(-cfg.d_y / 2.0, cfg.d_y / 2.0, _BLOCK_USERS)
+    window = _peak_arrays(cfg, 13, x, y)
+    assert window >= 4  # the tracing sees numpy's buffers
+    for m in (1, 10, 12):
+        assert _peak_arrays(cfg, m, x, y) <= window, m
 
 
 @settings(max_examples=200, deadline=None)
