@@ -5,15 +5,16 @@ simulate) plus a selftest that exercises the numerical core against
 internal oracles, and four options. The sweep commands need --config;
 selftest takes no options. The command overrides any metric named in the
 config file; everything else comes from the file, with --seed and
---samples steering the simulation stream. Exit codes: 0 success, 1 usage
-or configuration error, 2 a numerical flag or a failed self-check at some
-point (every table is still written, without the failed rows).
+--samples steering the simulation stream. Every diagnostic is one
+'pinchpas: ...' line on stderr, a left-out row's message included. Exit
+codes: 0 success, 1 usage or configuration error, 2 a numerical flag or a
+failed self-check at some point (every table is still written, without the
+failed rows).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 from dataclasses import replace
@@ -289,7 +290,6 @@ def _selftest() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         options = vars(parser.parse_args(argv))
@@ -330,7 +330,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"pinchpas: {exc}", file=sys.stderr)
         return 1
-    status = 0
     flagged: set[str] = set()
     for table in tables:
         path = out_dir / f"{table.name}.dat"
@@ -339,8 +338,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"pinchpas: cannot write {path}: {exc}", file=sys.stderr)
             return 1
-        if not table.rows:
-            status = max(status, 1)
+        for message in table.left_out:
+            print(f"pinchpas: {message}", file=sys.stderr)
         flagged.update(table.flags)
         print(f"wrote {path} ({len(table.rows)} rows)")
     if flagged:
@@ -349,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ round trip.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -33,8 +32,6 @@ from .system import PaLayout, SystemConfig, make_layout
 
 __all__ = ["OutputTable", "run_sweep", "emit_table", "header_config_text"]
 
-logger = logging.getLogger(__name__)
-
 _ROW_FORMAT = "%.12g"
 # Table flag for a point dropped because a numerical self-check failed.
 _DIAGNOSTIC_FLAG = "numerical_diagnostic"
@@ -42,12 +39,16 @@ _DIAGNOSTIC_FLAG = "numerical_diagnostic"
 
 @dataclass(frozen=True)
 class OutputTable:
-    """Numeric rows plus the self-describing header they are emitted under."""
+    """Numeric rows plus the self-describing header they are emitted under.
+
+    `left_out` has one message per row dropped for a failed self-check.
+    """
 
     name: str
     header: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     flags: tuple[str, ...] = ()
+    left_out: tuple[str, ...] = ()
 
     def __post_init__(self):
         for line in self.header:
@@ -143,9 +144,9 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     and the tables are cut from its results; repeated runs are
     byte-identical. Numerical flags raised at any point (for example the attenuation
     underflow clamp) are collected onto the affected table for the caller
-    to surface. A point whose numerical self-check fails is logged and
-    left out of its table, which then carries the flag
-    "numerical_diagnostic".
+    to surface. A point whose numerical self-check fails is left out of
+    its table, which then carries the flag "numerical_diagnostic" and the
+    point's message in `left_out`.
     """
     config = spec.fixed_params
     sim = sim if sim is not None else SimulationSpec()
@@ -196,15 +197,15 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     count = len(spec.axis_values)
     for i, m in enumerate(table_ms):
         rows = []
+        left_out = []
         flags: set[str] = set()
         table = slice(i * count, (i + 1) * count)
         for value, (_, point_m), result in zip(
             spec.axis_values, points[table], results[table]
         ):
             if isinstance(result, NumericalDiagnosticError):
-                logger.warning(
-                    "%s = %r, m = %d: row left out: %s",
-                    spec.sweep_axis, value, point_m, result,
+                left_out.append(
+                    f"{spec.sweep_axis} = {value!r}, m = {point_m}: row left out: {result}"
                 )
                 flags.add(_DIAGNOSTIC_FLAG)
                 continue
@@ -224,6 +225,7 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
                 header=header,
                 rows=tuple(rows),
                 flags=tuple(sorted(flags)),
+                left_out=tuple(left_out),
             )
         )
     return tables
@@ -231,8 +233,6 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
 
 def emit_table(table: OutputTable, path: str | os.PathLike) -> None:
     """Write a table as deterministic text: 12 significant digits, LF endings."""
-    if not table.rows:
-        logger.warning("table %s has no rows; writing header only to %s", table.name, path)
     lines = list(table.header)
     for row in table.rows:
         lines.append(" ".join(_ROW_FORMAT % value for value in row))

@@ -43,6 +43,7 @@ REMOVED = (
     "_SOFTPLUS_EVEN_DERIVATIVES",
     "_middle_series",
     "_FULL_MATRIX_MAX_M",
+    "logger",
 )
 
 

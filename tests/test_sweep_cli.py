@@ -348,11 +348,10 @@ def test_emit_table_format(tmp_path):
     assert text == "## pinchpas test\n# d_x = 10.0\n90 0.123456789012\n92 1e-09\n"
 
 
-def test_emit_table_warns_on_empty(tmp_path, caplog):
-    table = OutputTable(name="empty", header=("# d_x = 1.0",), rows=())
-    with caplog.at_level(logging.WARNING):
-        emit_table(table, tmp_path / "empty.dat")
-    assert any("no rows" in rec.message for rec in caplog.records)
+def test_emit_table_writes_header_only_when_empty(tmp_path):
+    table = OutputTable(name="empty", header=("## pinchpas test", "# d_x = 1.0"), rows=())
+    emit_table(table, tmp_path / "empty.dat")
+    assert (tmp_path / "empty.dat").read_bytes() == b"## pinchpas test\n# d_x = 1.0\n"
 
 
 def test_header_round_trip(tmp_path):
@@ -689,24 +688,37 @@ def _data_rows(path):
     return [[float(v) for v in line.split()] for line in lines if not line.startswith("#")]
 
 
-def test_cli_failed_self_check_costs_one_row(tmp_path, capsys, caplog):
+_OVERFLOWING_PDE = "d_x = 30\nh = 1.5e-154\nsweep_axis = gamma_t_db\nm_values = 1\n"
+_OVERFLOW_LEFT_OUT = "gamma_t_db = 70.0, m = 1: row left out: continuous rate not computed"
+
+
+def test_cli_failed_self_check_costs_one_row(tmp_path, capsys):
     # At 70 dB the baseline's peak SNR big_c / h^2 overflows and pde fails
     # its self-check; the 60 dB row must still be written.
-    cfg = _write_cfg(
-        tmp_path,
-        "d_x = 30\nh = 1.5e-154\nsweep_axis = gamma_t_db\naxis_values = 60,70\n"
-        "m_values = 1\n",
-    )
+    text = _OVERFLOWING_PDE + "axis_values = 60,70\n"
+    (table,) = run_sweep(_spec(text + "metric = pde\n"))
+    assert len(table.left_out) == 1 and _OVERFLOW_LEFT_OUT in table.left_out[0]
+    out = tmp_path / "o"
+    assert main(["pde", "--config", _write_cfg(tmp_path, text), "--out-dir", str(out)]) == 2
+    assert _data_rows(out / "pde_m1.dat") == [[60.0, 0.0621257235571]]
+    err = capsys.readouterr().err
+    assert f"pinchpas: {_OVERFLOW_LEFT_OUT}" in err
+    assert "numerical flags raised: numerical_diagnostic" in err
+
+
+def test_cli_every_row_left_out_writes_header_only(tmp_path, capsys):
+    # The only point fails its self-check: the table is its header alone.
+    cfg = _write_cfg(tmp_path, _OVERFLOWING_PDE + "axis_values = 70\n")
     out = tmp_path / "o"
     assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
-    assert _data_rows(out / "pde_m1.dat") == [[60.0, 0.0621257235571]]
-    assert (
-        "gamma_t_db = 70.0, m = 1: row left out: continuous rate not computed" in caplog.text
-    )
-    assert "numerical flags raised: numerical_diagnostic" in capsys.readouterr().err
+    lines = (out / "pde_m1.dat").read_text(encoding="utf-8").splitlines()
+    assert lines and all(line.startswith("#") for line in lines)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0].startswith(f"pinchpas: {_OVERFLOW_LEFT_OUT}")
+    assert err[1] == "pinchpas: numerical flags raised: numerical_diagnostic"
 
 
-def test_cli_unsettled_baseline_point_costs_one_row(tmp_path, monkeypatch, caplog):
+def test_cli_unsettled_baseline_point_costs_one_row(tmp_path, monkeypatch, capsys):
     # One gamma_t point's base-order baseline is pushed 1e-5 off its refined
     # value, past the self-check's 1e-6, so exactly that point is unsettled;
     # every other row is still written.
@@ -723,20 +735,21 @@ def test_cli_unsettled_baseline_point_costs_one_row(tmp_path, monkeypatch, caplo
         return rates
 
     monkeypatch.setattr(metrics, "_continuous_rates", perturbed_rates)
-    cfg = _write_cfg(
-        tmp_path,
-        "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90:110:5\nm_values = 1,2\n",
-    )
+    text = "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90:110:5\nm_values = 1,2\n"
+    tables = run_sweep(_spec(text + "metric = pde\n"))
     out = tmp_path / "o"
-    assert main(["pde", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert main(["pde", "--config", _write_cfg(tmp_path, text), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
     settled = [g for i, g in enumerate(gammas) if i != worst]
-    for m in (1, 2):
+    for i, m in enumerate((1, 2)):
         assert [row[0] for row in _data_rows(out / f"pde_m{m}.dat")] == settled
-        assert (
+        message = (
             f"gamma_t_db = {gammas[worst]!r}, m = {m}: row left out: "
             "continuous-rate quadrature did not settle"
-        ) in caplog.text
-    assert caplog.text.count("row left out") == 2
+        )
+        assert len(tables[i].left_out) == 1 and message in tables[i].left_out[0]
+        assert f"pinchpas: {message}" in err
+    assert err.count("row left out") == 2
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -828,8 +841,8 @@ def test_cli_seed_past_the_philox_key_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def _fresh_run_imports(tmp_path, command, module):
-    """A closed-form run's exit code in a fresh interpreter, and whether it imported module."""
+def _fresh_run_imports(tmp_path, command, *modules):
+    """A run's exit code in a fresh interpreter, then whether it imported each module."""
     cfg = _write_cfg(
         tmp_path, "d_x = 10\nsweep_axis = gamma_t_db\naxis_values = 90,100\nm_values = 1,2\n"
     )
@@ -837,25 +850,48 @@ def _fresh_run_imports(tmp_path, command, module):
         "import sys\n"
         "from pinchpas.cli import main\n"
         f"code = main([{command!r}, '--config', {cfg!r}, '--out-dir', {str(tmp_path / 'o')!r}])\n"
-        f"print(code, {module!r} in sys.modules)\n"
+        f"print(code, *(name in sys.modules for name in {modules!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-2:]
+    return done.stdout.split()[-1 - len(modules):]
+
+
+@pytest.mark.parametrize("command", ["outage", "pde", "simulate"])
+def test_cli_run_never_imports_logging(tmp_path, command):
+    # Every diagnostic is printed; importing logging adds about 0.4 MB to a run's peak memory.
+    assert _fresh_run_imports(tmp_path, command, "logging") == ["0", "False"]
 
 
 def test_cli_closed_form_run_never_imports_numpy_polynomial(tmp_path):
     # A fresh interpreter: this one imported numpy.polynomial for the oracles.
-    assert _fresh_run_imports(tmp_path, "pde", "numpy.polynomial") == ["0", "False"]
+    imported = _fresh_run_imports(tmp_path, "rate", "numpy.polynomial", "numpy.random")
+    assert imported == ["0", "False", "False"]
 
 
 @pytest.mark.parametrize("command", ["outage", "pde"])
 def test_cli_closed_form_run_never_imports_numpy_random(tmp_path, command):
     # Importing numpy.random adds about 5.5 MB to a closed-form run's peak resident memory.
-    assert _fresh_run_imports(tmp_path, command, "numpy.random") == ["0", "False"]
+    imported = _fresh_run_imports(tmp_path, command, "numpy.random", "numpy.polynomial")
+    assert imported == ["0", "False", "False"]
+
+
+def test_cli_leaves_the_root_logger_alone(tmp_path):
+    # A bare root logger, as in a fresh interpreter, where logging.basicConfig
+    # would give it a handler and a level.
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        cfg = _write_cfg(tmp_path, "d_x = 10\nm_values = 1\n")
+        assert main(["outage", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert (root.handlers, root.level) == ([], level)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
 
 
 @pytest.mark.parametrize(
