@@ -152,8 +152,9 @@ def _parse_numbers(key: str, value: str, lineno: int) -> tuple[float, ...]:
         raise ConfigError(
             f"line {lineno}: range count must be an integer, got {parts[2]!r}"
         ) from None
-    if count < 1:
-        raise ConfigError(f"line {lineno}: range count must be >= 1, got {count}")
+    if not 1 <= count <= _MAX_ANTENNAS:  # before a value is formed: 10**9 would be 32 GB
+        bound = ">= 1" if count < 1 else f"at most {_MAX_ANTENNAS}"
+        raise ConfigError(f"line {lineno}: range count must be {bound}, got {count}")
     if count == 1:
         return (lo,)
     step = (hi - lo) / (count - 1)

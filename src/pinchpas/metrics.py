@@ -13,7 +13,7 @@ functions are their one-point cases. Outage and rate share one assembly,
 arrays once, with no numpy call per point, feeds them to the kernels in
 fixed slices, and sums each point's terms left to right, so a batched
 outage or rate is bit for bit its point's own. `c_l` and the continuous
-baseline share one y rule over closed-form rows (`_rule_pieces`, `_outer_rule`).
+baseline share one y rule over closed-form rows, `_y_rule`.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import _float_or_array, _piecewise, gauss_legendre, leggauss_cached
+from .numerics import _float_or_array, _piecewise, gauss_legendre
 from .regions import RegionPartition
 from .specfun import _dilog, ti2
 from .system import (
@@ -329,9 +329,7 @@ def _rule_rates(w, c_0k, h_sq, d_y) -> np.ndarray:
     u_end = np.arcsinh(0.5 * d_y / h)
     breaks = np.arcsinh(np.column_stack((w, np.sqrt(c_0k))) / h[:, None])
     edges = np.column_stack((np.zeros(h.size), np.minimum(breaks, u_end[:, None]), u_end))
-    lo, hi, owner = _rule_pieces(np.sort(edges, axis=1))
-    dist_sq, weights = _outer_rule(h[owner], lo, hi, _RATE_QUAD_ORDER)
-    at = np.repeat(owner, _RATE_QUAD_ORDER)
+    dist_sq, weights, at = _y_rule(h, np.sort(edges, axis=1), _RATE_QUAD_ORDER)
     means = _feed_integral(w[at], dist_sq, np.sqrt(dist_sq), c_0k[at]) / w[at]
     return 2.0 * np.bincount(at, means * weights, h.size) / (d_y * math.log(2.0))
 
@@ -591,11 +589,14 @@ def _outer_edges(config: SystemConfig, big_c: Sequence[float]) -> np.ndarray:
     return np.array(sorted({0.0, *(u for u in kinks if 0.0 < u < u_end), u_end}))
 
 
-def _rule_pieces(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pieces (lo, hi) in u of y rules, one per row of ascending `edges`, and their rows.
+def _y_rule(h, edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Squared row distances d^2 = y^2 + h^2, weights and rows of y rules, node by node.
 
-    Each gap is cut as np.linspace(lo, hi, n, endpoint=False) cuts it, into
-    n equal pieces no wider than _RATE_PIECE_WIDTH; a gap of 0 gives none.
+    One rule per row of ascending `edges` in u = asinh(y / h), h one height or
+    one per row. Each gap is cut as np.linspace(lo, hi, n, endpoint=False) cuts
+    it, into n equal pieces no wider than _RATE_PIECE_WIDTH (a gap of 0 gives
+    none), and each piece takes `order` Gauss-Legendre nodes, dy = h cosh(u) du:
+    this resolves the 1/(y^2 + h^2) peak, in a 10 m room to h = 1.5e-154.
     """
     parts = np.ceil(np.diff(edges, axis=1).ravel() / _RATE_PIECE_WIDTH).astype(int)
     start, stop, n = (np.repeat(v, parts) for v in (edges[:, :-1], edges[:, 1:], parts))
@@ -603,21 +604,9 @@ def _rule_pieces(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     index = np.arange(n.size) - np.repeat(np.cumsum(parts) - parts, parts)
     hi = np.where(index + 1 < n, (index + 1) * step + start, stop)
     owner = np.repeat(np.arange(parts.size) // (edges.shape[1] - 1), parts)
-    return index * step + start, hi, owner
-
-
-def _outer_rule(h, lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared row distances d^2 = y^2 + h^2 and weights of a y rule, node by node.
-
-    `order` Gauss-Legendre nodes on each piece [lo, hi] in u = asinh(y / h), dy =
-    h cosh(u) du, h one height or one per piece: this resolves the 1/(y^2 + h^2)
-    peak, in a 10 m room to h = 1.5e-154 with pieces no wider than _RATE_PIECE_WIDTH.
-    """
-    nodes, weights = leggauss_cached(order)
-    mid = 0.5 * (hi + lo)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    dist = (np.asarray(h)[..., None] * np.cosh(mid + half * nodes)).ravel()
-    return dist * dist, (half * weights).ravel() * dist
+    u, weights = gauss_legendre(order, index * step + start, hi)
+    dist = (np.broadcast_to(h, len(edges))[owner, None] * np.cosh(u)).ravel()
+    return dist * dist, weights.ravel() * dist, np.repeat(owner, order)
 
 
 def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, float]]:
@@ -626,7 +615,7 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
     The rate is the mean over the room of log2(1 + SNR) of a radiator
     placed optimally for each user: the integral over half the room width
     (it is even in y) of closed-form rows (`_row_integrals`). The y rule
-    (`_outer_rule`) has _RATE_QUAD_ORDER nodes per piece at the base order
+    (`_y_rule`) has _RATE_QUAD_ORDER nodes per piece at the base order
     and twice as many refined, for `_settled_rate` to compare. Transmit
     SNR only scales big_c, so the configs that differ only in gamma_t_db
     are one curve (`system._unscaled`): both rules' rows are laid out, and
@@ -650,9 +639,9 @@ def _continuous_rates(configs: Sequence[SystemConfig]) -> list[tuple[float, floa
             continue
         members = [i for i in members if configs[i].big_c / config.h / config.h < math.inf]
         big_c = np.array([configs[i].big_c for i in members])
-        lo, hi, _ = _rule_pieces(_outer_edges(config, big_c)[None, :])
-        base_sq, base_weights = _outer_rule(config.h, lo, hi, _RATE_QUAD_ORDER)
-        refined_sq, refined_weights = _outer_rule(config.h, lo, hi, 2 * _RATE_QUAD_ORDER)
+        edges = _outer_edges(config, big_c)[None, :]
+        base_sq, base_weights, _ = _y_rule(config.h, edges, _RATE_QUAD_ORDER)
+        refined_sq, refined_weights, _ = _y_rule(config.h, edges, 2 * _RATE_QUAD_ORDER)
         rows = _row_integrals(config, np.concatenate((base_sq, refined_sq)), big_c[:, None])
         norm = 2.0 / (config.d_x * config.d_y * math.log(2.0))
         split = base_sq.size

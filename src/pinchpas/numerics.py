@@ -78,12 +78,16 @@ def leggauss_cached(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(nodes), _read_only(weights)
 
 
-def gauss_legendre(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b]."""
+def gauss_legendre(n: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [a, b], rule axis last.
+
+    a and b may be arrays of interval ends, each row bit for bit its own call's:
+    `metrics._y_rule` and `regions._optimize_partitions` lay all their rules at once.
+    """
     nodes, weights = leggauss_cached(n)
-    mid = 0.5 * (a + b)
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
     half = 0.5 * (b - a)
-    return mid + half * nodes, half * weights
+    return 0.5 * (a + b) + half * nodes, half * weights
 
 
 def _golden_search(a: float, b: float, tol: float):

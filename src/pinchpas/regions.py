@@ -69,19 +69,21 @@ class RegionPartition:
         return _read_only(np.hstack((inner, self.d_x - self.layout.x_k[-1])))
 
 
-def _boundary_offset(config: SystemConfig, delta: float, y):
+def _boundary_offset(alpha, h, delta, y):
     """Offset from x_k of the equal-SNR crossing of antennas k and k+1 in row y.
 
-    The same for every k of a grid with spacing delta. It is inf where the
-    equal-SNR circle misses row y: antenna k wins the whole row there. y
-    may be an array of rows; a float y gives a Python float.
+    The same for every k of a grid with attenuation alpha, height h and
+    spacing delta. It is inf where the equal-SNR circle misses row y: antenna
+    k wins the whole row there. Arrays of grids broadcast against y, so
+    `_optimize_partitions` samples all its columns in one call; floats give a float.
     """
-    dist_sq = y * y + config.h * config.h
+    dist_sq = y * y + np.multiply(h, h)
     # In q = e^(-alpha delta) and w = 1 - q, not e^(alpha delta), which
     # overflows once alpha * delta passes about 709; q only underflows
-    # towards 0, where no circle is left. math: np.exp may differ by an ulp.
-    q = math.exp(-config.alpha * delta)
-    w = -math.expm1(-config.alpha * delta)
+    # towards 0, where no circle is left. math, grid by grid: np.exp may
+    # differ by an ulp, and one sample's ulp can flip a search's comparison.
+    exponent = -np.multiply(alpha, delta)
+    q, w = np.vectorize(lambda e: (math.exp(e), -math.expm1(e)), otypes=[float, float])(exponent)
     disc = q * delta * delta - w * w * dist_sq
     # Equivalent to |y| >= circle radius; the root is not taken there.
     misses = disc <= 0.0
@@ -97,19 +99,18 @@ def _optimize_partitions(pairs: list[tuple[SystemConfig, PaLayout]]) -> list[Reg
     The partition depends only on (d_x, d_y, h, alpha) and the layout,
     which m and delta fix, so pairs that share them share one partition.
     Each distinct searched pair is one column of the mismatch samples and
-    weights and one bracket of `golden_section`: its offset is bit for bit
+    weights, all laid by one `gauss_legendre` and one `_boundary_offset`
+    call, and one bracket of `golden_section`: its offset is bit for bit
     its own search's.
     """
     keys = [(c.d_x, c.d_y, c.h, c.alpha, lay.m, lay.delta) for c, lay in pairs]
     distinct = dict(zip(keys, pairs))
     unique = list(distinct.values())
     searched = [i for i, (c, lay) in enumerate(unique) if lay.m > 1 and c.alpha != 0.0]
-    samples, weights = np.empty((2, _MISMATCH_QUAD_POINTS, len(searched)))
-    for column, (config, layout) in enumerate(unique[i] for i in searched):
-        half = config.d_y / 2.0
-        y_nodes, weights[:, column] = gauss_legendre(_MISMATCH_QUAD_POINTS, -half, half)
-        samples[:, column] = _boundary_offset(config, layout.delta, y_nodes)
-    deltas = np.array([unique[i][1].delta for i in searched])
+    columns = [(c.d_y / 2.0, c.alpha, c.h, lay.delta) for c, lay in (unique[i] for i in searched)]
+    half, alphas, heights, deltas = np.array(columns).reshape(-1, 4).T
+    y_nodes, weights = (rule.T for rule in gauss_legendre(_MISMATCH_QUAD_POINTS, -half, half))
+    samples = _boundary_offset(alphas, heights, deltas, y_nodes)
     samples = np.where(np.isinf(samples), deltas, samples)
 
     def mismatch(b: np.ndarray) -> np.ndarray:

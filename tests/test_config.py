@@ -64,6 +64,13 @@ def test_m_values_accept_list_and_range():
         parse_config_text("d_x = 10\nm_values = 1:2:4\n")  # non-integer steps
 
 
+def test_range_count_is_bounded_before_values_are_formed():
+    # The cap is the antenna cap; a larger count would form every value first.
+    message = r"line 2: range count must be at most 1000000, got 1000001"
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text("d_x = 10\naxis_values = 90:110:1000001\n")
+
+
 def test_duplicate_key_reports_both_lines():
     with pytest.raises(ConfigError) as err:
         parse_config_text("d_x = 10\nalpha = 0.01\nalpha = 0.05\n")

@@ -29,6 +29,7 @@ from pinchpas import (
     simulate_outage,
 )
 from pinchpas import SimulationSpec, metrics
+from pinchpas.numerics import gauss_legendre
 from pinchpas.system import _feedward_offset, _station_log_ratio, _unscaled
 
 import oracle_utils as oracle
@@ -748,19 +749,28 @@ def test_outer_edges_rise_strictly_within_the_room():
         assert np.all(np.diff(edges) > 0.0), cfg
 
 
-def test_rule_pieces_cut_each_gap_as_linspace_does():
+def test_y_rule_cuts_each_gap_as_linspace_does():
     # Two rules at once, one with a gap of 0: a gap wider than 32 in u is cut
-    # into equal pieces, whose ends are those of np.linspace bit for bit.
+    # into equal pieces, whose ends are those of np.linspace bit for bit, and
+    # each piece's nodes are gauss_legendre's, mapped to d^2 = (h cosh u)^2.
     edges = np.array([[0.0, 1.5, 1.5, 100.0], [0.0, 40.0, 64.0, 70.0]])
-    lo, hi, owner = metrics._rule_pieces(edges)
+    h = np.array([0.7, 3.0])
+    dist_sq, weights, rows = metrics._y_rule(h, edges, 8)
     for row, rule in enumerate(edges):
         cuts = [
             np.linspace(a, b, math.ceil((b - a) / 32.0), endpoint=False)
             for a, b in zip(rule, rule[1:])
         ]
         ends = np.concatenate((*cuts, rule[-1:]))
-        assert lo[owner == row].tolist() == ends[:-1].tolist()
-        assert hi[owner == row].tolist() == ends[1:].tolist()
+        pieces = [gauss_legendre(8, a, b) for a, b in zip(ends, ends[1:])]
+        u, u_weights = (np.concatenate(v) for v in zip(*pieces))
+        dist = h[row] * np.cosh(u)
+        assert dist_sq[rows == row].tolist() == (dist * dist).tolist()
+        assert weights[rows == row].tolist() == (u_weights * dist).tolist()
+    # One height for one row gives that row of the batch.
+    alone = metrics._y_rule(h[1], edges[1:], 8)
+    assert alone[0].tolist() == dist_sq[rows == 1].tolist()
+    assert alone[1].tolist() == weights[rows == 1].tolist()
 
 
 def test_continuous_rate_requires_height():

@@ -39,6 +39,26 @@ def test_gauss_legendre_interval_mapping():
     assert abs(float((nodes**7 * weights).sum()) - exact) < 1e-9 * exact
 
 
+def test_gauss_legendre_on_arrays_of_intervals_is_each_interval_own_rule():
+    # Rule axis last; each interval's row is its own call's, bit for bit,
+    # and scalar ends broadcast against array ends.
+    a = np.array([[0.0, -1.5, 2.0], [1e-3, 7.25, -40.0]])
+    b = np.array([[1.0, 1.5, 5.0], [3e-3, 9.0, 64.0]])
+    nodes, weights = gauss_legendre(16, a, b)
+    assert nodes.shape == weights.shape == (2, 3, 16)
+    for i, j in np.ndindex(a.shape):
+        own = gauss_legendre(16, float(a[i, j]), float(b[i, j]))
+        assert nodes[i, j].tolist() == own[0].tolist()
+        assert weights[i, j].tolist() == own[1].tolist()
+    ends = np.array([2.0, 5.0, 9.5])
+    nodes, weights = gauss_legendre(16, 0.0, ends)
+    for k, end in enumerate(ends.tolist()):
+        own = gauss_legendre(16, 0.0, end)
+        assert nodes[k].tolist() == own[0].tolist()
+        assert weights[k].tolist() == own[1].tolist()
+    assert gauss_legendre(16, 2.0, 5.0)[0].shape == (16,)
+
+
 def test_golden_section_matches_scipy():
     funcs = [
         (lambda x: (x - 1.3) ** 2, 0.0, 3.0),

@@ -44,6 +44,8 @@ REMOVED = (
     "_middle_series",
     "_FULL_MATRIX_MAX_M",
     "logger",
+    "_rule_pieces",
+    "_outer_rule",
 )
 
 

@@ -25,7 +25,7 @@ import oracle_utils as oracle
 
 def _crossing(cfg, lay, k, y):
     """Abscissa where antennas k and k+1 give equal SNR in row y; inf if none."""
-    return lay.x_k[k - 1] + _boundary_offset(cfg, lay.delta, y)
+    return lay.x_k[k - 1] + _boundary_offset(cfg.alpha, cfg.h, lay.delta, y)
 
 
 def _circle(cfg, lay, k):
@@ -123,7 +123,7 @@ def test_offset_is_inf_in_every_row_without_a_real_circle():
     assert _circle(cfg, lay, 1)[1] < 0.0
     y_nodes, _ = gauss_legendre(64, -cfg.d_y / 2.0, cfg.d_y / 2.0)
     for y in (*y_nodes, 0.0, cfg.d_y / 2.0):
-        assert _boundary_offset(cfg, lay.delta, float(y)) == math.inf
+        assert _boundary_offset(cfg.alpha, cfg.h, lay.delta, float(y)) == math.inf
     assert _wins_whole_row(cfg, lay, 1, 0.0)
 
 
@@ -154,13 +154,14 @@ def test_boundary_offset_of_row_array_is_rowwise():
         ys = np.linspace(-cfg.d_y / 2.0, cfg.d_y / 2.0, 41)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            offsets = _boundary_offset(cfg, lay.delta, ys)
+            offsets = _boundary_offset(cfg.alpha, cfg.h, lay.delta, ys)
         assert isinstance(offsets, np.ndarray) and offsets.shape == ys.shape
         expected = [oracle.boundary_offset_scalar(cfg, lay.delta, y) for y in ys.tolist()]
         assert offsets.tolist() == expected
-        assert offsets.tolist() == [_boundary_offset(cfg, lay.delta, y) for y in ys.tolist()]
+        scalar = [_boundary_offset(cfg.alpha, cfg.h, lay.delta, y) for y in ys.tolist()]
+        assert offsets.tolist() == scalar
         assert np.isinf(offsets).any()
-    assert type(_boundary_offset(cfg, lay.delta, 0.0)) is float
+    assert type(_boundary_offset(cfg.alpha, cfg.h, lay.delta, 0.0)) is float
 
 
 def test_boundary_bow_matches_circle_geometry():
