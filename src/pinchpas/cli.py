@@ -127,6 +127,16 @@ def _selftest() -> int:
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
     all_ok &= _check("ti2 inversion identity", worst <= 1e-12, f"worst rel={worst:.3e}")
 
+    # Above |z| = 1 ti2 is the inversion identity itself; quadrature checks both sides.
+    worst = 0.0
+    for z in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0):
+        nodes, weights = gauss_legendre(200, 0.0, z)
+        quad = float(weights @ (np.arctan(nodes) / nodes))
+        worst = max(worst, abs(ti2(z) - quad) / quad)
+    all_ok &= _check(
+        "ti2 matches quadrature across its seam", worst <= 1e-12, f"worst rel={worst:.3e}"
+    )
+
     # Conditional outage is continuous across its regime boundaries.
     delta, d_y = 2.0, 10.0
     edges = np.array([delta**2, d_y**2 / 4.0, delta**2 + d_y**2 / 4.0])

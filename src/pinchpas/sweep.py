@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 
 from ._version import __version__
-from .config import SweepSpec, parse_config_text
+from .config import ConfigError, SweepSpec, parse_config_text
 from .metrics import NumericalDiagnosticError, _ergodic_rates, _outages, _pdes
 from .montecarlo import _CHUNK_USERS, SimulationSpec, _simulate_outages
 from .regions import RegionPartition, _optimize_partitions
@@ -146,7 +146,8 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     underflow clamp) are collected onto the affected table for the caller
     to surface. A point whose numerical self-check fails is left out of
     its table, which then carries the flag "numerical_diagnostic" and the
-    point's message in `left_out`.
+    point's message in `left_out`. An axis value that its config rejects
+    raises a ConfigError led by `axis_values:`, the axis and the value.
     """
     config = spec.fixed_params
     sim = sim if sim is not None else SimulationSpec()
@@ -185,10 +186,12 @@ def run_sweep(spec: SweepSpec, sim: SimulationSpec | None = None) -> list[Output
     if per_m:
         table_ms = spec.m_values
         # One validated config per axis value, shared by every m.
-        configs = [
-            dataclasses.replace(config, **{spec.sweep_axis: value})
-            for value in spec.axis_values
-        ]
+        configs = []
+        for value in spec.axis_values:
+            try:
+                configs.append(dataclasses.replace(config, **{spec.sweep_axis: value}))
+            except ValueError as exc:
+                raise ConfigError(f"axis_values: {spec.sweep_axis} = {value!r}: {exc}") from None
         points = [(point, m) for m in table_ms for point in configs]
     else:
         table_ms = (0,)

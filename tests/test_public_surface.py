@@ -46,6 +46,13 @@ REMOVED = (
     "logger",
     "_rule_pieces",
     "_outer_rule",
+    "_TI2_SERIES_EDGE",
+    "_TI2_INVERSION_EDGE",
+    "_ti2_taylor_coefficients",
+    "_TI2_SERIES",
+    "_TI2_NEAR_ONE",
+    "_ti2_series",
+    "_ti2_near_one",
 )
 
 

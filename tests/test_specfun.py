@@ -16,7 +16,7 @@ def test_ti2_at_one_is_catalan():
 
 
 def test_ti2_matches_quadrature_across_branches():
-    # Points chosen to land in the series, near-one, and inversion branches.
+    # Points on both sides of the seam at 1, through 0.6 and 1.5, and far out.
     for z in (1e-8, 0.01, 0.25, 0.599, 0.6, 0.61, 0.9, 1.0, 1.1, 1.49, 1.5,
               1.51, 2.0, 5.0, 37.0, 1e3, 1e6):
         ref = oracle.ti2_quad(z)
@@ -32,14 +32,16 @@ def test_ti2_matches_mpmath_random():
 
 
 def test_ti2_matches_mpmath_to_rounding_in_every_branch():
-    # Uniform in the series branch, near one, and log-uniform above the
-    # inversion edge, with both signs, plus each branch edge.
+    # Uniform on [0, 0.6] and [0.6, 1.5], and log-uniform above 1.5, with
+    # both signs, plus the seam at 1 and its neighbours and the ordinary
+    # points 0.6 and 1.5.
     rng = np.random.default_rng(22)
     sizes = np.concatenate((
         rng.uniform(0.0, 0.6, 200),
         rng.uniform(0.6, 1.5, 200),
         np.exp(rng.uniform(math.log(1.5), math.log(1e8), 200)),
         [0.6, np.nextafter(0.6, 1.0), 1.5, np.nextafter(1.5, 2.0)],
+        [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
     ))
     zs = sizes * rng.choice((-1.0, 1.0), size=sizes.size)
     for z, value in zip(zs.tolist(), ti2(zs).tolist()):
@@ -54,12 +56,15 @@ def test_ti2_odd():
 
 
 def test_ti2_branch_seam_continuity():
-    # The implementation switches branches at 0.6 and 1.5; values on the
-    # two sides of each seam must agree far below the advertised accuracy.
-    for edge in (0.6, 1.5):
+    # The implementation switches branches at 1; values on the two sides
+    # of the seam, and around 0.6 and 1.5, must agree far below the
+    # advertised accuracy.
+    for edge in (0.6, 1.0, 1.5):
         lo = ti2(edge * (1.0 - 1e-12))
         hi = ti2(edge * (1.0 + 1e-12))
         assert abs(hi - lo) < 1e-11
+    lo, hi = ti2(np.nextafter(1.0, 0.0)), ti2(np.nextafter(1.0, 2.0))
+    assert abs(hi - lo) < 1e-15
 
 
 def test_ti2_inversion_identity():
@@ -78,7 +83,7 @@ def test_ti2_rejects_non_finite():
 
 
 def test_ti2_on_arrays_keeps_shape_and_matches_mpmath():
-    # Every branch (series, near one, inversion) in one array, both signs.
+    # Both branches (the series and the inversion) in one array, both signs.
     rng = np.random.default_rng(21)
     sizes = np.exp(rng.uniform(math.log(1e-6), math.log(1e8), size=(4, 75)))
     zs = sizes * rng.choice((-1.0, 1.0), size=sizes.shape)
@@ -93,16 +98,22 @@ def test_ti2_on_arrays_keeps_shape_and_matches_mpmath():
 
 
 def test_ti2_array_elements_equal_scalar_calls():
-    zs = np.array([1e-8, 0.3, 0.6, 0.61, 1.0, 1.49, 1.5, 1.51, 2.0, 37.0, 1e6])
+    # Random points too: numpy can round a product of complex scalars apart
+    # from the same product in an array, in a few elements per thousand.
+    zs = np.concatenate((
+        [1e-8, 0.3, 0.6, 0.61, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+         1.49, 1.5, 1.51, 2.0, 37.0, 1e6],
+        np.random.default_rng(24).uniform(-3.0, 3.0, 2000),
+    ))
     assert ti2(zs).tolist() == [ti2(float(z)) for z in zs]
 
 
 def test_ti2_branches_keep_each_element_in_place():
-    # Each polynomial is summed only over its own branch's elements: a
-    # shuffled 2-D array straddling both seams, of both signs, is still
-    # elementwise its scalar calls, bit for bit.
-    seams = [np.nextafter(edge, side) for edge in (0.6, 1.5) for side in (0.0, 2.0)]
-    sizes = np.concatenate(([0.0, 0.6, 1.5, *seams], np.linspace(0.01, 3.0, 89)))
+    # A shuffled 2-D array straddling the seam at 1 (and around 0.6 and
+    # 1.5), of both signs, is still elementwise its scalar calls, bit for
+    # bit.
+    seams = [np.nextafter(edge, side) for edge in (0.6, 1.0, 1.5) for side in (0.0, 2.0)]
+    sizes = np.concatenate(([0.0, 0.6, 1.0, 1.5, *seams], np.linspace(0.01, 3.0, 86)))
     zs = np.random.default_rng(23).permutation(
         sizes * np.resize([1.0, -1.0, -1.0], sizes.size)
     ).reshape(8, 12)

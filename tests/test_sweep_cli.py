@@ -488,8 +488,30 @@ def test_cli_non_finite_config_names_its_field(tmp_path, capsys, command, text, 
     code = main([command, "--config", cfg, "--out-dir", str(out), "--samples", "1000"])
     err = capsys.readouterr().err
     assert code == 1
-    assert f"pinchpas: {field} must" in err
+    if "sweep_axis" in text:
+        # A value the axis sets is named by the key that set it.
+        assert err.startswith(f"pinchpas: axis_values: {field} = ")
+        assert f": {field} must" in err
+    else:
+        assert f"pinchpas: {field} must" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "axis, values, bad",
+    [("d_x", "10,1e200", "1e+200"), ("alpha", "-1,0.05", "-1.0"),
+     ("gamma_t_db", "10,1e200", "1e+200")],
+)
+def test_cli_invalid_axis_value_names_axis_values(tmp_path, capsys, axis, values, bad):
+    # The fixed d_x = 30 is valid and only one axis value is not, so the
+    # one error line names axis_values, the axis and that value.
+    cfg = _write_cfg(tmp_path, f"d_x = 30\nsweep_axis = {axis}\naxis_values = {values}\n")
+    out = tmp_path / "o"
+    assert main(["outage", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"pinchpas: axis_values: {axis} = {bad}: ")
+    assert err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 _FLOAT_RANGE_ROOMS = [
