@@ -120,14 +120,8 @@ def _selftest() -> int:
     diff = abs(ti2(1.0) - CATALAN)
     all_ok &= _check("ti2(1) matches the Catalan constant", diff <= 1e-12, f"diff={diff:.3e}")
 
-    worst = 0.0
-    for z in (1.05, 1.3, 2.0, 7.5, 40.0):
-        lhs = ti2(z)
-        rhs = ti2(1.0 / z) + 0.5 * math.pi * math.log(z)
-        worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    all_ok &= _check("ti2 inversion identity", worst <= 1e-12, f"worst rel={worst:.3e}")
-
-    # Above |z| = 1 ti2 is the inversion identity itself; quadrature checks both sides.
+    # ti2 is Im Li2(iz) up to |z| = 1 and the inversion identity above it;
+    # quadrature checks both sides of that seam.
     worst = 0.0
     for z in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 3.0):
         nodes, weights = gauss_legendre(200, 0.0, z)
@@ -177,23 +171,6 @@ def _selftest() -> int:
         "analytic rate within 5 sigma of simulation",
         gap <= band,
         f"analytic={analytic_rate:.6f} simulated={rate_est.mean:.6f} band={band:.2e}",
-    )
-
-    # The layout and partition arrays equal their one-by-one formulas.
-    differ = 0
-    for m in (1, 2, 100):
-        grid = make_layout(config, m)
-        cuts = optimize_partition(config, grid)
-        b, half = cuts.offset, grid.delta / 2.0
-        x = [(2 * k - 1) * half for k in range(1, m + 1)]
-        differ += grid.x_k.tolist() != x
-        differ += cuts.boundaries_b.tolist() != [0.0, *(v + b for v in x[:-1]), config.d_x]
-        differ += cuts.left_limits.tolist() != [x[0]] + [grid.delta - b] * (m - 1)
-        differ += cuts.right_limits.tolist() != [b] * (m - 1) + [config.d_x - x[-1]]
-    all_ok &= _check(
-        "derived grid and partition match their formulas",
-        differ == 0,
-        f"{differ} of 12 arrays differ",
     )
 
     # The simulator's best gains, by antenna rows (m = 10) and by the
@@ -270,13 +247,6 @@ def _selftest() -> int:
         "shared-draw simulate run matches pointwise simulation",
         differ == 0,
         f"{differ} of 6 points differ",
-    )
-
-    efficiency = pde(config, layout, partition).value
-    all_ok &= _check(
-        "discretization efficiency lies in (0, 1]",
-        0.0 < efficiency <= 1.0,
-        f"value={efficiency!r}",
     )
 
     # The conditional rate, by both of its paths, against its defining integral.

@@ -125,15 +125,37 @@ def _outage_past_width(a_0k, width, d_y):
 
 
 def _outage_past_depth(a_0k, width, d_y):
-    # Also the depth-side-only regime's form: there 4 a_0k <= d_y^2, so the
-    # width side's terms are exact zeros and the value is bit for bit the
-    # depth-only expression.
-    sqrt_a = np.sqrt(a_0k)
-    root_w = np.sqrt(np.maximum(4.0 * a_0k - d_y * d_y, 0.0))
-    root_d = np.sqrt(np.maximum(a_0k - width * width, 0.0))
-    arc = np.arcsin(np.minimum(width / sqrt_a, 1.0))
-    arc = arc - np.arcsin(np.minimum(root_w / (2.0 * sqrt_a), 1.0))
-    return 1.0 - (a_0k / (d_y * width)) * arc - root_w / (4.0 * width) - root_d / d_y
+    root = np.sqrt(np.maximum(a_0k - width * width, 0.0))
+    arc = np.arcsin(np.minimum(width / np.sqrt(a_0k), 1.0))
+    return 1.0 - (a_0k / (d_y * width)) * arc - root / d_y
+
+
+# 1/(2k + 1)! for k = 1..9: theta - sin(theta) = sum of (-1)^(k+1) theta^(2k+1)
+# / (2k + 1)!, whose tenth term is at most 1.2e-19 of the first for theta < 1.
+_SEGMENT_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 10))
+
+
+def _outage_short_of_corner(a_0k, width, d_y):
+    # The far corner's own area, not one minus the covered share, so the
+    # value keeps its digits as the corner shrinks. With Y = d_y/2 and
+    # short = width^2 + Y^2 - a_0k, the circle leaves the quarter rectangle
+    # at (x0, Y) and (width, y1). The corner is the right triangle on those
+    # two points, whose legs are short/(width + x0) and short/(Y + y1), less
+    # the circular segment (a_0k/2)(theta - sin theta) on its hypotenuse.
+    # The squares are formed as `p_l` forms its regime edges, so that
+    # a_0k exceeds both and short is not negative.
+    half, half_sq, depth_sq = d_y / 2.0, d_y * d_y / 4.0, width * width
+    short = depth_sq + half_sq - a_0k
+    x0 = np.sqrt(a_0k - half_sq)
+    y1 = np.sqrt(a_0k - depth_sq)
+    theta = np.arctan2(a_0k * short / (width * half + x0 * y1), x0 * width + half * y1)
+    theta_sq = theta * theta
+    series = _SEGMENT_SERIES[-1]
+    for coefficient in _SEGMENT_SERIES[-2::-1]:
+        series = coefficient - theta_sq * series
+    segment = np.where(theta < 1.0, theta * theta_sq * series, theta - np.sin(theta))
+    triangle = (short / (width + x0)) * (short / (half + y1))
+    return 0.5 * (triangle - a_0k * segment) / (width * half)
 
 
 # `p_l`'s regimes, by where the threshold circle lies against the sub-rectangle.
@@ -142,7 +164,7 @@ _OUTAGE_REGIMES = (
     lambda a_0k, width, d_y: 1.0 - math.pi * a_0k / (2.0 * (d_y * width)),  # inside it
     _outage_past_depth,  # out through its far (depth) side only
     _outage_past_width,  # out through its width side only
-    _outage_past_depth,  # out through both sides, short of the far corner
+    _outage_short_of_corner,  # out through both sides, short of the far corner
     lambda *_: 0.0,  # covering all of it
 )
 
@@ -156,8 +178,10 @@ def p_l(delta_width, a_0k, d_y):
     six-regime piecewise form depending on how the threshold circle of
     radius sqrt(a_0k) intersects the sub-rectangle; ties between regimes
     are routed to the lower-indexed branch (they agree by continuity).
-    Floats give a float; arrays broadcast, and each element is evaluated
-    by its own regime only.
+    Where the circle leaves through both sides short of the far corner,
+    the outage is that corner's own area, so it keeps its relative digits
+    as it falls towards 0. Floats give a float; arrays broadcast, and each
+    element is evaluated by its own regime only.
     """
     _require_positive("delta_width", delta_width)
     _require_positive("d_y", d_y)

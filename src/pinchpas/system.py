@@ -254,14 +254,6 @@ def _dist_sq(
     return dist_sq
 
 
-def _gain_matrix(
-    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """`snr_matrix` over big_c."""
-    positions = layout.x_k[:, None]
-    return _gain(config, positions, np.exp(-config.alpha * positions), x, y**2)
-
-
 def snr_matrix(
     config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
@@ -280,7 +272,9 @@ def snr_matrix(
     Returns:
         Strictly positive linear SNRs; row k - 1 belongs to antenna k.
     """
-    return config.big_c * _gain_matrix(config, layout, x, y)
+    positions = layout.x_k[:, None]
+    gain = _gain(config, positions, np.exp(-config.alpha * positions), x, y**2)
+    return config.big_c * gain
 
 
 def _continuous_candidates(
@@ -340,13 +334,14 @@ def _continuous_kinks(
         peak = (1.0 + np.sqrt(1.0 - alpha * alpha * d_sq)) / alpha
         lo = np.where(falls, np.minimum(peak, d_x), d_x)  # lo = hi = d_x: no root
         hi = np.full(rows.size, d_x)
-        # 2^-100 of the bracket is below one ulp of the root in any room
-        # shorter than 2^47 / alpha, so more steps would change nothing.
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+        # Once lo and hi are adjacent floats, mid is one of them and a step
+        # changes neither: hi is then the first float where the ratio falls.
+        while ((lo < mid) & (mid < hi)).any():
             ahead = log_ratio(mid) >= 0.0
             lo = np.where(ahead, mid, lo)
             hi = np.where(ahead, hi, mid)
+            mid = 0.5 * (lo + hi)
         takeover[rows] = hi
     return np.minimum(offset, d_x), takeover
 
@@ -385,28 +380,19 @@ def best_snr(
 ) -> np.ndarray:
     """Each user's best-antenna SNR (linear), shape (n,).
 
-    Returns `snr_matrix(...).max(axis=0)` bit for bit: big_c times
-    `_best_gain`, the best e^(-alpha x_k) / distance^2. Rounding is
-    monotone, so max_k fl(big_c g_k) = fl(big_c max_k g_k).
-    """
-    return config.big_c * _best_gain(config, layout, x, y)
-
-
-def _best_gain(
-    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """`_gain_matrix(...).max(axis=0)`: each user's best gain, shape (n,).
-
-    The one-config case of `_best_gains`, which builds no (m, n) matrix.
+    Returns `snr_matrix(...).max(axis=0)` bit for bit: big_c times the
+    best e^(-alpha x_k) / distance^2 from `_best_gains`, which builds no
+    (m, n) matrix. Rounding is monotone, so
+    max_k fl(big_c g_k) = fl(big_c max_k g_k).
     """
     (best,) = _best_gains([config], layout, x, y)
-    return best
+    return config.big_c * best
 
 
 def _best_gains(
     configs: list[SystemConfig], layout: PaLayout, x: np.ndarray, y: np.ndarray
 ):
-    """Yield `_best_gain` of each config in turn; the configs share h.
+    """Yield each config's best gain per user, shape (n,); the configs share h.
 
     Up to `_ROW_MAX_M` antennas the gains stream one antenna row at a time
     through (n,) buffers: each row's (x - x_k)^2 + y^2 + h^2 is formed once
@@ -439,7 +425,7 @@ def _best_gains(
 def _window_gain(
     config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
 ) -> np.ndarray:
-    """`_best_gain` over three candidate antennas per user, for any m.
+    """Each user's best gain over three candidate antennas, for any m.
 
     The candidates are antenna 1 and the two antennas that bracket x - t1.
     Antenna k's gain at (x, y) is e^(-alpha t) / ((x - t)^2 + r^2) with
@@ -454,11 +440,12 @@ def _window_gain(
       or beyond x - t1 wins there; for t < x - t1 the last antenna before
       x - t1 wins, or antenna 1 if the final rise reaches past it.
 
-    Each candidate's gain is computed exactly as `_gain_matrix` computes
-    it, so the values match bit for bit. The one exception needs antenna
-    spacings below about 1e-6 of r, such as micrometre spacings in a
-    centimetre room: there two antennas can tie to within rounding, and
-    the window may keep the one that rounds one ulp lower.
+    Each candidate's gain is computed exactly as `snr_matrix` computes it
+    before its factor big_c, so the values match bit for bit. The one
+    exception needs antenna spacings below about 1e-6 of r, such as
+    micrometre spacings in a centimetre room: there two antennas can tie
+    to within rounding, and the window may keep the one that rounds one
+    ulp lower.
     """
     positions = layout.x_k
     attenuation = np.exp(-config.alpha * positions)

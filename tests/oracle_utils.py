@@ -89,24 +89,52 @@ def p_l_scalar(delta_width: float, a_0k: float, d_y: float) -> float:
             - root / (2.0 * delta_width)
         )
     elif a_0k <= depth_sq + half_w_sq:
-        # Circle pokes out through both sides but misses the far corner.
-        sqrt_a = math.sqrt(a_0k)
-        root_w = math.sqrt(max(4.0 * a_0k - d_y * d_y, 0.0))
-        root_d = math.sqrt(max(a_0k - depth_sq, 0.0))
-        value = (
-            1.0
-            - (a_0k / area)
-            * (
-                math.asin(min(delta_width / sqrt_a, 1.0))
-                - math.asin(min(root_w / (2.0 * sqrt_a), 1.0))
-            )
-            - root_w / (4.0 * delta_width)
-            - root_d / d_y
+        # Circle pokes out through both sides but misses the far corner: the
+        # corner's right triangle less the circular segment on its hypotenuse.
+        half = d_y / 2.0
+        short = depth_sq + half_w_sq - a_0k
+        x0 = math.sqrt(a_0k - half_w_sq)
+        y1 = math.sqrt(a_0k - depth_sq)
+        theta = math.atan2(
+            a_0k * short / (delta_width * half + x0 * y1), x0 * delta_width + half * y1
         )
+        if theta < 1.0:
+            # theta - sin(theta) by its odd series, nine terms.
+            segment = sum(
+                (-1) ** (k + 1) * theta ** (2 * k + 1) / math.factorial(2 * k + 1)
+                for k in range(9, 0, -1)
+            )
+        else:
+            segment = theta - math.sin(theta)
+        triangle = (short / (delta_width + x0)) * (short / (half + y1))
+        value = 0.5 * (triangle - a_0k * segment) / (delta_width * half)
     else:
         # Threshold circle covers the whole sub-rectangle.
         return 0.0
     return min(1.0, max(0.0, value))
+
+
+def p_l_mpmath(delta_width: float, a_0k: float, d_y: float) -> float:
+    """`outage_indicator_quad` from the covered area in closed form, at 60 digits.
+
+    In the quarter rectangle [0, delta_width] x [0, d_y/2] the disc covers
+    the full height up to x0 = sqrt(a_0k - (d_y/2)^2) and the circle's
+    height sqrt(a_0k - x^2) from there to the smaller of delta_width and
+    sqrt(a_0k). One minus the covered share cancels, but at 60 digits an
+    outage of 1e-28 still keeps about 30 of its own.
+    """
+    with mpmath.workdps(60):
+        w, a, half = (mpmath.mpf(v) for v in (delta_width, a_0k, d_y / 2.0))
+        if a <= 0:
+            return 1.0
+        end = min(w, mpmath.sqrt(a))
+        x0 = min(end, mpmath.sqrt(max(a - half * half, 0)))
+
+        def area_under_circle(x):
+            return x * mpmath.sqrt(a - x * x) / 2 + a * mpmath.asin(x / mpmath.sqrt(a)) / 2
+
+        covered = half * x0 + area_under_circle(end) - area_under_circle(x0)
+        return float((w * half - covered) / (w * half))
 
 
 def ii_defining_quad(x: float, delta_width: float, d_y: float) -> float:

@@ -30,7 +30,12 @@ from pinchpas import (
 )
 from pinchpas import SimulationSpec, metrics
 from pinchpas.numerics import gauss_legendre
-from pinchpas.system import _feedward_offset, _station_log_ratio, _unscaled
+from pinchpas.system import (
+    _continuous_kinks,
+    _feedward_offset,
+    _station_log_ratio,
+    _unscaled,
+)
 
 import oracle_utils as oracle
 
@@ -71,6 +76,34 @@ def test_outage_kernel_matches_indicator_quadrature():
         ref = oracle.outage_indicator_quad(delta, a, d_y)
         assert abs(p_l(delta, a, d_y) - ref) < 1e-9, (regime, delta, a, d_y)
     assert seen == set(range(6))
+
+
+@pytest.mark.parametrize("delta, d_y", [(3.0, 10.0), (8.0, 4.0)])
+def test_outage_kernel_keeps_its_digits_short_of_the_far_corner(delta, d_y):
+    # Both squares are exact, so the reach stops `short` from the far
+    # corner to within one rounding of a_0k, and the outage is about short^2.
+    for short in 10.0 ** -np.arange(2, 13):
+        a = delta * delta + d_y * d_y / 4.0 - short
+        ref = oracle.p_l_mpmath(delta, a, d_y)
+        assert abs(p_l(delta, a, d_y) - ref) <= 1e-13 * ref, short
+
+
+def test_outage_kernel_matches_mpmath_across_the_last_regime():
+    # Random shapes, reaching from 1e-1 to 1e-6 of the far corner's squared
+    # distance short of it. The squares of such widths are inexact, which
+    # costs about 2 eps (w^2 + d_y^2/4) / short relative: 4.4e-10 at most.
+    rng = np.random.default_rng(36)
+    checked = 0
+    while checked < 300:
+        delta = float(rng.uniform(0.3, 8.0))
+        d_y = float(rng.uniform(0.6, 14.0))
+        w, d = d_y * d_y / 4.0, delta * delta
+        a = w + d - (w + d) * 10.0 ** -rng.uniform(1.0, 6.0)
+        if not max(w, d) < a:
+            continue
+        ref = oracle.p_l_mpmath(delta, a, d_y)
+        assert abs(p_l(delta, a, d_y) - ref) <= 1e-9 * ref, (delta, a, d_y)
+        checked += 1
 
 
 def test_outage_kernel_limits():
@@ -653,6 +686,18 @@ def test_continuous_rate_with_partial_feed_rows_within_self_check():
         cfg = SystemConfig(d_x=30.0, alpha=alpha)
         ref = oracle.continuous_rate_quad(cfg)
         assert continuous_rate(cfg).value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_takeover_is_the_first_float_where_the_log_ratio_falls():
+    # In a 1e20 m room the bisection's bracket starts about 1e20 wide, so
+    # 100 halvings leave it some 1e-10 wide around a root near 1e3.
+    cfg = SystemConfig(d_x=1e20, alpha=0.01)
+    dist_sq = np.linspace(0.0, cfg.d_y / 2.0, 11) ** 2 + cfg.h * cfg.h
+    t1, takeover = _continuous_kinks(cfg, dist_sq)
+    assert (takeover < cfg.d_x).all()
+    before = np.nextafter(takeover, 0.0)
+    assert (_station_log_ratio(cfg.alpha, takeover, t1, dist_sq) < 0.0).all()
+    assert (_station_log_ratio(cfg.alpha, before, t1, dist_sq) >= 0.0).all()
 
 
 def test_takeover_log_ratio_falls_while_t1_is_short_of_d_x():

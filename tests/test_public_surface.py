@@ -53,6 +53,8 @@ REMOVED = (
     "_TI2_NEAR_ONE",
     "_ti2_series",
     "_ti2_near_one",
+    "_best_gain",
+    "_gain_matrix",
 )
 
 

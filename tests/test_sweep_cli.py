@@ -958,3 +958,42 @@ def test_cli_selftest(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def _off_leggauss(right):
+    def wrong(n):
+        nodes, weights = right(n)
+        return nodes, weights * (1.0 + 1e-12)
+
+    return wrong
+
+
+@pytest.mark.parametrize(
+    "name, spoil, line",
+    [
+        (
+            "ti2",
+            lambda right: lambda z: right(z) * (1.0 + 1e-9),
+            "ti2 matches quadrature across its seam",
+        ),
+        # Off by 1e-5 once the circle reaches past the sub-rectangle's depth.
+        (
+            "p_l",
+            lambda right: lambda w, a, d: right(w, a, d) + 1e-5 * (a > w * w),
+            "outage regime continuity",
+        ),
+        (
+            "i_i",
+            lambda right: lambda *args: right(*args) * (1.0 + 1e-8),
+            "rate kernels match quadrature",
+        ),
+        ("leggauss_cached", _off_leggauss, "Gauss-Legendre rules integrate x^(2n-2) exactly"),
+    ],
+    ids=["ti2", "p_l", "i_i", "leggauss_cached"],
+)
+def test_cli_selftest_reports_a_wrong_kernel(monkeypatch, capsys, name, spoil, line):
+    monkeypatch.setattr(cli, name, spoil(getattr(cli, name)))
+    assert main(["selftest"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert any(text.startswith(f"FAIL {line}: ") for text in out), out
+    assert out[-1] == "selftest: FAILURES detected"

@@ -25,9 +25,7 @@ from pinchpas.sweep import _echo_lines
 from pinchpas.system import (
     _ROW_MAX_M,
     SPEED_OF_LIGHT,
-    _best_gain,
     _best_gains,
-    _gain_matrix,
     _unscaled,
     _window_gain,
 )
@@ -249,11 +247,12 @@ def test_best_gains_of_alpha_curves_equal_each_matrix_max(m):
     gains = list(_best_gains(configs, lay, x, y))
     assert len(gains) == len(configs)
     for config, gain in zip(configs, gains):
-        assert np.array_equal(gain, _gain_matrix(config, lay, x, y).max(axis=0))
+        full = snr_matrix(config, lay, x, y).max(axis=0)
+        assert np.array_equal(config.big_c * gain, full)
 
 
 def _peak_arrays(config, m, x, y):
-    """The traced peak of `_best_gain`, in whole float arrays of the users.
+    """The traced peak of one config's best gains, in whole float arrays of the users.
 
     What is left over is small Python objects, far below one array.
     """
@@ -261,7 +260,7 @@ def _peak_arrays(config, m, x, y):
     layout.x_k  # cached before tracing
     tracemalloc.start()
     try:
-        _best_gain(config, layout, x, y)
+        (_,) = _best_gains([config], layout, x, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
