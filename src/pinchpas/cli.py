@@ -138,9 +138,10 @@ def _selftest() -> int:
     worst = float(np.abs(jumps).max())
     all_ok &= _check("outage regime continuity", worst <= 1e-6, f"worst jump={worst:.3e}")
 
-    # Rate building blocks against direct quadrature of their integrands.
+    # Rate building blocks against direct quadrature of their integrands,
+    # the last in a narrow room (d_y << sqrt(x)), where their terms can cancel.
     worst = 0.0
-    for x, dw, wy in ((9.0, 2.0, 10.0), (1e4, 0.5, 10.0), (25.0, 6.0, 4.0)):
+    for x, dw, wy in ((9.0, 2.0, 10.0), (1e4, 0.5, 10.0), (25.0, 6.0, 4.0), (100.0, 1.0, 1e-4)):
         nodes, weights = gauss_legendre(200, 0.0, wy / 2.0)
         root = np.sqrt(x + nodes * nodes)
         quad_i = float(weights @ (dw * np.log(dw * dw + x + nodes * nodes)))

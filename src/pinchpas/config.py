@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 
+from .numerics import _is_whole
 from .system import SystemConfig
 
 __all__ = ["ConfigError", "SweepSpec", "load_config", "parse_config_text"]
@@ -56,9 +57,7 @@ class ConfigError(ValueError):
 def _check_counts(key: str, values) -> None:
     """Raise a ConfigError, led by `key`, unless each value is a whole count in [1, cap]."""
     for v in values:
-        # v - v is 0 for a finite int or float (an int may exceed any float)
-        # and nan for inf and nan.
-        if not (v - v == 0 and v == int(v) and v >= 1):
+        if not (_is_whole(v) and v >= 1):
             raise ConfigError(f"{key} must be positive integers, got {v!r}")
         if v > _MAX_ANTENNAS:
             raise ConfigError(f"{key} must be at most {_MAX_ANTENNAS} antennas, got {v!r}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import _is_whole
 from .system import (
     PaLayout,
     SystemConfig,
@@ -73,8 +74,7 @@ class SimulationSpec:
     def __post_init__(self):
         for name in ("n_samples", "seed"):
             v = getattr(self, name)
-            # v - v is 0 for a finite number and nan for inf and nan.
-            if not (v - v == 0 and v == int(v)):
+            if not _is_whole(v):
                 raise ValueError(f"{name} must be a whole number, got {v!r}")
             object.__setattr__(self, name, int(v))
         if self.n_samples < _MIN_SAMPLES:

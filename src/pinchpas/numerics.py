@@ -24,6 +24,12 @@ def _float_or_array(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
+def _is_whole(v) -> bool:
+    """Whether v is a finite whole number. v - v is 0 for a finite int or float
+    (an int may exceed any float) and nan for inf and nan."""
+    return v - v == 0 and v == int(v)
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     """The array, made read-only: callers share it and only read it."""
     array.setflags(write=False)

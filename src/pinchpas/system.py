@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import _read_only
+from .numerics import _is_whole, _read_only
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -170,8 +170,7 @@ class PaLayout:
     delta: float
 
     def __post_init__(self):
-        # m - m is 0 for a finite number and nan for inf and nan.
-        if not (self.m - self.m == 0 and self.m == int(self.m) and self.m >= 1):
+        if not (_is_whole(self.m) and self.m >= 1):
             raise ValueError(f"m must be a whole number >= 1, got {self.m!r}")
         object.__setattr__(self, "m", int(self.m))
         if not self.delta > 0:

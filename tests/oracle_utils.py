@@ -238,6 +238,23 @@ def ij_mpmath(x: float, delta_width: float, d_y: float) -> float:
         return float(mpmath.quad(f, [0, mpmath.mpf(d_y) / 2]))
 
 
+def kernel_slope_mpmath(x: float, delta_width: float, d_y: float) -> float:
+    """Integral of atan(delta / s) / s, s = sqrt(x + y^2), for y in [0, d_y/2], at 40 digits.
+
+    The defining integral of `metrics._kernel_slope`, broken where y
+    reaches sqrt(x) and delta, where the integrand changes scale.
+    """
+    with mpmath.workdps(40):
+        x, w, end = mpmath.mpf(x), mpmath.mpf(delta_width), mpmath.mpf(d_y) / 2
+
+        def f(y):
+            s = mpmath.sqrt(x + y * y)
+            return mpmath.atan(w / s) / s
+
+        inner = (p for p in (mpmath.sqrt(x), w) if p < end)
+        return float(mpmath.quad(f, sorted({mpmath.mpf(0), end, *inner})))
+
+
 def middle_mean_mpmath(start_snr: float, decay: float) -> float:
     """Mean of ln(1 + w0 e^(-decay s)) over s in [0, 1], by quadrature at 40 digits."""
     with mpmath.workdps(40):

@@ -213,8 +213,8 @@ def test_ij_matches_defining_integral():
 
 def test_ij_stays_accurate_when_x_dwarfs_delta():
     # The raw special-function form of the arctangent kernel loses about
-    # x * eps to cancellation; the implementation must not. From the
-    # branch edge x = 1e4 delta^2 on, where its series converges slowest.
+    # x * eps to cancellation; the implementation must not. From
+    # x = 1e4 delta^2 on, where the kernel slope takes its 8-node rule.
     rng = np.random.default_rng(35)
     for _ in range(60):
         delta = float(rng.uniform(0.2, 4.0))
@@ -225,24 +225,29 @@ def test_ij_stays_accurate_when_x_dwarfs_delta():
         assert i_j(x, delta, d_y) == pytest.approx(ref, rel=1e-9), (ratio, delta, d_y)
 
 
+def _switch_x(width):
+    """The x at which asinh(width / sqrt(x)) is half the kernel slope's rule span."""
+    return (width / math.sinh(0.5 * metrics._RULE_SPAN)) ** 2
+
+
 def test_ij_continuous_across_evaluation_switch():
-    # The implementation changes evaluation strategy at x = 1e4 delta^2.
-    delta, d_y = 1.7, 9.0
-    edge = 1e4 * delta * delta
-    lo = i_j(edge * (1.0 - 1e-10), delta, d_y)
-    hi = i_j(edge * (1.0 + 1e-10), delta, d_y)
-    assert abs(hi - lo) < 1e-9 * abs(hi)
+    # The kernel slope takes its rule from 2 min(A, B) = _RULE_SPAN down,
+    # with A = asinh(d_y / (2 sqrt(x))) and B = asinh(delta / sqrt(x)):
+    # here with B the smaller, then with A.
+    for delta, d_y, width in ((1.7, 9.0, 1.7), (9.0, 1.7, 0.85)):
+        edge = _switch_x(width)
+        lo = i_j(edge * (1.0 - 1e-10), delta, d_y)
+        hi = i_j(edge * (1.0 + 1e-10), delta, d_y)
+        assert abs(hi - lo) < 1e-9 * abs(hi)
 
 
-# x / delta^2 on both sides of the switch at 1e4, with i_j's tolerance
-# there. Below it the slope's closed form in ti2 cancels most where d_y is
-# small against sqrt(x): 4.7e-12 at delta = 8, d_y = 0.5. From the switch
-# on the slope's series holds i_j to rounding, up to x = 6.4e307, where
-# 10 x overflows.
+# x / delta^2 from 1e3 to 1e306, up to x = 6.4e307, where 10 x overflows.
+# The kernel slope is a positive integral, so i_j keeps its digits
+# throughout: 4.4e-16 at worst here.
 _IJ_RATIOS = (
-    (1e3, 1e-11),
-    (5e3, 1e-11),
-    (1e4 * (1.0 - 1e-12), 1e-11),
+    (1e3, 1e-14),
+    (5e3, 1e-14),
+    (1e4 * (1.0 - 1e-12), 1e-14),
     (1e4 * (1.0 + 1e-12), 1e-14),
     (3e4, 1e-14),
     *((10.0**e, 1e-14) for e in range(5, 15)),
@@ -253,12 +258,76 @@ _IJ_RATIOS = (
 @pytest.mark.parametrize("delta", [0.01, 0.3, 1.7, 8.0])
 @pytest.mark.parametrize("d_y", [0.5, 9.0, 100.0])
 def test_ij_matches_mpmath_on_both_sides_of_the_switch(delta, d_y):
-    # i_j is one form in every regime: its closed edge and core terms plus
-    # x times the kernels' slope, which takes its series from x = 1e4 delta^2.
+    # i_j is one form in every regime: its core and edge terms plus x
+    # times the kernels' slope. The points span the retired switch at
+    # x = 1e4 delta^2, where the closed form in ti2 once cancelled.
     for ratio, rel in _IJ_RATIOS:
         x = ratio * delta * delta
         ref = oracle.ij_mpmath(x, delta, d_y)
         assert i_j(x, delta, d_y) == pytest.approx(ref, rel=rel, abs=0.0), ratio
+
+
+def _narrow_and_random_kernel_points():
+    """(x, delta, d_y): narrow rooms where the slope's old closed form cancelled, and 200 random."""
+    points = [
+        (1.0, 1.0, 0.01),
+        (1.0, 1.0, 1e-5),
+        (100.0, 1.0, 1e-4),
+        (1e4 * 64.0 * (1.0 - 1e-12), 8.0, 0.5),
+    ]
+    rng = np.random.default_rng(37)
+    spans = ((1e-6, 1e8), (1e-7, 1e3), (1e-5, 1e4))
+    for _ in range(200):
+        points.append(
+            tuple(float(np.exp(rng.uniform(math.log(lo), math.log(hi)))) for lo, hi in spans)
+        )
+    return points
+
+
+def test_kernel_slope_and_ij_match_mpmath_in_narrow_rooms_and_at_random():
+    # Where d_y << sqrt(x) the slope's former closed form in ti2 cancelled
+    # (2.4e-10 off in i_j at x = 100, delta = 1, d_y = 1e-4); its integral
+    # of gd over [mid - half, mid + half] has nothing to cancel.
+    for x, delta, d_y in _narrow_and_random_kernel_points():
+        ref = oracle.kernel_slope_mpmath(x, delta, d_y)
+        assert metrics._kernel_slope(x, delta, d_y) == pytest.approx(ref, rel=1e-14, abs=0.0), (
+            x, delta, d_y
+        )
+        ref = oracle.ij_mpmath(x, delta, d_y)
+        assert i_j(x, delta, d_y) == pytest.approx(ref, rel=1e-14, abs=0.0), (x, delta, d_y)
+
+
+@pytest.mark.parametrize("smaller", ["delta", "d_y"])
+def test_kernel_slope_continuous_and_exact_across_its_rule_switch(smaller):
+    # 2 min(A, B) = _RULE_SPAN (1 +- 1e-12): the rule just below, the closed
+    # form in ti2 just above, where its terms cancel most. A and B are
+    # within 1e-3 of each other (mid = half), and far apart (mid = 2.5).
+    x = 4.0
+    for other in (1.001, math.sinh(2.5) / math.sinh(0.25)):
+        values = []
+        for side in (1.0 - 1e-12, 1.0 + 1e-12):
+            width = 2.0 * math.sinh(0.25 * side)
+            delta, d_y = (width, 2.0 * width * other) if smaller == "delta" else (
+                width * other, 2.0 * width
+            )
+            value = metrics._kernel_slope(x, delta, d_y)
+            ref = oracle.kernel_slope_mpmath(x, delta, d_y)
+            assert value == pytest.approx(ref, rel=1e-14, abs=0.0), (side, other)
+            values.append(value)
+        assert abs(values[1] - values[0]) < 1e-11 * values[1]
+
+
+@pytest.mark.parametrize("x, delta", [(4.0, 1.0), (1e-6, 30.0)])
+def test_ij_edge_continuous_and_exact_across_its_rule_switch(x, delta):
+    # i_j's edge takes its rule up to asinh(u) = _RULE_SPAN, u = d_y / (2
+    # sqrt(x + delta^2)); u - atan(u) cancels most just above.
+    root = math.sqrt(x + delta * delta)
+    values = []
+    for side in (1.0 - 1e-12, 1.0 + 1e-12):
+        d_y = 2.0 * root * math.sinh(metrics._RULE_SPAN * side)
+        values.append(i_j(x, delta, d_y))
+        assert values[-1] == pytest.approx(oracle.ij_mpmath(x, delta, d_y), rel=1e-14, abs=0.0)
+    assert abs(values[1] - values[0]) < 1e-11 * values[1]
 
 
 def test_rate_kernel_matches_2d_quadrature():
@@ -356,7 +425,7 @@ def test_rate_kernels_broadcast_and_match_scalar_calls():
     # kernel's scalar call; floats give floats.
     cfg = SystemConfig(d_x=30.0, alpha=0.2)
     xs = np.array([[9.0], [9.0 + 7e3]])  # h^2, and c_0k + h^2 at 100 dB
-    widths = np.array([3.4e-7, 0.3, 3.0, 15.0])  # both i_j branches
+    widths = np.array([3.4e-7, 0.3, 3.0, 15.0])  # both branches of the slope and the edge
     for kernel in (i_i, i_j, metrics._kernel_slope):
         values = kernel(xs, widths, cfg.d_y)
         assert values.shape == (2, 4)
@@ -386,7 +455,7 @@ def test_rate_kernels_name_the_bad_array_argument():
 
 
 def _kernel_cases(points):
-    """The i_j branches that a table's sub-rectangles reach, at c_0k + h^2 and h^2."""
+    """The kernel-slope branches that a table's sub-rectangles reach, at c_0k + h^2 and h^2."""
     cases = set()
     for cfg, lay, part in points:
         h_sq = cfg.h * cfg.h
@@ -395,11 +464,13 @@ def _kernel_cases(points):
         scales = np.repeat(scales, 2)
         widths = np.column_stack((part.left_limits, part.right_limits)).ravel()
         for x in (scales + h_sq, np.full(scales.shape, h_sq)):
-            series = x > 1e4 * widths * widths
-            if series.any():
-                cases.add("i_j series")
-            if not series.all():
-                cases.add("i_j closed")
+            root = np.sqrt(x)
+            half = np.minimum(np.arcsinh(0.5 * cfg.d_y / root), np.arcsinh(widths / root))
+            rule = 2.0 * half <= metrics._RULE_SPAN
+            if rule.any():
+                cases.add("slope rule")
+            if not rule.all():
+                cases.add("slope closed")
     return cases
 
 
@@ -434,7 +505,7 @@ def test_batched_rates_match_pointwise_rates(rule_sizes):
             single = ergodic_rate(*point)
             assert result.value == single.value
             assert (result.kind, result.flags) == (single.kind, single.flags)
-    assert reached == {"i_j series", "i_j closed"}
+    assert reached == {"slope rule", "slope closed"}
     assert rule_sizes, "no sub-rectangle took c_l's y rule"
 
 
@@ -636,7 +707,7 @@ def test_middle_piece_branches_meet_at_the_switch(start_snr):
     # The mean of ln(1 + w0 e^(-alpha L s)) over s in [0, 1], from the
     # Gauss-Legendre rule and from the dilogarithm difference, where
     # _middle_integral switches from one to the other.
-    decay = metrics._MIDDLE_RULE_SPAN
+    decay = metrics._RULE_SPAN
     ref = oracle.middle_mean_mpmath(start_snr, decay)
     for branch in (metrics._middle_rule, metrics._middle_dilog):
         value = float(branch(np.array([start_snr]), np.array([decay]))[0])
@@ -1041,7 +1112,7 @@ def test_float_range_corners_end_cleanly():
     # A missed row's boundary quotient overflows; its offset is inf anyway.
     cfg = SystemConfig(d_x=1e-3, h=1e154, alpha=1e3)
     assert optimize_partition(cfg, make_layout(cfg, 2)).offset > 0.0
-    # 1e4 * delta^2 overflows at the kernel slope's switch: the closed form.
+    # delta^2 near the largest float, against x = 1: the slope's B = 354.
     assert math.isfinite(metrics._kernel_slope(1.0, 1e153, 1.0))
     # c_0k = big_c e^(-alpha x_1) = 5.7e-30 * e^-690 underflows to 0 short
     # of the exponent clamp: it is clamped and flagged too.

@@ -55,6 +55,12 @@ REMOVED = (
     "_ti2_near_one",
     "_best_gain",
     "_gain_matrix",
+    "_kernel_slope_series",
+    "_kernel_slope_closed",
+    "_IJ_DIRECT_RATIO",
+    "_IJ_SERIES_TERMS",
+    "_MIDDLE_RULE_SPAN",
+    "_MIDDLE_RULE_NODES",
 )
 
 
