@@ -31,7 +31,7 @@ from .montecarlo import (
 )
 from .regions import RegionPartition, optimize_partition
 from .specfun import CATALAN, ti2
-from .sweep import OutputTable, emit_table, header_config_text, reload_run, run_sweep
+from .sweep import OutputTable, emit_table, header_config_text, run_sweep
 from .system import (
     SPEED_OF_LIGHT,
     PaLayout,
@@ -76,7 +76,6 @@ __all__ = [
     "p_l",
     "parse_config_text",
     "pde",
-    "reload_run",
     "run_sweep",
     "select_pa",
     "simulate_continuous_rate",

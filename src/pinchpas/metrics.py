@@ -70,7 +70,7 @@ _RULE_NODES = 8
 
 # c_l keeps its kernel difference where the difference's rounding is below
 # this share of it, the accuracy asked of a rate, and takes the y rule
-# elsewhere: in 89,679 of 200,000 random sub-rectangles (log-uniform width
+# elsewhere: in 88,282 of 200,000 random sub-rectangles (log-uniform width
 # 1e-3 to 100, c_0k 1e-14 to 1e10, h 0.1 to 20 and d_y 0.1 to 100).
 _C_L_TRUST = 1e-10
 
@@ -147,19 +147,26 @@ def _outage_past_depth(a_0k, width, d_y):
 _SEGMENT_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 10))
 
 
+def _exact_square(v):
+    """v * v as hi + lo exactly: Dekker's product on Veltkamp's halves of v (2^27 + 1)."""
+    top = v * 134217729.0 - (v * 134217729.0 - v)
+    hi, bottom = v * v, v - top
+    return hi, ((top * top - hi) + 2.0 * top * bottom) + bottom * bottom
+
+
 def _outage_short_of_corner(a_0k, width, d_y):
-    # The far corner's own area, not one minus the covered share, so the
-    # value keeps its digits as the corner shrinks. With Y = d_y/2 and
-    # short = width^2 + Y^2 - a_0k, the circle leaves the quarter rectangle
-    # at (x0, Y) and (width, y1). The corner is the right triangle on those
-    # two points, whose legs are short/(width + x0) and short/(Y + y1), less
-    # the circular segment (a_0k/2)(theta - sin theta) on its hypotenuse.
-    # The squares are formed as `p_l` forms its regime edges, so that
-    # a_0k exceeds both and short is not negative.
-    half, half_sq, depth_sq = d_y / 2.0, d_y * d_y / 4.0, width * width
-    short = depth_sq + half_sq - a_0k
-    x0 = np.sqrt(a_0k - half_sq)
-    y1 = np.sqrt(a_0k - depth_sq)
+    # The far corner's own area, not one minus the covered share, so the value keeps its
+    # digits as the corner shrinks. With Y = d_y/2 and short = width^2 + Y^2 - a_0k, the circle
+    # leaves the quarter rectangle at (x0, Y) and (width, y1). The corner is the right triangle
+    # on those two points, whose legs are short/(width + x0) and short/(Y + y1), less the
+    # circular segment (a_0k/2)(theta - sin theta) on its hypotenuse. The squares are exact
+    # pairs, and a_0k less the larger one's hi is exact (a_0k is at most twice it), so short
+    # keeps its digits however small.
+    half = d_y / 2.0
+    (depth_sq, depth_lo), (half_sq, half_lo) = _exact_square(width), _exact_square(half)
+    over = a_0k - np.maximum(depth_sq, half_sq)
+    short = np.maximum(np.minimum(depth_sq, half_sq) - over + (depth_lo + half_lo), 0.0)
+    x0, y1 = np.sqrt((a_0k - half_sq) - half_lo), np.sqrt((a_0k - depth_sq) - depth_lo)
     theta = np.arctan2(a_0k * short / (width * half + x0 * y1), x0 * width + half * y1)
     theta_sq = theta * theta
     series = _SEGMENT_SERIES[-1]
@@ -232,36 +239,20 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be > 0, got {float(array[bad][0])!r}")
 
 
-def i_i(x, delta_width, d_y):
-    """Log-kernel building block of the conditional rate.
+def _kernel_terms(x, w, d_y):
+    """log, edge and arc, with i_i = log - 2 edge and i_j = edge + arc; arrays broadcast.
 
-    Closed form of the integral of delta_width * ln(delta_width^2 + x + y^2)
-    for y from 0 to d_y/2. Floats give a float; arrays broadcast.
+    log = w d_y/2 ln(d_y^2/4 + w^2 + x); edge = w root (u - atan u), root = sqrt(x + w^2),
+    u = d_y / (2 root) and the rule on tanh(t) sinh(t) over [0, asinh u] up to asinh u =
+    _RULE_SPAN; arc = d_y/2 corner atan(w / corner) + x `_kernel_slope`, corner^2 = x + d_y^2/4.
     """
-    _require_positive("x", x)
-    x, delta_width, d_y = _arrays(x, delta_width, d_y)
-    d_sq = delta_width * delta_width
-    root = np.sqrt(d_sq + x)
-    return _float_or_array(
-        0.5 * delta_width * d_y * np.log(d_y * d_y / 4.0 + d_sq + x)
-        - delta_width * d_y
-        + 2.0 * delta_width * root * np.arctan(d_y / (2.0 * root))
-    )
-
-
-def _arctan_kernel(x, delta_width, d_y):
-    # i_j without its argument check. `_conditional_rates`, which checks its
-    # own arguments, calls this rather than `i_j`: bench/tracing.py wraps
-    # `metrics.i_j` and labels each call by its arguments taken as scalars.
-    # The edge is width root (u - atan u), u = d_y / (2 root): up to asinh u =
-    # _RULE_SPAN, where it cancels, the rule on tanh(t) sinh(t) over [0, asinh u].
-    slope = _kernel_slope(x, delta_width, d_y)
-    corner = np.sqrt(x + d_y * d_y / 4.0)
-    root = np.sqrt(x + delta_width * delta_width)
+    x, w, d_y = _arrays(x, w, d_y)
+    root, corner = np.sqrt(x + w * w), np.sqrt(x + d_y * d_y / 4.0)
     u = np.asarray(d_y / (2.0 * root))
     gap = _piecewise(np.arcsinh(u) <= _RULE_SPAN, (lambda u: u - np.arctan(u), _gap_rule), u)
-    core = 0.5 * d_y * corner * np.arctan(delta_width / corner)
-    return core + delta_width * root * gap + x * slope
+    log = 0.5 * w * d_y * np.log(d_y * d_y / 4.0 + w * w + x)
+    arc = 0.5 * d_y * corner * np.arctan(w / corner) + x * _kernel_slope(x, w, d_y)
+    return log, w * root * gap, arc
 
 
 def _gap_rule(u):
@@ -269,16 +260,27 @@ def _gap_rule(u):
     return _centered_rule(lambda t: np.tanh(t) * np.sinh(t), 0.5 * reach, 0.5 * reach)
 
 
+def i_i(x, delta_width, d_y):
+    """Log-kernel building block of the conditional rate.
+
+    Integral of delta_width * ln(delta_width^2 + x + y^2) for y from 0 to d_y/2: the
+    log term less twice `i_j`'s edge (`_kernel_terms`). Floats give a float; arrays broadcast.
+    """
+    _require_positive("x", x)
+    log, edge, _ = _kernel_terms(x, delta_width, d_y)
+    return _float_or_array(log - 2.0 * edge)
+
+
 def i_j(x, delta_width, d_y):
     """Arctangent-kernel building block of the conditional rate.
 
-    Integral of 2*sqrt(x + y^2)*arctan(delta_width / sqrt(x + y^2)) for y
-    from 0 to Y = d_y/2: a core and an edge term plus x times
-    `_kernel_slope`, each positive and held to rounding, in narrow rooms
-    too. Floats give a float; arrays broadcast.
+    Integral of 2*sqrt(x + y^2)*arctan(delta_width / sqrt(x + y^2)) for y from 0 to d_y/2:
+    the edge `i_i` shares plus a core and x `_kernel_slope` (`_kernel_terms`), each positive
+    and held to rounding in narrow rooms too. Floats give a float; arrays broadcast.
     """
     _require_positive("x", x)
-    return _float_or_array(_arctan_kernel(x, delta_width, d_y))
+    _, edge, arc = _kernel_terms(x, delta_width, d_y)
+    return _float_or_array(edge + arc)
 
 
 def _gd_closed(mid, half):
@@ -312,10 +314,10 @@ def _kernel_slope(x, delta_width, d_y):
 def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
     """`c_l` for arrays of widths, scales, squared heights and room widths.
 
-    2 / (width d_y ln 2) times (i_i + i_j)(c_0k + h^2) - (i_i + i_j)(h^2) where
-    eps times its terms at both ends is below _C_L_TRUST of it: |i_i|, |i_j|
-    and 3 width d_y, which bounds the terms that cancel within i_i. Elsewhere
-    (it cancels, c_0k is lost in h^2, or a kernel overflows) `_rule_rates`.
+    2 / (width d_y ln 2) times (i_i + i_j)(c_0k + h^2) - (i_i + i_j)(h^2), each end
+    log - edge + arc (`_kernel_terms`), where eps times its terms at both ends and
+    the log's rounding is below _C_L_TRUST of it. Elsewhere (it cancels, c_0k is
+    lost in h^2, or a kernel overflows) `_rule_rates`.
     """
     _require_positive("delta_width", delta_width)
     _require_positive("c_0k", c_0k)
@@ -324,9 +326,12 @@ def _conditional_rates(delta_width, c_0k, h_sq, d_y) -> np.ndarray:
     w, c_0k, h_sq, d_y = _arrays(delta_width, c_0k, h_sq, d_y)
     x = np.stack((c_0k + h_sq, h_sq))  # both ends in one call
     with np.errstate(over="ignore", invalid="ignore"):
-        arctan_part, log_part = _arctan_kernel(x, w, d_y), i_i(x, w, d_y)
-        total = log_part[0] + arctan_part[0] - log_part[1] - arctan_part[1]
-        size = (np.abs(log_part) + np.abs(arctan_part)).sum(axis=0) + 6.0 * w * d_y
+        log, edge, arc = _kernel_terms(x, w, d_y)
+        total = np.subtract(*(log - edge + arc))  # the c_0k + h^2 end less the h^2 end
+        # The terms are held to eps of their size but for log's D = d_y^2/4 + w^2 + x,
+        # whose two products and two sums round by eps/2 of D at most: ln D may be off
+        # by 2 eps, log by w d_y eps per end, even where ln D and so log are near 0.
+        size = (np.abs(log) + edge + arc).sum(axis=0) + 2.0 * w * d_y
         rule = ~(np.finfo(float).eps * size < _C_L_TRUST * total)
         rates = np.array(2.0 * np.where(rule, 0.0, total) / (w * d_y * math.log(2.0)))
     if rule.any():

@@ -24,7 +24,7 @@ import os
 from dataclasses import dataclass
 
 from ._version import __version__
-from .config import ConfigError, SweepSpec, parse_config_text
+from .config import ConfigError, SweepSpec
 from .metrics import NumericalDiagnosticError, _ergodic_rates, _outages, _pdes
 from .montecarlo import _CHUNK_USERS, SimulationSpec, _simulate_outages
 from .regions import RegionPartition, _optimize_partitions
@@ -260,8 +260,3 @@ def header_config_text(path: str | os.PathLike) -> str:
             if line.startswith("# "):
                 config_lines.append(line[2:])
     return "\n".join(config_lines) + "\n"
-
-
-def reload_run(path: str | os.PathLike):
-    """Parse an emitted table's header back into (SystemConfig, SweepSpec)."""
-    return parse_config_text(header_config_text(path))

@@ -89,21 +89,29 @@ def test_outage_kernel_keeps_its_digits_short_of_the_far_corner(delta, d_y):
 
 
 def test_outage_kernel_matches_mpmath_across_the_last_regime():
-    # Random shapes, reaching from 1e-1 to 1e-6 of the far corner's squared
-    # distance short of it. The squares of such widths are inexact, which
-    # costs about 2 eps (w^2 + d_y^2/4) / short relative: 4.4e-10 at most.
+    # Random shapes, reaching from 1e-1 to 1e-15 of the far corner's squared
+    # distance short of it. The squares of such widths are inexact; formed
+    # as exact pairs they leave short its digits: 6.3e-16 relative at most.
     rng = np.random.default_rng(36)
     checked = 0
     while checked < 300:
         delta = float(rng.uniform(0.3, 8.0))
         d_y = float(rng.uniform(0.6, 14.0))
         w, d = d_y * d_y / 4.0, delta * delta
-        a = w + d - (w + d) * 10.0 ** -rng.uniform(1.0, 6.0)
+        a = w + d - (w + d) * 10.0 ** -rng.uniform(1.0, 15.0)
         if not max(w, d) < a:
             continue
         ref = oracle.p_l_mpmath(delta, a, d_y)
-        assert abs(p_l(delta, a, d_y) - ref) <= 1e-9 * ref, (delta, a, d_y)
+        assert abs(p_l(delta, a, d_y) - ref) <= 2e-15 * ref, (delta, a, d_y)
         checked += 1
+
+
+def test_outage_kernel_keeps_its_digits_where_the_squares_are_inexact():
+    # Neither square is a float here; rounded, they put the outage 2.4e-9
+    # relative off.
+    delta, a, d_y = 5.0314624110902, 25.620927764145346, 1.1051069654944148
+    ref = oracle.p_l_mpmath(delta, a, d_y)
+    assert abs(p_l(delta, a, d_y) - ref) <= 1e-13 * ref
 
 
 def test_outage_kernel_limits():
@@ -402,6 +410,30 @@ def test_rate_kernel_continuous_across_slope_switch(delta, rule_sizes):
     assert below == pytest.approx(ref, rel=1e-13, abs=0.0)
     ref = oracle.rate_kernel_mpmath(delta, math.exp(hi), cfg.d_y, cfg.h)
     assert above == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_rate_kernel_matches_mpmath_where_the_trust_allowance_moved_the_path(monkeypatch):
+    # c_l's trust size once held 6 width d_y for terms that cancelled within
+    # i_i; it now holds only the log argument's rounding, 2 width d_y. Of
+    # 200,000 random sub-rectangles, 1,397 that the old size sent to the y
+    # rule now keep the kernel difference; 150 of them, drawn at random, are
+    # within 1e-10 of the oracle (7.4e-11 at worst over all 1,397).
+    n = 200_000
+    rng = np.random.default_rng(2026)
+    bounds = ((-3.0, 2.0), (-14.0, 10.0), (-1.0, math.log10(20.0)), (-1.0, 2.0))
+    width, c0, h, d_y = (10.0 ** rng.uniform(lo, hi, n) for lo, hi in bounds)
+    x = np.stack((c0 + h * h, h * h))
+    log_part, arctan_part = i_i(x, width, d_y), i_j(x, width, d_y)
+    total = (log_part + arctan_part)[0] - (log_part + arctan_part)[1]
+    old_size = (np.abs(log_part) + arctan_part).sum(axis=0) + 6.0 * width * d_y
+    old_rule = ~(np.finfo(float).eps * old_size < metrics._C_L_TRUST * total)
+    monkeypatch.setattr(metrics, "_rule_rates", lambda w, *_: np.full(w.size, np.nan))
+    rates = metrics._conditional_rates(width, c0, h * h, d_y)
+    moved = np.flatnonzero(old_rule & ~np.isnan(rates))
+    assert moved.size >= 150
+    for i in rng.choice(moved, 150, replace=False):
+        ref = oracle.rate_kernel_mpmath(width[i], c0[i], d_y[i], h[i])
+        assert rates[i] == pytest.approx(ref, rel=1e-10, abs=0.0), (width[i], c0[i], h[i])
 
 
 def test_rate_kernel_requires_height():

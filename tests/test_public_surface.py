@@ -61,6 +61,8 @@ REMOVED = (
     "_IJ_SERIES_TERMS",
     "_MIDDLE_RULE_SPAN",
     "_MIDDLE_RULE_NODES",
+    "_arctan_kernel",
+    "reload_run",
 )
 
 
