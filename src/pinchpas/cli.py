@@ -38,7 +38,7 @@ from .numerics import gauss_legendre, leggauss_cached
 from .regions import optimize_partition
 from .specfun import CATALAN, ti2
 from .sweep import emit_table, run_sweep
-from .system import SystemConfig, best_snr, db_to_linear, make_layout, snr_matrix
+from .system import _ROW_MAX_M, SystemConfig, best_snr, db_to_linear, make_layout, snr_matrix
 
 __all__ = ["main"]
 
@@ -174,11 +174,12 @@ def _selftest() -> int:
         f"analytic={analytic_rate:.6f} simulated={rate_est.mean:.6f} band={band:.2e}",
     )
 
-    # The simulator's best gains, by antenna rows (m = 10) and by the
-    # candidate window (m = 100), hold every user's best antenna.
+    # The simulator's best gains, over every antenna's row (up to
+    # _ROW_MAX_M) and over three rows gathered per user (beyond it), hold
+    # every user's best antenna.
     users = np.random.default_rng(2000)
     differ = 0
-    for m in (10, 100):
+    for m in (_ROW_MAX_M, _ROW_MAX_M + 1, 100):
         for alpha in (0.05, 0.4):
             room = SystemConfig(d_x=30.0, alpha=alpha)
             grid = make_layout(room, m)
@@ -187,9 +188,9 @@ def _selftest() -> int:
             full = snr_matrix(room, grid, x, y).max(axis=0)
             differ += int(np.count_nonzero(best_snr(room, grid, x, y) != full))
     all_ok &= _check(
-        "best-antenna window matches full max",
+        "best-antenna gains match full max",
         differ == 0,
-        f"{differ} of 8000 users differ",
+        f"{differ} of 12000 users differ",
     )
 
     # Outage, rate and pde sweeps along m, one batch each, keep each

@@ -27,7 +27,7 @@ import numpy as np
 
 from .numerics import _float_or_array, _piecewise, gauss_legendre, leggauss_cached
 from .regions import RegionPartition
-from .specfun import _dilog, ti2
+from .specfun import _dilog, _horner, ti2
 from .system import (
     PaLayout,
     SystemConfig,
@@ -143,7 +143,9 @@ def _outage_past_depth(a_0k, width, d_y):
 
 
 # 1/(2k + 1)! for k = 1..9: theta - sin(theta) = sum of (-1)^(k+1) theta^(2k+1)
-# / (2k + 1)!, whose tenth term is at most 1.2e-19 of the first for theta < 1.
+# / (2k + 1)!. The segment's theta spans two points of a quarter circle, so
+# theta <= pi/2, where the tenth term is 4.0e-16 of the first; on [1, pi/2] the
+# nine terms by Horner's rule are within 6.7e-16 relative of 50-digit mpmath.
 _SEGMENT_SERIES = tuple(1.0 / math.factorial(2 * k + 1) for k in range(1, 10))
 
 
@@ -169,10 +171,7 @@ def _outage_short_of_corner(a_0k, width, d_y):
     x0, y1 = np.sqrt((a_0k - half_sq) - half_lo), np.sqrt((a_0k - depth_sq) - depth_lo)
     theta = np.arctan2(a_0k * short / (width * half + x0 * y1), x0 * width + half * y1)
     theta_sq = theta * theta
-    series = _SEGMENT_SERIES[-1]
-    for coefficient in _SEGMENT_SERIES[-2::-1]:
-        series = coefficient - theta_sq * series
-    segment = np.where(theta < 1.0, theta * theta_sq * series, theta - np.sin(theta))
+    segment = theta * theta_sq * _horner(_SEGMENT_SERIES, -theta_sq)
     triangle = (short / (width + x0)) * (short / (half + y1))
     return 0.5 * (triangle - a_0k * segment) / (width * half)
 

@@ -7,16 +7,15 @@ spacing delta = d_x / m, and its x_k are an array derived from the two.
 Exactly one position radiates per transmission; the access point activates
 whichever one yields the highest received SNR for the current user.
 The SNR law is big_c, the one factor that depends on the transmit SNR,
-times a gain e^(-alpha x_k) / distance^2 written once, in `_gain`, and
-evaluated three ways: `snr_matrix`, the (m, n) matrix of every antenna
-(behind the scalar `select_pa`); `best_snr` (behind the simulator), whose
-`_best_gains` builds no such matrix: up to ten antennas it keeps a running
-maximum over one antenna row at a time, sharing each row's distances
-between the curves that differ only in alpha, and beyond that it evaluates
-three candidate antennas per user that provably hold the best one, so its
-cost does not grow with the antenna count (the proof is in
-`_window_gain`'s docstring); and `_continuous_candidates`, for the freely
-placed radiator of the continuous baseline. Each multiplies by
+times a gain e^(-alpha x_k) / distance^2 written once, in `_gain`:
+`snr_matrix` forms the (m, n) matrix of every antenna (behind the scalar
+`select_pa`), and `_continuous_candidates` the freely placed radiator of
+the continuous baseline. `best_snr` (behind the simulator) builds no such
+matrix: `_best_gains` keeps a running maximum over candidate rows, which
+up to ten antennas are every antenna, shared by the curves that differ
+only in alpha, and beyond that three antennas gathered per user that
+provably hold the best one, so its cost does not grow with the antenna
+count (the proof is in `_best_gains`' docstring). Each multiplies by
 big_c last; rounding is monotone, so the best SNR is big_c times the best
 gain, bit for bit.
 
@@ -234,9 +233,9 @@ def _gain(
     """The SNR law over big_c, e^(-alpha x_k) / ((x - x_k)^2 + y^2 + h^2), in place.
 
     `attenuation` holds e^(-alpha x_k). `positions` and `attenuation` are
-    either shape (m, 1), for every antenna, or one candidate antenna per
-    user, shape (n,) or scalar; each entry takes the same operations in the
-    same order either way.
+    either shape (m, 1), for every antenna, or one radiator per user, shape
+    (n,) or scalar; each entry takes the same operations in the same order
+    either way, and so does each row of `_best_gains`.
     """
     denom = _dist_sq(config.h, positions, x, y_sq)
     return np.divide(attenuation, denom, out=denom)
@@ -360,17 +359,17 @@ def _first_at_or_beyond(layout: PaLayout, v: np.ndarray) -> np.ndarray:
     return index
 
 
-# Up to this many antennas a user's best gain streams one antenna row at
-# a time; beyond it the three-candidate window is cheaper. Rows cost about
-# six passes over the users per antenna, the window's index work about as
-# much as nine or ten rows. In fresh processes on a 2-vCPU x86-64 host
+# Up to this many antennas a user's best gain runs over every antenna's
+# row; beyond it three rows gathered per user are cheaper. A row costs
+# about six passes over the users, finding and gathering the three about
+# as much as nine or ten rows. In fresh processes on a 2-vCPU x86-64 host
 # (numpy 2.4), 3e6 users in blocks of 8,192 took 0.07-0.12 s through the
-# window at any m (the host's speed drifts between processes). As a share
-# of the window's time in the same process, the rows took 0.12 / 0.5 /
-# 0.8 at m = 1 / 5 / 8, 0.94-1.11 at m = 10, 1.13-1.27 at m = 11-12 and
-# about 2 at m = 20. Curves that share the rows (an alpha axis) each pay
-# only two of the six passes: three of them took 0.34-0.40 of the
-# window's time at m = 10 and 0.9-1.0 at m = 16.
+# gathered rows at any m (the host's speed drifts between processes). As
+# a share of that time in the same process, every antenna's rows took
+# 0.12 / 0.5 / 0.8 at m = 1 / 5 / 8, 0.94-1.11 at m = 10, 1.13-1.27 at
+# m = 11-12 and about 2 at m = 20. Curves that share the rows (an alpha
+# axis) each pay only two of the six passes: three of them took
+# 0.34-0.40 of the gathered rows' time at m = 10 and 0.9-1.0 at m = 16.
 _ROW_MAX_M = 10
 
 
@@ -379,10 +378,10 @@ def best_snr(
 ) -> np.ndarray:
     """Each user's best-antenna SNR (linear), shape (n,).
 
-    Returns `snr_matrix(...).max(axis=0)` bit for bit: big_c times the
-    best e^(-alpha x_k) / distance^2 from `_best_gains`, which builds no
-    (m, n) matrix. Rounding is monotone, so
-    max_k fl(big_c g_k) = fl(big_c max_k g_k).
+    Returns `snr_matrix(...).max(axis=0)` bit for bit, but for the one-ulp
+    tie `_best_gains` states: big_c times the best e^(-alpha x_k) /
+    distance^2 from `_best_gains`, which builds no (m, n) matrix. Rounding
+    is monotone, so max_k fl(big_c g_k) = fl(big_c max_k g_k).
     """
     (best,) = _best_gains([config], layout, x, y)
     return config.big_c * best
@@ -393,42 +392,18 @@ def _best_gains(
 ):
     """Yield each config's best gain per user, shape (n,); the configs share h.
 
-    Up to `_ROW_MAX_M` antennas the gains stream one antenna row at a time
-    through (n,) buffers: each row's (x - x_k)^2 + y^2 + h^2 is formed once
-    for all configs, each config divides it by its own e^(-alpha x_k), and
-    a running maximum keeps each config's best. Every value takes `_gain`'s
-    operations in the same order and the maximum is exact, so the result is
-    the matrix maximum bit for bit.
+    One running maximum over candidate rows, through (n,) buffers: each
+    row's (x - x_k)^2 + y^2 + h^2 is formed once for all the configs that
+    share it, each config divides it by its own e^(-alpha x_k), and the
+    maximum keeps each config's best. Every value takes `_gain`'s
+    operations in the same order and the maximum is exact.
 
-    Beyond `_ROW_MAX_M` each config takes `_window_gain`, computed only
-    when it is asked for.
-    """
-    if layout.m > _ROW_MAX_M:
-        for config in configs:
-            yield _window_gain(config, layout, x, y)
-        return
-    h = configs[0].h
-    positions = layout.x_k
-    attenuations = [np.exp(-config.alpha * positions) for config in configs]
-    y_sq = y**2
-    row = _dist_sq(h, positions[0], x, y_sq)
-    best = [np.divide(attenuation[0], row) for attenuation in attenuations]
-    gain = np.empty_like(row)
-    for k in range(1, layout.m):
-        _dist_sq(h, positions[k], x, y_sq, out=row)
-        for top, attenuation in zip(best, attenuations):
-            np.maximum(top, np.divide(attenuation[k], row, out=gain), out=top)
-    yield from best
-
-
-def _window_gain(
-    config: SystemConfig, layout: PaLayout, x: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Each user's best gain over three candidate antennas, for any m.
-
-    The candidates are antenna 1 and the two antennas that bracket x - t1.
-    Antenna k's gain at (x, y) is e^(-alpha t) / ((x - t)^2 + r^2) with
-    t = x_k and r^2 = y^2 + h^2. Put u = x - t:
+    Up to `_ROW_MAX_M` antennas the rows are every antenna, shared by all
+    configs, and the result is the matrix maximum bit for bit. Beyond it
+    each config, only when asked for, takes three rows gathered per user:
+    antenna 1 and the two antennas that bracket x - t1. These hold the
+    best antenna. Antenna k's gain at (x, y) is e^(-alpha t) / ((x - t)^2
+    + r^2) with t = x_k and r^2 = y^2 + h^2. Put u = x - t:
 
     - d/du log gain = alpha - 2u / (u^2 + r^2), which is >= 0 for u <= 0.
     - If alpha^2 r^2 >= 1 it is never negative, so antenna 1 (largest u)
@@ -439,22 +414,31 @@ def _window_gain(
       or beyond x - t1 wins there; for t < x - t1 the last antenna before
       x - t1 wins, or antenna 1 if the final rise reaches past it.
 
-    Each candidate's gain is computed exactly as `snr_matrix` computes it
-    before its factor big_c, so the values match bit for bit. The one
-    exception needs antenna spacings below about 1e-6 of r, such as
-    micrometre spacings in a centimetre room: there two antennas can tie
-    to within rounding, and the window may keep the one that rounds one
-    ulp lower.
+    The one exception to bit for bit needs antenna spacings below about
+    1e-6 of r, such as micrometre spacings in a centimetre room: there two
+    antennas can tie to within rounding, and the gathered rows may keep
+    the one that rounds one ulp lower.
     """
+    h = configs[0].h
     positions = layout.x_k
-    attenuation = np.exp(-config.alpha * positions)
     y_sq = y**2
-    peak = x - _feedward_offset(config.alpha, y_sq + config.h * config.h)
-    above_peak = _first_at_or_beyond(layout, peak)
-    best = _gain(config, positions[0], attenuation[0], x, y_sq)
-    for k in (np.maximum(above_peak - 1, 0), above_peak):
-        np.maximum(best, _gain(config, positions[k], attenuation[k], x, y_sq), out=best)
-    return best
+    shared = layout.m <= _ROW_MAX_M
+    for group in [configs] if shared else [[config] for config in configs]:
+        attenuations = [np.exp(-config.alpha * positions) for config in group]
+        if shared:
+            rows = range(1, layout.m)
+        else:
+            peak = x - _feedward_offset(group[0].alpha, y_sq + h * h)
+            above_peak = _first_at_or_beyond(layout, peak)
+            rows = (np.maximum(above_peak - 1, 0), above_peak)
+        row = _dist_sq(h, positions[0], x, y_sq)
+        best = [np.divide(attenuation[0], row) for attenuation in attenuations]
+        gain = np.empty_like(row)
+        for k in rows:
+            _dist_sq(h, positions[k], x, y_sq, out=row)
+            for top, attenuation in zip(best, attenuations):
+                np.maximum(top, np.divide(attenuation[k], row, out=gain), out=top)
+        yield from best
 
 
 def select_pa(config: SystemConfig, layout: PaLayout, user: UserPosition) -> int:

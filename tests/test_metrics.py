@@ -92,18 +92,30 @@ def test_outage_kernel_matches_mpmath_across_the_last_regime():
     # Random shapes, reaching from 1e-1 to 1e-15 of the far corner's squared
     # distance short of it. The squares of such widths are inexact; formed
     # as exact pairs they leave short its digits: 6.3e-16 relative at most.
+    # Then the far side, from 1e-15 of the smaller square above the larger
+    # one toward the corner, where the segment's angle reaches past 1 rad
+    # (toward its pi/2 bound) in 46 of the 300: 7.6e-16 at most.
     rng = np.random.default_rng(36)
-    checked = 0
-    while checked < 300:
-        delta = float(rng.uniform(0.3, 8.0))
-        d_y = float(rng.uniform(0.6, 14.0))
-        w, d = d_y * d_y / 4.0, delta * delta
-        a = w + d - (w + d) * 10.0 ** -rng.uniform(1.0, 15.0)
-        if not max(w, d) < a:
-            continue
-        ref = oracle.p_l_mpmath(delta, a, d_y)
-        assert abs(p_l(delta, a, d_y) - ref) <= 2e-15 * ref, (delta, a, d_y)
-        checked += 1
+    widest = 0.0
+    for near_corner in (True, False):
+        checked = 0
+        while checked < 300:
+            delta = float(rng.uniform(0.3, 8.0))
+            d_y = float(rng.uniform(0.6, 14.0))
+            w, d = d_y * d_y / 4.0, delta * delta
+            if near_corner:
+                a = w + d - (w + d) * 10.0 ** -rng.uniform(1.0, 15.0)
+            else:
+                a = max(w, d) + min(w, d) * 10.0 ** -rng.uniform(0.0, 15.0)
+            if not max(w, d) < a < w + d:
+                continue
+            ref = oracle.p_l_mpmath(delta, a, d_y)
+            assert abs(p_l(delta, a, d_y) - ref) <= 2e-15 * ref, (delta, a, d_y)
+            # The angle between the circle's exits (x0, d_y/2) and (delta, y1).
+            exits = (math.atan2(d_y / 2.0, math.sqrt(a - w)), math.atan2(math.sqrt(a - d), delta))
+            widest = max(widest, exits[0] - exits[1])
+            checked += 1
+    assert widest > 1.4
 
 
 def test_outage_kernel_keeps_its_digits_where_the_squares_are_inexact():
@@ -955,6 +967,41 @@ def test_continuous_rate_exceeds_discrete():
         lay = make_layout(cfg, m)
         part = optimize_partition(cfg, lay)
         assert ergodic_rate(cfg, lay, part).value < cont
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the partition's cut offset is searched to an absolute 1e-6 m, "
+    "so the rate moves under a rescale of lengths (ROADMAP item 5)",
+)
+def test_metrics_are_invariant_under_a_rescale_of_lengths():
+    # Lengths times s, alpha over s and big_c times s^2 leave every SNR as
+    # it was, so every metric must stay too. s = 2^k scales lengths
+    # exactly. The rate moves 1.8e-3 relative at k = -20, 4.1e-6 at -10
+    # and 3.0e-9 at 10 and 20; outage and continuous rate hold to 3.4e-15.
+    base = SystemConfig(d_x=30.0, alpha=0.05, gamma_t_db=90.0)
+
+    def metrics(cfg):
+        values = [continuous_rate(cfg).value]
+        for m in (2, 10, 100):
+            lay = make_layout(cfg, m)
+            part = optimize_partition(cfg, lay)
+            values += [f(cfg, lay, part).value for f in (outage_probability, ergodic_rate, pde)]
+        return values
+
+    expected = metrics(base)
+    for k in (-20, -10, 10, 20):
+        s = 2.0**k
+        scaled = replace(
+            base,
+            d_x=base.d_x * s,
+            d_y=base.d_y * s,
+            h=base.h * s,
+            alpha=base.alpha / s,
+            gamma_t_db=base.gamma_t_db + 20.0 * math.log10(s),
+        )
+        assert metrics(scaled) == pytest.approx(expected, rel=1e-12, abs=0.0), k
 
 
 def test_pde_value_and_flags():

@@ -186,7 +186,7 @@ def _direct_outage_hits(config, layout, spec):
 @pytest.mark.parametrize("seed", [0, 3, 8191])
 @pytest.mark.parametrize("m", [1, 10, 40])
 def test_outage_curve_equals_pointwise_simulation(seed, m):
-    # m = 40 takes best_snr's candidate window; the run ends in a 3-user chunk.
+    # m = 40 takes best_snr's three gathered rows; the run ends in a 3-user chunk.
     cfg = SystemConfig(d_x=30.0, gamma_t_db=97.0)
     lay = make_layout(cfg, m)
     spec = SimulationSpec(n_samples=STREAM_CHUNK + 3, seed=seed)

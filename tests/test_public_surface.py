@@ -63,6 +63,7 @@ REMOVED = (
     "_MIDDLE_RULE_NODES",
     "_arctan_kernel",
     "reload_run",
+    "_window_gain",
 )
 
 
